@@ -3,8 +3,12 @@
 
 Draws random parametric families, runs the full cascade for both strong
 goals, and checks every non-Unknown verdict against the unreduced vertex
-enumeration.  Reports which stage decided how often.  Exits nonzero on
-any disagreement, so this doubles as a long-running soak test:
+enumeration.  Every vertex certificate is re-checked too: a
+counterexample's smallest eigenvalue, recomputed with LAPACK at its
+point, must match the reported one within the family tolerance, and a
+vertex list must count every reduced vertex.  Reports which stage
+decided how often.  Exits nonzero on any disagreement, so this doubles
+as a long-running soak test:
 
     python scripts/consistency_sweep.py --count 2000 --seed 7
 """
@@ -31,6 +35,23 @@ def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.Parame
     return pp.ParametricSymMatrix(coeffs, pp.ParameterBox(ivs))
 
 
+def certificate_problem(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> str | None:
+    """Why the verdict's vertex certificate fails its re-check, or None."""
+    tol = pp.family_tol(p)
+    cert = verdict.certificate
+    if isinstance(cert, pp.CounterexampleVertex):
+        if not p.box.contains(cert.p):
+            return "counterexample outside the box"
+        m = float(np.linalg.eigvalsh(np.tensordot(cert.p, p.coefficient_stack(), axes=1))[0])
+        if abs(m - cert.min_eig) > tol:
+            return f"counterexample min_eig {cert.min_eig:.12g}, LAPACK says {m:.12g}"
+    if isinstance(cert, pp.VertexList):
+        expected = len(pp.vertices(p, tol=tol))
+        if cert.checked != expected:
+            return f"vertex list checked {cert.checked} of {expected} vertices"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
@@ -50,6 +71,9 @@ def main() -> int:
             tally[(goal, verdict.status.value, verdict.method)] += 1
             if verdict.unknown:
                 continue
+            problem = certificate_problem(p, verdict)
+            if problem is not None:
+                disagreements.append((i, goal, problem))
             truth = full_vertex_check(p, "pd" if goal.endswith("_pd") else "psd")
             if truth != verdict.proved:
                 disagreements.append((i, goal, verdict.status.value, truth))

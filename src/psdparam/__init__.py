@@ -72,11 +72,13 @@ from .symlinalg import (
     SymMatrix,
     default_tol,
     determinant,
+    eig_stack,
     eig_sym,
     invert,
     is_pd,
     is_psd,
     min_eig,
+    min_eigs,
     psd_split,
     spectral_radius_nonneg,
 )

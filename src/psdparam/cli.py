@@ -3,9 +3,9 @@
 Two subcommands: ``check`` decides a definiteness goal for a parametric
 matrix problem given as JSON, and ``convex`` certifies convexity of a
 cubic polynomial on a box.  The machine-readable report goes to stdout as
-JSON (schema shipped in ``schemas/run_report.schema.json``); a one-line
-human summary goes to stderr.  Exit codes: 0 proved, 1 disproved,
-2 unknown, 64 input error.
+one compact JSON line (schema shipped in ``schemas/run_report.schema.json``);
+a one-line human summary goes to stderr.  Exit codes: 0 proved,
+1 disproved, 2 unknown, 64 input error.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def cmd_convex(args) -> int:
 
 
 def _emit(report: RunReport, summary: str) -> int:
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")))
     print(summary, file=sys.stderr)
     return _STATUS_EXIT[df.Status(report.status)]
 

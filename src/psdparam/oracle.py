@@ -1,9 +1,13 @@
 """Brute-force reference checks for the decision procedures.
 
-Everything here goes through LAPACK (numpy.linalg.eigvalsh) rather than
-the package's own eigensolver and enumerates without reductions, so tests
-can compare the clever routes against an independent, slow ground truth.
-The decision procedures never consult this module.
+Everything here enumerates without reductions: all 2^K endpoint
+combinations, a grid or random samples, never the reduced Gray-code
+vertex set.  That unreduced enumeration is what makes this an
+independent, slow ground truth for the clever routes.  Its eigenvalues
+come from LAPACK (numpy.linalg.eigvalsh), the same library the batched
+vertex route uses, so the eigensolver itself is cross-checked separately
+by a test that compares batched LAPACK against the package's Jacobi
+solver.  The decision procedures never consult this module.
 """
 
 from __future__ import annotations

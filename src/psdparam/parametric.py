@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import Interval, IntervalMatrix, im_add, scale, zeros
-from .symlinalg import SymMatrix, invert, is_psd
+from .symlinalg import SymMatrix, default_tol, eig_stack, invert
 
 SYMMETRY_TOL_FACTOR = 1e-12
 
@@ -79,8 +79,11 @@ class ParametricSymMatrix:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "box", box)
         stack = np.stack([c.array for c in cs])
-        stack.setflags(write=False)
+        eigvals, eigvecs = eig_stack(stack)
+        for a in (stack, eigvals, eigvecs):
+            a.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_spectra", (eigvals, eigvecs))
 
     @property
     def n(self) -> int:
@@ -93,6 +96,10 @@ class ParametricSymMatrix:
     def coefficient_stack(self) -> np.ndarray:
         """Read-only (K, n, n) array of the coefficient matrices."""
         return self._stack
+
+    def coefficient_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only eigenvalues (K, n), ascending, and eigenvectors (K, n, n) of the coefficients."""
+        return self._spectra
 
     def __repr__(self) -> str:
         return f"ParametricSymMatrix(n={self.n}, K={self.K})"
@@ -188,11 +195,17 @@ class VertexEnumeration(Sequence):
         if not -len(self) <= i < len(self):
             raise IndexError(i)
         i %= len(self)
+        return VertexAssignment(tuple(self.points(i, i + 1)[0].tolist()), self._mask)
+
+    def points(self, start: int, stop: int) -> np.ndarray:
+        """Vertices ``start`` to ``stop - 1`` in Gray-code order, one row each."""
+        i = np.arange(start, stop, dtype=np.int64)
         gray = i ^ (i >> 1)
-        values = self._base.copy()
-        for bit, k in enumerate(self._free):
-            values[k] = self._highs[k] if (gray >> bit) & 1 else self._lows[k]
-        return VertexAssignment(tuple(float(v) for v in values), self._mask)
+        free = np.array(self._free, dtype=np.intp)
+        bits = (gray[:, None] >> np.arange(len(free))) & 1
+        rows = np.tile(self._base, (len(i), 1))
+        rows[:, free] = np.where(bits == 1, self._highs[free], self._lows[free])
+        return rows
 
 
 def vertices(p: ParametricSymMatrix, mode: str = "psd", tol: float | None = None) -> VertexEnumeration:
@@ -201,20 +214,23 @@ def vertices(p: ParametricSymMatrix, mode: str = "psd", tol: float | None = None
     ``mode`` is "psd" or "pd"; the fixing rules coincide for both goals,
     so it only validates intent.  ``tol`` is the semidefiniteness
     tolerance used by the coefficient classification (per-matrix default
-    when omitted).
+    when omitted), applied to the eigenvalues the family computed once
+    when it was built.
     """
     if mode not in ("psd", "pd"):
         raise ValueError(f"mode must be 'psd' or 'pd', got {mode!r}")
     lows = p.box.inf()
     highs = p.box.sup()
     base = p.box.mid()
+    eigvals = p.coefficient_spectra()[0]
     free: list[int] = []
     for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
+        t = default_tol(coeff) if tol is None else tol
         if iv.is_degenerate:
             base[k] = iv.inf
-        elif is_psd(coeff, tol):
+        elif eigvals[k, 0] >= -t:  # PSD coefficient
             base[k] = iv.inf
-        elif is_psd(SymMatrix(-coeff.array), tol):
+        elif eigvals[k, -1] <= t:  # NSD coefficient
             base[k] = iv.sup
         else:
             free.append(k)

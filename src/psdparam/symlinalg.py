@@ -1,10 +1,12 @@
-"""Dense symmetric eigensolver and the numeric kernels built on it.
+"""Dense symmetric eigensolvers and the numeric kernels built on them.
 
-Provides cyclic-Jacobi spectral decomposition, eigenvalue-based
-definiteness tests with an explicit tolerance policy, splitting of a
-symmetric matrix into a difference of two positive semidefinite parts,
-Gaussian-elimination inversion, and a bracketed Perron root for
-nonnegative matrices.
+Scalar kernels use cyclic Jacobi: spectral decomposition,
+eigenvalue-based definiteness tests with an explicit tolerance policy,
+splitting of a symmetric matrix into a difference of two positive
+semidefinite parts.  Stacks of matrices (the coefficient spectra of a
+family, the member matrices of the vertex route) go through batched
+LAPACK instead (``eig_stack``, ``min_eigs``).  Also Gaussian-elimination
+inversion and a bracketed Perron root for nonnegative matrices.
 """
 
 from __future__ import annotations
@@ -133,6 +135,26 @@ def eig_sym(a: SymMatrix, max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]
 def min_eig(a: SymMatrix) -> float:
     """Smallest eigenvalue."""
     return float(eig_sym(a)[0][0])
+
+
+def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of each matrix in a (m, n, n) stack.
+
+    One batched LAPACK call that reads the lower triangles; a LAPACK
+    failure is raised as ConvergenceError.
+    """
+    try:
+        return np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh failed: {exc}") from exc
+
+
+def min_eigs(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix in a (m, n, n) stack, by one batched LAPACK call."""
+    try:
+        return np.linalg.eigvalsh(stack)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 
 
 def is_psd(a: SymMatrix, tol: float | None = None) -> bool:

@@ -138,6 +138,21 @@ class TestCheck:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{split}", "--goal", "strong-pd"],
+        ["check", "{split}", "--goal", "strong-psd", "--method", "vertex"],
+        ["convex", DEMO_CUBIC, *DEMO_BOX_FLAGS],
+    ],
+)
+def test_report_is_one_json_line(capsys, split_file, argv):
+    main([arg.format(split=split_file) for arg in argv])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert_schema_valid(json.loads(out))
+
+
 class TestConvex:
     def test_demo_cubic(self, capsys):
         code, report, _ = run_cli(capsys, "convex", DEMO_CUBIC, *DEMO_BOX_FLAGS)

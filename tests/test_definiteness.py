@@ -24,6 +24,7 @@ from psdparam import (
     ParametricSymMatrix,
     SignVector,
     SplitWitness,
+    Status,
     SymMatrix,
     VertexList,
     WitnessPoint,
@@ -41,11 +42,51 @@ from psdparam import (
     strong_psd,
     strong_psd_interval,
     strong_psd_split,
+    vertices,
     weak_pd_necessary,
     weak_pd_witness,
     weak_psd_necessary,
 )
+from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
+
+PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
+
+
+def planted_vertex_family(rng, j: int, shift: float) -> ParametricSymMatrix:
+    """shift * I on a degenerate parameter plus indefinite coefficients on [-1, 1].
+
+    Gray vertex ``j`` alone puts -PLANTED_FREE on the (0, 0) entry; every
+    other vertex puts at least 2 more there, and the remaining 2x2 block
+    stays within +-0.6.  So with shift 4 only vertex ``j`` fails, with
+    shift 2.5 it and its Gray neighbours fail, and with shift 6 every
+    vertex passes and ``j`` is the worst.
+    """
+    gray = j ^ (j >> 1)
+    e = np.eye(3)
+    twist = 0.1 * (np.outer(e[1], e[1]) - np.outer(e[2], e[2]))
+    coeffs = [e]
+    for bit in range(PLANTED_FREE):
+        sign = 1.0 if (gray >> bit) & 1 else -1.0
+        noise = rng.uniform(-0.01, 0.01, (3, 3))
+        coeffs.append(-sign * np.outer(e[0], e[0]) + twist + noise + noise.T)
+    box = ParameterBox([Interval(shift, shift)] + [Interval(-1.0, 1.0)] * PLANTED_FREE)
+    return ParametricSymMatrix(coeffs, box)
+
+
+def sequential_vertex_scan(p: ParametricSymMatrix, goal: str):
+    """The one-vertex-at-a-time Jacobi scan the batched route must agree with."""
+    tol = family_tol(p)
+    enum = vertices(p, tol=tol)
+    worst, worst_vertex = np.inf, None
+    for i in range(len(enum)):
+        v = enum[i].values
+        m = min_eig(evaluate(p, v))
+        if m < worst:
+            worst, worst_vertex = m, v
+        if m <= tol if goal == "pd" else m < -tol:
+            return Status.DISPROVED, v, m
+    return Status.PROVED, worst_vertex, worst
 
 
 class TestStrongVertex:
@@ -95,6 +136,66 @@ class TestStrongVertex:
             p = random_family(rng, max_n=3, max_k=4)
         v = strong_psd(p, budget=1)
         assert v.unknown and "budget" in v.detail
+
+
+class TestBatchedVertexRoute:
+    def assert_matches_sequential(self, p, goal):
+        op = strong_pd if goal == "pd" else strong_psd
+        v = op(p)
+        status, vertex, value = sequential_vertex_scan(p, goal)
+        assert v.status is status
+        cert = v.certificate
+        if status is Status.DISPROVED:
+            assert isinstance(cert, CounterexampleVertex)
+            assert (cert.p, cert.min_eig) == (vertex, pytest.approx(value, abs=1e-9))
+        else:
+            assert isinstance(cert, VertexList) and cert.checked == len(vertices(p, tol=family_tol(p)))
+            assert (cert.worst_vertex, cert.worst_min_eig) == (vertex, pytest.approx(value, abs=1e-9))
+        return v
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31])
+    @pytest.mark.parametrize("goal", ["psd", "pd"])
+    def test_planted_first_failure(self, rng, j, goal):
+        p = planted_vertex_family(rng, j, shift=4.0)
+        v = self.assert_matches_sequential(p, goal)
+        assert v.disproved and v.certificate.p == vertices(p)[j].values
+
+    @pytest.mark.parametrize("j", [0, 3, 15, 31])
+    @pytest.mark.parametrize("shift", [2.5, 0.5])
+    @pytest.mark.parametrize("goal", ["psd", "pd"])
+    def test_planted_several_failures(self, rng, j, shift, goal):
+        v = self.assert_matches_sequential(planted_vertex_family(rng, j, shift), goal)
+        assert v.disproved
+
+    def test_tied_minimum_names_first_vertex(self):
+        # A(p) = diag(p1, 10 - 0.001 p1 + p2, 10 - p2): the minimum 1 is
+        # attained exactly at Gray vertices 0 and 3, in different chunks.
+        p = ParametricSymMatrix(
+            [np.diag([1.0, -0.001, 0.0]), np.diag([0.0, 1.0, -1.0]), np.diag([0.0, 10.0, 10.0])],
+            ParameterBox([Interval(1.0, 2.0), Interval(0.0, 1.0), Interval(1.0, 1.0)]),
+        )
+        v = self.assert_matches_sequential(p, "pd")
+        assert v.certificate.worst_vertex == vertices(p)[0].values
+        assert v.certificate.worst_min_eig == 1.0
+
+    @pytest.mark.parametrize("j", [0, 7, 31])
+    def test_planted_proved_names_worst_vertex(self, rng, j):
+        p = planted_vertex_family(rng, j, shift=6.0)
+        v = self.assert_matches_sequential(p, "pd")
+        assert v.proved and v.certificate.worst_vertex == vertices(p)[j].values
+
+    def test_random_families(self, rng):
+        decided = 0
+        for _ in range(40):
+            p = random_family(rng, max_n=4, max_k=6)
+            for goal in ("psd", "pd"):
+                decided += not self.assert_matches_sequential(p, goal).unknown
+        assert decided == 80
+
+    def test_one_row_chunks(self, rng, monkeypatch):
+        monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", 1)
+        for j, shift in ((15, 4.0), (31, 2.5), (7, 6.0)):
+            self.assert_matches_sequential(planted_vertex_family(rng, j, shift), "psd")
 
 
 class TestSplitConditions:

@@ -11,6 +11,7 @@ from conftest import (
     DEMO_CUBIC,
     DEMO_CUBIC_BOUNDS,
     random_family,
+    random_semidefinite_family,
     rank_one_cone,
     regularity_favorable,
     split_favorable,
@@ -26,6 +27,7 @@ from psdparam import (
     family_tol,
     parse,
     hessian,
+    is_psd,
     precondition_relax,
     problem_from_json,
     problem_to_json,
@@ -156,6 +158,43 @@ class TestVertices:
             assert flips == [1] * 7
         for v in vs:
             assert p.box.contains(np.array(v.values))
+
+    def test_points_match_indexing(self, rng):
+        for _ in range(20):
+            p = random_family(rng, max_n=3, max_k=6)
+            enum = vertices(p)
+            rows = enum.points(0, len(enum))
+            assert rows.shape == (len(enum), p.K)
+            for i, row in enumerate(rows):
+                assert tuple(row) == enum[i].values
+            assert np.array_equal(enum.points(1, len(enum)), rows[1:])
+
+    def test_fixing_rule_agrees_with_is_psd(self, rng):
+        families = [random_family(rng) for _ in range(30)] + [random_semidefinite_family(rng) for _ in range(30)]
+        for p in families:
+            for tol in (None, family_tol(p)):
+                enum = vertices(p, tol=tol)
+                vertex = enum[0]
+                for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
+                    if iv.is_degenerate:
+                        assert vertex.fixed_mask[k]
+                        continue
+                    if is_psd(coeff, tol):
+                        expected = iv.inf
+                    elif is_psd(SymMatrix(-coeff.array), tol):
+                        expected = iv.sup
+                    else:
+                        expected = None
+                    assert vertex.fixed_mask[k] == (expected is not None)
+                    if expected is not None:
+                        assert vertex.values[k] == expected
+
+    def test_coefficient_spectra_read_only(self):
+        vals, vecs = split_favorable().coefficient_spectra()
+        assert vals.shape == (2, 2) and vecs.shape == (2, 2, 2)
+        assert np.allclose(vals[1], [-np.sqrt(2), np.sqrt(2)])
+        with pytest.raises(ValueError):
+            vals[0, 0] = 0.0
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Numeric kernels: Jacobi eigensolver, definiteness tests, splitting, inversion, Perron root."""
+"""Numeric kernels: Jacobi and batched LAPACK eigensolvers, definiteness tests, splitting, inversion, Perron root."""
 
 from __future__ import annotations
 
@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psdparam import (
+    ConvergenceError,
     PsdSplit,
     SingularMatrixError,
     SymMatrix,
     determinant,
+    eig_stack,
     eig_sym,
     invert,
     is_pd,
     is_psd,
     min_eig,
+    min_eigs,
     psd_split,
     spectral_radius_nonneg,
 )
@@ -71,10 +74,36 @@ class TestEigSym:
         assert vals[0] == 4.0 and q[0, 0] == 1.0
 
     def test_sweep_cap_raises(self):
-        from psdparam import ConvergenceError
-
         with pytest.raises(ConvergenceError):
             eig_sym(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+
+
+class TestBatchedLapack:
+    """The batched LAPACK kernels against the Jacobi solver they stand beside."""
+
+    def test_min_eigs_matches_jacobi(self, rng):
+        for n in range(1, 13):
+            mats = [random_sym(rng, n) for _ in range(4)]
+            batched = min_eigs(np.stack([a.array for a in mats]))
+            assert batched.shape == (4,)
+            for a, value in zip(mats, batched):
+                assert abs(value - min_eig(a)) <= 1e-10 * (1.0 + a.norm_bound)
+
+    def test_eig_stack_matches_jacobi(self, rng):
+        for n in range(1, 9):
+            mats = [random_sym(rng, n) for _ in range(3)]
+            vals, vecs = eig_stack(np.stack([a.array for a in mats]))
+            for a, w, q in zip(mats, vals, vecs):
+                scale = 1e-10 * (1.0 + a.norm_bound)
+                assert np.abs(w - eig_sym(a)[0]).max() <= scale
+                assert np.abs((q * w) @ q.T - a.array).max() <= scale
+
+    def test_lapack_failure_is_convergence_error(self):
+        stack = np.full((2, 3, 3), np.nan)
+        with pytest.raises(ConvergenceError):
+            min_eigs(stack)
+        with pytest.raises(ConvergenceError):
+            eig_stack(stack)
 
 
 class TestDefiniteness:
