@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the decision cascade against brute force.
 
-Draws random parametric families, runs the full cascade for both strong
-goals, and checks every non-Unknown verdict against the unreduced vertex
-enumeration.  Every vertex certificate is re-checked too: a
-counterexample's smallest eigenvalue, recomputed with LAPACK at its
-point, must match the reported one within the family tolerance, and a
-vertex list must count every reduced vertex.  Reports which stage
-decided how often.  Exits nonzero on any disagreement, so this doubles
-as a long-running soak test:
+Draws random parametric families and runs the full cascade for all four
+goals.  Every strong verdict that is not Unknown is checked against the
+unreduced vertex enumeration, and every vertex certificate is re-checked
+too: a counterexample's smallest eigenvalue, recomputed with LAPACK at
+its point, must match the reported one within the family tolerance, and
+a vertex list must count every reduced vertex.
+
+Weak verdicts are re-checked with LAPACK alone.  A witness point must lie
+in the box, pass the goal, and match its reported smallest eigenvalue
+within the family tolerance.  A weak Disproved is contradicted by any
+point of a grid with GRID_POINTS points per axis that passes the goal;
+each axis includes both endpoints, so the grid holds all 2^K vertices.
+Unknown weak verdicts with a passing grid point are counted as missed
+witnesses and reported without failing the sweep.
+
+Reports which stage decided how often.  Exits nonzero on any
+disagreement, so this doubles as a long-running soak test:
 
     python scripts/consistency_sweep.py --count 2000 --seed 7
 """
@@ -23,6 +32,10 @@ import numpy as np
 import psdparam as pp
 from psdparam.oracle import full_vertex_check
 
+GRID_POINTS = 5
+# Member matrices formed at once while scanning the grid.
+GRID_CHUNK = 4096
+
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
     n = int(rng.integers(1, max_n + 1))
@@ -35,6 +48,11 @@ def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.Parame
     return pp.ParametricSymMatrix(coeffs, pp.ParameterBox(ivs))
 
 
+def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of A(q) for each row q of ``points``, by LAPACK."""
+    return np.linalg.eigvalsh(np.einsum("vk,kij->vij", points, p.coefficient_stack()))[:, 0]
+
+
 def certificate_problem(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> str | None:
     """Why the verdict's vertex certificate fails its re-check, or None."""
     tol = pp.family_tol(p)
@@ -42,13 +60,47 @@ def certificate_problem(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> str |
     if isinstance(cert, pp.CounterexampleVertex):
         if not p.box.contains(cert.p):
             return "counterexample outside the box"
-        m = float(np.linalg.eigvalsh(np.tensordot(cert.p, p.coefficient_stack(), axes=1))[0])
+        m = float(member_min_eigs(p, np.array([cert.p]))[0])
         if abs(m - cert.min_eig) > tol:
             return f"counterexample min_eig {cert.min_eig:.12g}, LAPACK says {m:.12g}"
     if isinstance(cert, pp.VertexList):
         expected = len(pp.vertices(p, tol=tol))
         if cert.checked != expected:
             return f"vertex list checked {cert.checked} of {expected} vertices"
+    return None
+
+
+def passes(goal: str, m, tol: float):
+    """Whether smallest eigenvalue(s) ``m`` pass the goal's PD or PSD test."""
+    return m > tol if goal.endswith("_pd") else m >= -tol
+
+
+def grid_passes(p: pp.ParametricSymMatrix, goal: str, tol: float) -> bool:
+    """Whether some point of the grid (vertices included) passes the goal."""
+    axes = [np.unique(np.linspace(iv.inf, iv.sup, GRID_POINTS)) for iv in p.box.intervals]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    for start in range(0, len(points), GRID_CHUNK):
+        if passes(goal, member_min_eigs(p, points[start : start + GRID_CHUNK]), tol).any():
+            return True
+    return False
+
+
+def weak_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> str | None:
+    """Why a weak verdict fails its LAPACK re-check, or None."""
+    tol = pp.family_tol(p)
+    cert = verdict.certificate
+    if verdict.proved:
+        if not isinstance(cert, pp.WitnessPoint):
+            return f"proved by {verdict.method} without a witness point"
+        if not p.box.contains(cert.p):
+            return "witness point outside the box"
+        m = float(member_min_eigs(p, np.array([cert.p]))[0])
+        if not passes(goal, m, tol):
+            return f"witness point fails the goal: LAPACK min_eig {m:.12g}"
+        if abs(m - cert.min_eig) > tol:
+            return f"witness min_eig {cert.min_eig:.12g}, LAPACK says {m:.12g}"
+    if verdict.disproved and grid_passes(p, goal, tol):
+        return "disproved, but a grid point passes the goal"
     return None
 
 
@@ -63,6 +115,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     tally = collections.Counter()
     disagreements = []
+    missed = collections.Counter()
     t0 = time.perf_counter()
     for i in range(args.count):
         p = random_family(rng, args.max_n, args.max_k)
@@ -77,11 +130,23 @@ def main() -> int:
             truth = full_vertex_check(p, "pd" if goal.endswith("_pd") else "psd")
             if truth != verdict.proved:
                 disagreements.append((i, goal, verdict.status.value, truth))
+        for goal in ("weak_psd", "weak_pd"):
+            verdict = pp.decide(p, goal)
+            tally[(goal, verdict.status.value, verdict.method)] += 1
+            if verdict.unknown:
+                missed[goal] += grid_passes(p, goal, pp.family_tol(p))
+                continue
+            problem = weak_problem(p, goal, verdict)
+            if problem is not None:
+                disagreements.append((i, goal, problem))
     elapsed = time.perf_counter() - t0
 
-    print(f"{args.count} instances, {2 * args.count} decisions in {elapsed:.1f}s")
+    print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
     for (goal, status, method), count in sorted(tally.items()):
         print(f"  {goal:10s} {status:9s} by {method:10s}: {count}")
+    for goal in ("weak_psd", "weak_pd"):
+        unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
+        print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -107,6 +108,14 @@ def _resolve_tol(arg_tol: Optional[float]) -> Optional[float]:
         raise InputError(f"environment variable {TOL_ENV_VAR}={raw!r} is not a number") from exc
 
 
+def _finite_family_tol(family) -> float:
+    """The family's default tolerance; InputError when its members overflow over the box."""
+    t = family_tol(family)
+    if not math.isfinite(t):
+        raise InputError("member matrices overflow double precision over the parameter box")
+    return t
+
+
 def _forced_method(problem, goal: str, method: str, tol, budget):
     strong = goal.startswith("strong")
     pd = goal.endswith("pd")
@@ -138,6 +147,7 @@ def cmd_check(args) -> int:
         problem = problem_from_json(text)
     except (ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
+    default_tol = _finite_family_tol(problem)
 
     goal = args.goal.replace("-", "_")
     tol = _resolve_tol(args.tol)
@@ -162,7 +172,7 @@ def cmd_check(args) -> int:
         certificate=certificate_to_jsonable(verdict.certificate),
         timings_ms=timings,
         tolerances={
-            "definiteness": tol if tol is not None else family_tol(problem),
+            "definiteness": tol if tol is not None else default_tol,
             "rho_margin": df.RHO_MARGIN,
         },
         extra={"goal": args.goal, "input": args.file, "detail": verdict.detail},
@@ -212,6 +222,7 @@ def cmd_convex(args) -> int:
     if poly.n < 1:
         raise InputError("polynomial has no variables; nothing to certify")
     box = _parse_box_flags(args.box or [], poly.n)
+    default_tol = _finite_family_tol(hessian(poly, box))
 
     tol = _resolve_tol(args.tol)
     timings: dict = {}
@@ -220,7 +231,7 @@ def cmd_convex(args) -> int:
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     verdict = result.verdict
-    applied_tol = tol if tol is not None else family_tol(hessian(poly, box))
+    applied_tol = tol if tol is not None else default_tol
     report = RunReport(
         status=verdict.status.value,
         method=verdict.method,

@@ -5,9 +5,10 @@ combinations, a grid or random samples, never the reduced Gray-code
 vertex set.  That unreduced enumeration is what makes this an
 independent, slow ground truth for the clever routes.  Its eigenvalues
 come from LAPACK (numpy.linalg.eigvalsh), the same library the batched
-vertex route uses, so the eigensolver itself is cross-checked separately
-by a test that compares batched LAPACK against the package's Jacobi
-solver.  The decision procedures never consult this module.
+vertex route and the witness search use, so the eigensolver itself is
+cross-checked separately by a test that compares batched LAPACK against
+the package's Jacobi solver.  The decision procedures never consult this
+module.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Scalar kernels use cyclic Jacobi: spectral decomposition,
 eigenvalue-based definiteness tests with an explicit tolerance policy,
 splitting of a symmetric matrix into a difference of two positive
 semidefinite parts.  Stacks of matrices (the coefficient spectra of a
-family, the member matrices of the vertex route) go through batched
-LAPACK instead (``eig_stack``, ``min_eigs``).  Also Gaussian-elimination
-inversion and a bracketed Perron root for nonnegative matrices.
+family, the member matrices of the vertex route and of the witness
+search's probes) go through batched LAPACK instead (``eig_stack``,
+``min_eigs``).  Also Gaussian-elimination inversion and a bracketed
+Perron root for nonnegative matrices.
 """
 
 from __future__ import annotations

@@ -26,6 +26,12 @@ REGULARITY_DOC = (
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
 )
 
+# Finite entries whose symmetrised coefficients and bound matrices overflow.
+OVERFLOW_DOC = (
+    '{"n":2,"K":2,"coefficients":[[[1e308,0],[0,1e308]],[[1e308,1e308],[1e308,-1e308]]],'
+    '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
+)
+
 DEMO_BOX_FLAGS = ["--box", "x1=2:3", "--box", "x2=1:2", "--box", "x3=0:1"]
 
 
@@ -92,6 +98,14 @@ class TestCheck:
         bad.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "check", str(bad), "--goal", "strong-pd")
         assert code == EXIT_INPUT_ERROR and "asymmetric" in err
+
+    @pytest.mark.parametrize("goal", ["strong-psd", "strong-pd", "weak-psd", "weak-pd"])
+    def test_overflowing_family_is_input_error(self, capsys, tmp_path, goal):
+        path = tmp_path / "overflow.json"
+        path.write_text(OVERFLOW_DOC)
+        code, report, err = run_cli(capsys, "check", str(path), "--goal", goal)
+        assert code == EXIT_INPUT_ERROR and report is None
+        assert err.startswith("error:") and "overflow" in err
 
     def test_exit_matches_status(self, capsys, split_file):
         for goal, expected in (("strong-pd", EXIT_PROVED), ("weak-pd", EXIT_PROVED)):
@@ -201,6 +215,13 @@ class TestConvex:
         code, report, _ = run_cli(capsys, "convex", "x^2 + y^2", "--box", "x=0:1", "--box", "y=0:2")
         assert code == EXIT_PROVED
         assert report["box"] == {"x1": [0.0, 1.0], "x2": [0.0, 2.0]}
+
+    def test_overflowing_hessian_is_input_error(self, capsys):
+        code, report, err = run_cli(
+            capsys, "convex", "--box", "x1=1e300:1e301", "--box", "x2=0:1", "--", "1e10 x1^3 + x1 x2^2"
+        )
+        assert code == EXIT_INPUT_ERROR and report is None
+        assert err.startswith("error:") and "overflow" in err
 
     def test_usage_error_maps_to_input_error(self, capsys):
         assert main(["convex"]) == EXIT_INPUT_ERROR

@@ -356,7 +356,93 @@ class TestHertz:
         assert hertz_min_eig(a) == pytest.approx(sampled, abs=1e-9)
 
 
+def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str) -> np.ndarray | None:
+    """Reference witness search: one ``min_eig(evaluate(...))`` (Jacobi) per probe.
+
+    The same seeded restarts, ternary rule, step and sweep counts and
+    stopping test as ``weak_pd_witness``, with no batching.
+    """
+    tol = family_tol(p)
+    rng = np.random.default_rng(definiteness.DEFAULT_SEED)
+    lows, highs = p.box.inf(), p.box.sup()
+    for trial in range(max(restarts, 1)):
+        q = p.box.mid() if trial == 0 else rng.uniform(lows, highs)
+        best = min_eig(evaluate(p, q, check=False))
+        for _ in range(30):
+            improved = best
+            for k in range(p.K):
+                if lows[k] == highs[k]:
+                    continue
+                lo, hi = lows[k], highs[k]
+                for _ in range(48):
+                    third = (hi - lo) / 3.0
+                    a, b = lo + third, hi - third
+                    q[k] = a
+                    fa = min_eig(evaluate(p, q, check=False))
+                    q[k] = b
+                    fb = min_eig(evaluate(p, q, check=False))
+                    if fa < fb:
+                        lo = a
+                    else:
+                        hi = b
+                q[k] = 0.5 * (lo + hi)
+                best = min_eig(evaluate(p, q, check=False))
+            if best - improved <= 1e-13 * (1.0 + abs(best)):
+                break
+        if best > tol if goal == "pd" else best >= -tol:
+            return q
+    return None
+
+
 class TestWitnessSearch:
+    def assert_matches_sequential(self, p, goal, restarts):
+        expected = sequential_witness(p, restarts, goal)
+        got = weak_pd_witness(p, restarts=restarts, goal=goal)
+        assert (got is None) == (expected is None)
+        if got is None:
+            return False
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+        assert p.box.contains(got)
+        m = float(np.linalg.eigvalsh(np.tensordot(got, p.coefficient_stack(), axes=1))[0])
+        tol = family_tol(p)
+        assert m > tol if goal == "pd" else m >= -tol
+        return True
+
+    @pytest.mark.parametrize("goal", ["pd", "psd"])
+    def test_batched_matches_sequential_on_fixtures(self, rng, goal):
+        for p in (rank_one_cone(), diag_sign_family()):
+            self.assert_matches_sequential(p, goal, restarts=5)
+        for _ in range(5):
+            p, _ = planted_pd_family(rng)
+            assert self.assert_matches_sequential(p, goal, restarts=20)
+
+    @pytest.mark.parametrize("goal", ["pd", "psd"])
+    def test_batched_matches_sequential_on_random_families(self, rng, goal):
+        # 2x2 members keep the Jacobi reference fast; the planted fixtures
+        # above cover 3x3.
+        found = 0
+        for _ in range(30):
+            found += self.assert_matches_sequential(random_family(rng, max_n=2, max_k=4), goal, restarts=2)
+        assert 0 < found < 30
+
+    def test_unknown_goal_rejected(self):
+        with pytest.raises(ValueError):
+            weak_pd_witness(rank_one_cone(), goal="x")
+
+    def test_zero_restarts_runs_one_start(self, monkeypatch):
+        starts = []
+        ascent = definiteness._coordinate_ascent
+
+        def spy(p, start):
+            starts.append(start.copy())
+            return ascent(p, start)
+
+        monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
+        p = diag_sign_family()
+        assert weak_pd_witness(p, restarts=0) is None
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], p.box.mid())
+
     def test_rank_one_cone_psd_witness_found(self):
         w = weak_pd_witness(rank_one_cone(), goal="psd")
         assert w is not None
