@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 import psdparam as pp
+from psdparam.definiteness import STAGES
 
 SHOWCASES = {
     "rank-one-cone": pp.ParametricSymMatrix(
@@ -39,14 +40,11 @@ def show_family(name: str, p: pp.ParametricSymMatrix) -> None:
     print(f"== {name} (n={p.n}, K={p.K})")
     for goal in ("strong_psd", "strong_pd"):
         parts = []
-        split = (pp.strong_pd_split if goal == "strong_pd" else pp.strong_psd_split)(p)
-        parts.append(f"split={split.status.value}")
-        if goal == "strong_pd":
-            reg = pp.strong_pd_regularity(p)
-            rho = f" (rho={reg.certificate.rho:.4f})" if reg.certificate else ""
-            parts.append(f"regularity={reg.status.value}{rho}")
-        vertex = (pp.strong_pd if goal == "strong_pd" else pp.strong_psd)(p)
-        parts.append(f"vertex={vertex.status.value}")
+        for stage in STAGES:
+            if goal in stage.goals:
+                v = pp.run_stage(p, goal, stage.name)
+                rho = f" (rho={v.certificate.rho:.4f})" if isinstance(v.certificate, pp.BeeckWitness) else ""
+                parts.append(f"{stage.name}={v.status.value}{rho}")
         cascade = pp.decide(p, goal)
         print(f"  {goal:10s}: {'  '.join(parts)}  -> decide: {cascade.status.value} by {cascade.method}")
     weak = pp.decide(p, "weak_pd")

@@ -22,7 +22,6 @@ from .definiteness import (
     BeeckWitness,
     CounterexampleVertex,
     NecessaryFailure,
-    SignVector,
     SplitWitness,
     Status,
     Verdict,
@@ -30,9 +29,8 @@ from .definiteness import (
     WitnessPoint,
     decide,
     hertz_min_eig,
-    sign_vectors,
+    run_stage,
     strong_pd,
-    strong_pd_interval,
     strong_pd_regularity,
     strong_pd_split,
     strong_psd,
@@ -48,8 +46,6 @@ from .intervals import (
     IntervalMatrix,
     contains,
     im_add,
-    interval_add,
-    interval_mul,
     scale,
 )
 from .parametric import (

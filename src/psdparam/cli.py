@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -31,8 +29,6 @@ EXIT_DISPROVED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 64
 
-TOL_ENV_VAR = "PSDPARAM_TOL"
-
 _STATUS_EXIT = {
     df.Status.PROVED: EXIT_PROVED,
     df.Status.DISPROVED: EXIT_DISPROVED,
@@ -44,31 +40,8 @@ class InputError(ValueError):
     """Anything wrong with the invocation or its input files."""
 
 
-@dataclass
-class RunReport:
-    """Everything a solver pipeline needs to consume one invocation."""
-
-    status: str
-    method: str
-    certificate: Optional[dict]
-    timings_ms: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "status": self.status,
-            "method": self.method,
-            "certificate": self.certificate,
-            "timings_ms": self.timings_ms,
-            "tolerances": self.tolerances,
-        }
-        doc.update(self.extra)
-        return doc
-
-
 def report_schema() -> dict:
-    """The published JSON schema for RunReport documents."""
+    """The published JSON schema for the report documents."""
     text = resources.files("psdparam").joinpath("schemas/run_report.schema.json").read_text()
     return json.loads(text)
 
@@ -96,46 +69,12 @@ def certificate_to_jsonable(cert) -> Optional[dict]:
     raise TypeError(f"unknown certificate type {type(cert).__name__}")
 
 
-def _resolve_tol(arg_tol: Optional[float]) -> Optional[float]:
-    if arg_tol is not None:
-        return arg_tol
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise InputError(f"environment variable {TOL_ENV_VAR}={raw!r} is not a number") from exc
-
-
 def _finite_family_tol(family) -> float:
     """The family's default tolerance; InputError when its members overflow over the box."""
     t = family_tol(family)
     if not math.isfinite(t):
         raise InputError("member matrices overflow double precision over the parameter box")
     return t
-
-
-def _forced_method(problem, goal: str, method: str, tol, budget):
-    strong = goal.startswith("strong")
-    pd = goal.endswith("pd")
-    if method == "split":
-        if not strong:
-            raise InputError("--method split applies to strong goals only")
-        return (df.strong_pd_split if pd else df.strong_psd_split)(problem, tol=tol)
-    if method == "regularity":
-        if goal != "strong_pd":
-            raise InputError("--method regularity applies to --goal strong-pd only")
-        return df.strong_pd_regularity(problem, tol=tol)
-    if method == "vertex":
-        if not strong:
-            raise InputError("--method vertex applies to strong goals only")
-        return (df.strong_pd if pd else df.strong_psd)(problem, tol=tol, budget=budget)
-    if method == "necessary":
-        if strong:
-            raise InputError("--method necessary applies to weak goals only")
-        return (df.weak_pd_necessary if pd else df.weak_psd_necessary)(problem, tol=tol)
-    raise InputError(f"unknown method {method!r}")
 
 
 def cmd_check(args) -> int:
@@ -150,34 +89,26 @@ def cmd_check(args) -> int:
     default_tol = _finite_family_tol(problem)
 
     goal = args.goal.replace("-", "_")
-    tol = _resolve_tol(args.tol)
     timings: dict = {}
     t0 = time.perf_counter()
     if args.method == "auto":
         verdict = df.decide(
             problem,
             goal,
-            tol=tol,
+            tol=args.tol,
             vertex_budget=args.vertex_budget,
             seed=args.seed,
             timings=timings,
         )
     else:
-        verdict = _forced_method(problem, goal, args.method, tol, args.vertex_budget)
+        try:
+            verdict = df.run_stage(problem, goal, args.method, tol=args.tol, vertex_budget=args.vertex_budget, seed=args.seed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
-    report = RunReport(
-        status=verdict.status.value,
-        method=verdict.method,
-        certificate=certificate_to_jsonable(verdict.certificate),
-        timings_ms=timings,
-        tolerances={
-            "definiteness": tol if tol is not None else default_tol,
-            "rho_margin": df.RHO_MARGIN,
-        },
-        extra={"goal": args.goal, "input": args.file, "detail": verdict.detail},
-    )
-    return _emit(report, f"{args.goal}: {verdict.status.value} by {verdict.method}")
+    extra = {"goal": args.goal, "input": args.file}
+    return _emit(verdict, timings, args.tol if args.tol is not None else default_tol, extra, f"{args.goal}: ")
 
 
 _BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
@@ -224,38 +155,36 @@ def cmd_convex(args) -> int:
     box = _parse_box_flags(args.box or [], poly.n)
     default_tol = _finite_family_tol(hessian(poly, box))
 
-    tol = _resolve_tol(args.tol)
     timings: dict = {}
     t0 = time.perf_counter()
-    result = certify_convexity(poly, box, tol=tol, vertex_budget=args.vertex_budget, timings=timings)
+    result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget, timings=timings)
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
-    verdict = result.verdict
-    applied_tol = tol if tol is not None else default_tol
-    report = RunReport(
-        status=verdict.status.value,
-        method=verdict.method,
-        certificate=certificate_to_jsonable(verdict.certificate),
-        timings_ms=timings,
-        tolerances={"definiteness": applied_tol, "rho_margin": df.RHO_MARGIN},
-        extra={
-            "expression": args.expression,
-            "box": {f"x{i + 1}": [iv.inf, iv.sup] for i, iv in enumerate(box.intervals)},
-            "detail": verdict.detail,
-            "diagnostics": {
-                "relaxation_strongly_psd": result.relaxation_strongly_psd,
-                "hertz_min_eig": result.relaxation_min_eig,
-            },
+    extra = {
+        "expression": args.expression,
+        "box": {f"x{i + 1}": [iv.inf, iv.sup] for i, iv in enumerate(box.intervals)},
+        "diagnostics": {
+            "relaxation_strongly_psd": result.relaxation_strongly_psd,
+            "hertz_min_eig": result.relaxation_min_eig,
         },
-    )
-    summary = f"convexity: {verdict.status.value} by {verdict.method}"
-    return _emit(report, summary)
+    }
+    return _emit(result.verdict, timings, args.tol if args.tol is not None else default_tol, extra, "convexity: ")
 
 
-def _emit(report: RunReport, summary: str) -> int:
-    print(json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")))
-    print(summary, file=sys.stderr)
-    return _STATUS_EXIT[df.Status(report.status)]
+def _emit(verdict: df.Verdict, timings: dict, tol: float, extra: dict, label: str) -> int:
+    """Print the report as one JSON line and the summary to stderr; return the exit code."""
+    report = {
+        "status": verdict.status.value,
+        "method": verdict.method,
+        "certificate": certificate_to_jsonable(verdict.certificate),
+        "timings_ms": timings,
+        "tolerances": {"definiteness": tol, "rho_margin": df.RHO_MARGIN},
+        "detail": verdict.detail,
+        **extra,
+    }
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    print(f"{label}{verdict.status.value} by {verdict.method}", file=sys.stderr)
+    return _STATUS_EXIT[verdict.status]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help=f"definiteness tolerance (default: family-derived; env {TOL_ENV_VAR})")
+    common.add_argument("--tol", type=float, default=None, help="definiteness tolerance (default: family-derived)")
     common.add_argument("--vertex-budget", type=int, default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
     common.add_argument("--seed", type=int, default=df.DEFAULT_SEED, help="seed for the witness search")
 
@@ -280,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "split", "regularity", "vertex", "necessary"],
+        choices=["auto", *(s.name for s in df.STAGES)],
         help="force a single decision procedure instead of the cascade",
     )
     check.set_defaults(func=cmd_check)

@@ -20,7 +20,7 @@ from .definiteness import (
     Verdict,
     decide,
     hertz_min_eig,
-    strong_psd_interval,
+    interval_tol,
 )
 from .intervals import Interval
 from .parametric import ParameterBox, ParametricSymMatrix, relax
@@ -277,7 +277,9 @@ class ConvexityResult:
 
     ``relaxation_strongly_psd`` and ``relaxation_min_eig`` describe what
     the dependency-free interval Hessian alone can certify; the verdict
-    uses the parametric family, which is never weaker.
+    uses the parametric family, which is never weaker.  Both come from
+    one ``hertz_min_eig`` pass; the interval Hessian counts as strongly
+    PSD when that minimum is >= -tol (``interval_tol`` by default).
     """
 
     verdict: Verdict
@@ -300,8 +302,9 @@ def certify_convexity(
     family = hessian(f, box)
     relaxed = relax(family)
     verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget, timings=timings)
+    h = hertz_min_eig(relaxed)
     return ConvexityResult(
         verdict=verdict,
-        relaxation_strongly_psd=strong_psd_interval(relaxed, tol=tol),
-        relaxation_min_eig=hertz_min_eig(relaxed),
+        relaxation_strongly_psd=h >= -(interval_tol(relaxed) if tol is None else tol),
+        relaxation_min_eig=h,
     )

@@ -17,11 +17,10 @@ can be re-checked independently.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .parametric import (
 from .symlinalg import (
     SingularMatrixError,
     SymMatrix,
-    default_tol,
     min_eig,
     min_eigs,
     spectral_radius_nonneg,
@@ -48,7 +46,9 @@ VERTEX_CHUNK_BYTES = 1 << 20
 DEFAULT_SEED = 0x5EED
 RHO_MARGIN = 1e-9
 
-GOALS = ("strong_psd", "strong_pd", "weak_psd", "weak_pd")
+STRONG_GOALS = ("strong_psd", "strong_pd")
+WEAK_GOALS = ("weak_psd", "weak_pd")
+GOALS = STRONG_GOALS + WEAK_GOALS
 
 
 class Status(Enum):
@@ -125,29 +125,6 @@ class Verdict:
         return self.status is Status.UNKNOWN
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Sign pattern z in {-1, +1}^n."""
-
-    z: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (-1, 1) for v in self.z):
-            raise ValueError("sign vector entries must be -1 or +1")
-
-
-def sign_vectors(n: int) -> Iterator[SignVector]:
-    """All sign vectors with the first entry pinned to +1.
-
-    z and -z generate the same vertex matrix, so this halves the 2^n
-    enumeration.
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    for rest in itertools.product((1, -1), repeat=n - 1):
-        yield SignVector((1, *rest))
-
-
 def _resolve_tol(p: ParametricSymMatrix, tol: float | None) -> float:
     return family_tol(p) if tol is None else float(tol)
 
@@ -170,7 +147,7 @@ def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
     vertex, or the first vertex attaining the minimum, in Gray order.
     """
     tol = _resolve_tol(p, tol)
-    enum = vertices(p, goal, tol=tol)
+    enum = vertices(p, tol=tol)
     total = len(enum)
     if total > budget:
         return Verdict(
@@ -313,29 +290,9 @@ def strong_pd_regularity(p: ParametricSymMatrix, tol: float | None = None) -> Ve
 # classical interval-matrix checks and the Hertz minimum eigenvalue
 
 
-def _sign_vertex_matrices(a: IntervalMatrix) -> Iterator[SymMatrix]:
-    mid, rad = a.symmetric_parts()
-    for sv in sign_vectors(a.rows):
-        z = np.array(sv.z, dtype=float)
-        yield SymMatrix(mid - np.outer(z, z) * rad)
-
-
-def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
-    """Strong PSD of a symmetric interval matrix via sign-vertex enumeration."""
-    for m in _sign_vertex_matrices(a):
-        t = default_tol(m) if tol is None else tol
-        if min_eig(m) < -t:
-            return False
-    return True
-
-
-def strong_pd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
-    """Strong PD of a symmetric interval matrix via sign-vertex enumeration."""
-    for m in _sign_vertex_matrices(a):
-        t = default_tol(m) if tol is None else tol
-        if min_eig(m) <= t:
-            return False
-    return True
+def interval_tol(a: IntervalMatrix) -> float:
+    """Uniform tolerance 1e-10 * (1 + n * max|entry|) of the interval-matrix checks."""
+    return 1e-10 * (1.0 + a.rows * a.max_abs())
 
 
 def hertz_min_eig(a: IntervalMatrix) -> float:
@@ -343,11 +300,24 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
 
     Minimum of the smallest eigenvalues of the 2^(n-1) sign-vertex
     matrices Mid - diag(z) Rad diag(z) (Hertz, IEEE Trans. Automat.
-    Control 37, 1992); exponential in n.  The value is exact, so it is
-    never below Rohn's cheap bound lambda_min(Mid) - rho(Rad) (Rohn,
-    SIAM J. Matrix Anal. Appl. 15, 1994).
+    Control 37, 1992); exponential in n.  z and -z give the same matrix,
+    so z_0 stays +1 and the other signs are the bits of 0 .. 2^(n-1) - 1.
+    The value is exact, so it is never below Rohn's cheap bound
+    lambda_min(Mid) - rho(Rad) (Rohn, SIAM J. Matrix Anal. Appl. 15, 1994).
     """
-    return min(min_eig(m) for m in _sign_vertex_matrices(a))
+    mid, rad = a.symmetric_parts()
+    i = np.arange(1 << (a.rows - 1))
+    signs = np.ones((len(i), a.rows))
+    signs[:, 1:] -= 2 * ((i[:, None] >> np.arange(a.rows - 1)) & 1)
+    return min(min_eig(SymMatrix(mid - np.outer(z, z) * rad)) for z in signs)
+
+
+def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
+    """Strong PSD of a symmetric interval matrix: ``hertz_min_eig(a) >= -tol``.
+
+    ``tol`` defaults to ``interval_tol(a)``.
+    """
+    return hertz_min_eig(a) >= -(interval_tol(a) if tol is None else tol)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +391,71 @@ def weak_pd_witness(
     return None
 
 
+def _weak_by_witness(p, goal: str, tol, restarts: int, seed: int) -> Verdict:
+    witness = weak_pd_witness(p, restarts=restarts, goal=goal, seed=seed, tol=tol)
+    if witness is None:
+        return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
+    m = float(_member_min_eigs(p, witness[None])[0])
+    return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(float(v) for v in witness), m))
+
+
 # ---------------------------------------------------------------------------
 # orchestration
+
+
+class Stage(NamedTuple):
+    """A decision stage, the goals it applies to, and the function that runs it.
+
+    ``run(p, kind, tol, vertex_budget, restarts, seed)`` returns a Verdict;
+    ``kind`` is "psd" or "pd", the property the goal asks about.
+    """
+
+    name: str
+    goals: tuple[str, ...]
+    run: Callable[..., Verdict]
+
+
+# The cascade, cheap to expensive.  Strong goals get the sufficient
+# splitting condition, then (PD only) the regularity route, then the exact
+# vertex enumeration; weak goals get the necessary condition, then the
+# witness search, and otherwise stay Unknown.
+STAGES = (
+    Stage("split", STRONG_GOALS, lambda p, kind, tol, *_: _strong_by_split(p, kind, tol)),
+    Stage("regularity", ("strong_pd",), lambda p, kind, tol, *_: strong_pd_regularity(p, tol)),
+    Stage("vertex", STRONG_GOALS, lambda p, kind, tol, budget, *_: _strong_by_vertices(p, kind, tol, budget)),
+    Stage("necessary", WEAK_GOALS, lambda p, kind, tol, *_: _weak_by_necessary(p, kind, tol)),
+    Stage("witness", WEAK_GOALS, lambda p, kind, tol, _, restarts, seed: _weak_by_witness(p, kind, tol, restarts, seed)),
+)
+
+
+def _check_goal(goal: str) -> str:
+    """The property ("psd" or "pd") a goal asks about; ValueError for an unknown goal."""
+    if goal not in GOALS:
+        raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
+    return goal.rsplit("_", 1)[1]
+
+
+def run_stage(
+    p: ParametricSymMatrix,
+    goal: str,
+    stage: str,
+    tol: float | None = None,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    restarts: int = 20,
+    seed: int = DEFAULT_SEED,
+) -> Verdict:
+    """Run the single stage named ``stage`` of ``STAGES`` for ``goal``.
+
+    Raises ValueError when the goal or the stage is unknown, or when the
+    stage does not apply to the goal.
+    """
+    kind = _check_goal(goal)
+    entry = next((s for s in STAGES if s.name == stage), None)
+    if entry is None:
+        raise ValueError(f"unknown stage {stage!r}; stages are {', '.join(s.name for s in STAGES)}")
+    if goal not in entry.goals:
+        raise ValueError(f"stage {stage!r} applies to {', '.join(entry.goals)} only, not {goal}")
+    return entry.run(p, kind, tol, vertex_budget, restarts, seed)
 
 
 def decide(
@@ -434,49 +467,21 @@ def decide(
     seed: int = DEFAULT_SEED,
     timings: dict | None = None,
 ) -> Verdict:
-    """Cheap-to-expensive cascade over the applicable decision procedures.
+    """Run the stages of ``STAGES`` that apply to ``goal`` until one decides.
 
-    Strong goals try the splitting condition, then (PD only) the
-    regularity route, then reduced vertex enumeration within the budget.
-    Weak goals try the necessary condition, then the witness search, and
-    otherwise stay Unknown since the complete weak decision is not
-    implemented.  The returned verdict's ``method`` names the stage that
-    decided; stage wall times in milliseconds are appended to ``timings``
-    when a dict is supplied.
+    The returned verdict's ``method`` names the stage that decided (or
+    the last one run, when none did); stage wall times in milliseconds
+    are added to ``timings`` when a dict is supplied.
     """
-    if goal not in GOALS:
-        raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
-
-    def run(name, fn):
+    kind = _check_goal(goal)
+    verdict = Verdict(Status.UNKNOWN, "none")
+    for stage in STAGES:
+        if goal not in stage.goals:
+            continue
         t0 = time.perf_counter()
-        verdict = fn()
+        verdict = stage.run(p, kind, tol, vertex_budget, restarts, seed)
         if timings is not None:
-            timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3
-        return verdict
-
-    last = Verdict(Status.UNKNOWN, "none")
-    if goal in ("strong_psd", "strong_pd"):
-        pd = goal == "strong_pd"
-        last = run("split", lambda: _strong_by_split(p, "pd" if pd else "psd", tol))
-        if not last.unknown:
-            return last
-        if pd:
-            last = run("regularity", lambda: strong_pd_regularity(p, tol))
-            if not last.unknown:
-                return last
-        last = run("vertex", lambda: _strong_by_vertices(p, "pd" if pd else "psd", tol, vertex_budget))
-        return last
-
-    kind = "pd" if goal == "weak_pd" else "psd"
-    last = run("necessary", lambda: _weak_by_necessary(p, kind, tol))
-    if not last.unknown:
-        return last
-
-    def search():
-        witness = weak_pd_witness(p, restarts=restarts, goal=kind, seed=seed, tol=tol)
-        if witness is None:
-            return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
-        m = float(_member_min_eigs(p, witness[None])[0])
-        return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(float(v) for v in witness), m))
-
-    return run("witness", search)
+            timings[stage.name] = timings.get(stage.name, 0.0) + (time.perf_counter() - t0) * 1e3
+        if not verdict.unknown:
+            break
+    return verdict

@@ -1,4 +1,4 @@
-"""Scalar and matrix interval arithmetic with outward rounding.
+"""Matrix interval arithmetic with outward rounding.
 
 Bounds are ordinary binary64 floats.  Every arithmetic operation detects
 whether its floating-point result is exact (error-free transformations:
@@ -9,7 +9,6 @@ integer and dyadic data round-trips bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,20 +37,21 @@ def _two_sum(a, b):
 
 
 def _two_prod(a, b):
-    """Rounded product and its exact residual (valid in the normal range)."""
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    """Rounded product and its exact residual (valid in the normal range).
+
+    Past about 1e300 the splitting overflows and the residual is garbage;
+    callers widen those products without it (``_prod_unsafe``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * b
+        ah = _SPLITTER * a
+        ah = ah - (ah - a)
+        al = a - ah
+        bh = _SPLITTER * b
+        bh = bh - (bh - b)
+        bl = b - bh
+        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
-
-
-def _down_f(value: float, err: float) -> float:
-    return value if err >= 0.0 else math.nextafter(value, -_INF)
 
 
 def _up_f(value: float, err: float) -> float:
@@ -97,60 +97,14 @@ class Interval:
         return max(_up_f(left, e1), _up_f(right, e2), 0.0)
 
     @property
-    def width(self) -> float:
-        return self.sup - self.inf
-
-    @property
     def is_degenerate(self) -> bool:
         return self.inf == self.sup
 
     def __contains__(self, x: float) -> bool:
         return self.inf <= x <= self.sup
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return interval_add(self, other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return interval_mul(self, other)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.sup, -self.inf)
-
     def __repr__(self) -> str:
         return f"[{self.inf!r}, {self.sup!r}]"
-
-
-def interval_add(a: Interval, b: Interval, widen: bool = True) -> Interval:
-    """Enclosure of {x + y : x in a, y in b}.
-
-    With ``widen`` (the default) each inexact bound is moved outward by one
-    ulp; set ``widen=False`` for fast non-rigorous arithmetic in heuristics.
-    """
-    lo, e_lo = _two_sum(a.inf, b.inf)
-    hi, e_hi = _two_sum(a.sup, b.sup)
-    if widen:
-        return Interval(_down_f(lo, e_lo), _up_f(hi, e_hi))
-    return Interval(lo, hi)
-
-
-def interval_mul(a: Interval, b: Interval, widen: bool = True) -> Interval:
-    """Enclosure of {x * y : x in a, y in b} via the four endpoint products."""
-    lo = _INF
-    hi = -_INF
-    for x in (a.inf, a.sup):
-        for y in (b.inf, b.sup):
-            p, err = _two_prod(x, y)
-            if widen:
-                if _prod_unsafe(x, y, p):
-                    lo = min(lo, math.nextafter(p, -_INF))
-                    hi = max(hi, math.nextafter(p, _INF))
-                else:
-                    lo = min(lo, _down_f(p, err))
-                    hi = max(hi, _up_f(p, err))
-            else:
-                lo = min(lo, p)
-                hi = max(hi, p)
-    return Interval(lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +171,8 @@ class IntervalMatrix:
         Permitted only when both are symmetric within ``tol`` (default
         1e-12 times the largest entry magnitude); raises
         AsymmetricMatrixError otherwise.  The returned arrays are exactly
-        symmetrized.
+        symmetrized: entries that differ from their transpose become
+        0.5 * x_ij + 0.5 * x_ji, which cannot overflow.
         """
         if self.rows != self.cols:
             raise AsymmetricMatrixError(f"matrix is {self.rows}x{self.cols}, not square")
@@ -228,20 +183,7 @@ class IntervalMatrix:
         skew = max(np.abs(mid - mid.T).max(), np.abs(rad - rad.T).max()) if self.rows else 0.0
         if skew > tol:
             raise AsymmetricMatrixError(f"midpoint/radius asymmetry {skew:g} exceeds tolerance {tol:g}")
-        return 0.5 * (mid + mid.T), 0.5 * (rad + rad.T)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rows": self.rows, "cols": self.cols, "inf": self.inf.tolist(), "sup": self.sup.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str | dict) -> "IntervalMatrix":
-        doc = json.loads(text) if isinstance(text, str) else text
-        m = cls(np.asarray(doc["inf"], dtype=float), np.asarray(doc["sup"], dtype=float))
-        if m.shape != (doc["rows"], doc["cols"]):
-            raise ValueError("declared shape does not match bound arrays")
-        return m
+        return tuple(np.where(x == x.T, x, 0.5 * x + 0.5 * x.T) for x in (mid, rad))
 
     def __repr__(self) -> str:
         return f"IntervalMatrix({self.rows}x{self.cols})"
@@ -251,34 +193,30 @@ def zeros(rows: int, cols: int) -> IntervalMatrix:
     return IntervalMatrix(np.zeros((rows, cols)), np.zeros((rows, cols)))
 
 
-def im_add(a: IntervalMatrix, b: IntervalMatrix, widen: bool = True) -> IntervalMatrix:
+def im_add(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     """Entrywise interval sum of two conformable interval matrices."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     lo, e_lo = _two_sum(a.inf, b.inf)
     hi, e_hi = _two_sum(a.sup, b.sup)
-    if widen:
-        lo = np.where(e_lo < 0, np.nextafter(lo, -_INF), lo)
-        hi = np.where(e_hi > 0, np.nextafter(hi, _INF), hi)
+    lo = np.where(e_lo < 0, np.nextafter(lo, -_INF), lo)
+    hi = np.where(e_hi > 0, np.nextafter(hi, _INF), hi)
     return IntervalMatrix(lo, hi)
 
 
-def scale(a, p: Interval, widen: bool = True) -> IntervalMatrix:
+def scale(a, p: Interval) -> IntervalMatrix:
     """Interval matrix with entry (i, j) = [a_ij, a_ij] * p for a real matrix a."""
     a = np.asarray(getattr(a, "array", a), dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D real matrix")
     p1, e1 = _two_prod(a, p.inf)
     p2, e2 = _two_prod(a, p.sup)
-    if widen:
-        u1 = _prod_unsafe(a, p.inf, p1)
-        u2 = _prod_unsafe(a, p.sup, p2)
-        lo1 = np.where(u1 | (e1 < 0), np.nextafter(p1, -_INF), p1)
-        lo2 = np.where(u2 | (e2 < 0), np.nextafter(p2, -_INF), p2)
-        hi1 = np.where(u1 | (e1 > 0), np.nextafter(p1, _INF), p1)
-        hi2 = np.where(u2 | (e2 > 0), np.nextafter(p2, _INF), p2)
-    else:
-        lo1, lo2, hi1, hi2 = p1, p2, p1, p2
+    u1 = _prod_unsafe(a, p.inf, p1)
+    u2 = _prod_unsafe(a, p.sup, p2)
+    lo1 = np.where(u1 | (e1 < 0), np.nextafter(p1, -_INF), p1)
+    lo2 = np.where(u2 | (e2 < 0), np.nextafter(p2, -_INF), p2)
+    hi1 = np.where(u1 | (e1 > 0), np.nextafter(p1, _INF), p1)
+    hi2 = np.where(u2 | (e2 > 0), np.nextafter(p2, _INF), p2)
     return IntervalMatrix(np.minimum(lo1, lo2), np.maximum(hi1, hi2))
 
 

@@ -127,7 +127,7 @@ def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
     return SymMatrix(np.tensordot(point, p.coefficient_stack(), axes=1))
 
 
-def relax(p: ParametricSymMatrix, widen: bool = True) -> IntervalMatrix:
+def relax(p: ParametricSymMatrix) -> IntervalMatrix:
     """Interval evaluation of the family: encloses {A(q) : q in box}.
 
     Drops the dependency structure, so it generally overestimates the
@@ -135,7 +135,7 @@ def relax(p: ParametricSymMatrix, widen: bool = True) -> IntervalMatrix:
     """
     acc = zeros(p.n, p.n)
     for c, iv in zip(p.coeffs, p.box.intervals):
-        acc = im_add(acc, scale(c.array, iv, widen=widen), widen=widen)
+        acc = im_add(acc, scale(c.array, iv))
     return acc
 
 
@@ -156,15 +156,9 @@ def precondition_relax(p: ParametricSymMatrix) -> tuple[np.ndarray, IntervalMatr
 
 @dataclass(frozen=True)
 class VertexAssignment:
-    """One endpoint assignment of the parameter box.
-
-    ``fixed_mask`` marks coordinates not enumerated: either degenerate
-    intervals or coordinates pinned by the semidefinite-coefficient
-    reduction.
-    """
+    """One endpoint assignment of the parameter box."""
 
     values: tuple[float, ...]
-    fixed_mask: tuple[bool, ...]
 
 
 class VertexEnumeration(Sequence):
@@ -182,7 +176,6 @@ class VertexEnumeration(Sequence):
         self._free = free
         self._lows = lows
         self._highs = highs
-        self._mask = tuple(k not in set(free) for k in range(len(base)))
 
     @property
     def free_count(self) -> int:
@@ -195,7 +188,7 @@ class VertexEnumeration(Sequence):
         if not -len(self) <= i < len(self):
             raise IndexError(i)
         i %= len(self)
-        return VertexAssignment(tuple(self.points(i, i + 1)[0].tolist()), self._mask)
+        return VertexAssignment(tuple(self.points(i, i + 1)[0].tolist()))
 
     def points(self, start: int, stop: int) -> np.ndarray:
         """Vertices ``start`` to ``stop - 1`` in Gray-code order, one row each."""
@@ -208,17 +201,13 @@ class VertexEnumeration(Sequence):
         return rows
 
 
-def vertices(p: ParametricSymMatrix, mode: str = "psd", tol: float | None = None) -> VertexEnumeration:
-    """Reduced vertex set sufficient for deciding strong definiteness.
+def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumeration:
+    """Reduced vertex set sufficient for deciding strong PSD and strong PD alike.
 
-    ``mode`` is "psd" or "pd"; the fixing rules coincide for both goals,
-    so it only validates intent.  ``tol`` is the semidefiniteness
-    tolerance used by the coefficient classification (per-matrix default
-    when omitted), applied to the eigenvalues the family computed once
-    when it was built.
+    ``tol`` is the semidefiniteness tolerance used by the coefficient
+    classification (per-matrix default when omitted), applied to the
+    eigenvalues the family computed once when it was built.
     """
-    if mode not in ("psd", "pd"):
-        raise ValueError(f"mode must be 'psd' or 'pd', got {mode!r}")
     lows = p.box.inf()
     highs = p.box.sup()
     base = p.box.mid()

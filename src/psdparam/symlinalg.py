@@ -12,6 +12,7 @@ Perron root for nonnegative matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ class SingularMatrixError(ArithmeticError):
 class SymMatrix:
     """Real symmetric matrix; the constructor symmetrizes its input.
 
-    ``asymmetry`` records the largest |A - A^T| entry seen before
-    symmetrization so callers can enforce their own skew budget.
+    Entries that differ from their transpose are replaced by the average
+    0.5 * a_ij + 0.5 * a_ji, which cannot overflow; symmetric entries are
+    kept bit for bit.  ``asymmetry`` records the largest |A - A^T| entry
+    seen before symmetrization so callers can enforce their own skew
+    budget.
     """
 
     array: np.ndarray
@@ -42,8 +46,9 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-        a = 0.5 * (a + a.T)
+        lower, upper = 0.5 * a, 0.5 * a.T
+        skew = 2.0 * float(np.abs(lower - upper).max()) if a.size else 0.0
+        a = np.where(a == a.T, a, lower + upper)
         a.setflags(write=False)
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "asymmetry", skew)
@@ -83,16 +88,21 @@ def eig_sym(a: SymMatrix, max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]
 
     Returns eigenvalues ascending and the orthogonal matrix of column
     eigenvectors.  Convergence is quadratic; the sweep cap only trips on
-    pathological input, in which case ConvergenceError is raised.
+    pathological input, in which case ConvergenceError is raised.  A
+    matrix with entries beyond 1 in magnitude is scaled down by a power
+    of two into [-1, 1] before the rotations, so the squares in the
+    convergence test cannot overflow; the scaling is exact and the
+    stopping rule stays the unscaled 1e-13 * (1 + ||A||_F).
     """
     n = a.n
-    w = a.array.copy()
     q = np.eye(n)
     if n <= 1:
-        return np.diagonal(w).copy(), q
+        return np.diagonal(a.array).copy(), q
+    e = max(0, int(np.frexp(a.max_abs)[1]))
+    w = np.ldexp(a.array, -e)
 
     frob = float(np.sqrt((w * w).sum()))
-    stop = 1e-13 * (1.0 + frob)
+    stop = 1e-13 * (math.ldexp(1.0, -e) + frob)
     skip = stop / (2.0 * n * n)
 
     for _ in range(max_sweeps):
@@ -128,7 +138,7 @@ def eig_sym(a: SymMatrix, max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]
     else:
         raise ConvergenceError(f"Jacobi sweeps exhausted ({max_sweeps}) without convergence")
 
-    vals = np.diagonal(w).copy()
+    vals = np.ldexp(np.diagonal(w), e)
     order = np.argsort(vals, kind="stable")
     return vals[order], q[:, order]
 

@@ -32,6 +32,9 @@ OVERFLOW_DOC = (
     '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
 )
 
+# Finite entries whose squares overflow; the member's smallest eigenvalue is -9e200.
+HUGE_DOC = '{"n":2,"K":1,"coefficients":[[[1e200,1e201],[1e201,1e200]]],"parameters":[{"inf":1,"sup":1}]}'
+
 DEMO_BOX_FLAGS = ["--box", "x1=2:3", "--box", "x2=1:2", "--box", "x3=0:1"]
 
 
@@ -125,7 +128,45 @@ class TestCheck:
         code, _, err = run_cli(
             capsys, "check", split_file, "--goal", "weak-pd", "--method", "split"
         )
-        assert code == EXIT_INPUT_ERROR and "strong goals" in err
+        assert code == EXIT_INPUT_ERROR
+        assert "'split'" in err and "strong_psd, strong_pd only" in err
+
+    def test_forced_witness_on_weak_goal(self, capsys, split_file):
+        code, report, _ = run_cli(
+            capsys, "check", split_file, "--goal", "weak-pd", "--method", "witness"
+        )
+        assert code == EXIT_PROVED
+        assert report["method"] == "witness" and report["certificate"]["type"] == "witness_point"
+        assert report["certificate"]["min_eig"] > report["tolerances"]["definiteness"]
+        assert_schema_valid(report)
+
+    def test_forced_witness_on_strong_goal(self, capsys, split_file):
+        code, report, err = run_cli(
+            capsys, "check", split_file, "--goal", "strong-pd", "--method", "witness"
+        )
+        assert code == EXIT_INPUT_ERROR and report is None
+        assert "'witness'" in err and "weak_psd, weak_pd only" in err
+
+    def test_method_choices_come_from_the_stage_table(self, capsys, split_file):
+        from psdparam.definiteness import STAGES
+
+        for stage in STAGES:
+            goal = stage.goals[0].replace("_", "-")
+            code, report, _ = run_cli(capsys, "check", split_file, "--goal", goal, "--method", stage.name)
+            assert code != EXIT_INPUT_ERROR and report["method"] == stage.name
+        code, _, _ = run_cli(capsys, "check", split_file, "--goal", "strong-pd", "--method", "oracle")
+        assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("goal", ["strong-psd", "strong-pd"])
+    def test_huge_entries_are_not_proved(self, capsys, tmp_path, goal):
+        # The Jacobi solver's convergence test once overflowed here and
+        # returned the positive diagonal as the spectrum: "proved by split".
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", goal)
+        assert code == EXIT_DISPROVED
+        assert report["method"] == "vertex"
+        assert report["certificate"]["min_eig"] == pytest.approx(-9e200, rel=1e-9)
 
     def test_tol_flag_recorded(self, capsys, split_file):
         code, report, _ = run_cli(
@@ -133,16 +174,6 @@ class TestCheck:
         )
         assert code == EXIT_PROVED
         assert report["tolerances"]["definiteness"] == 1e-6
-
-    def test_env_tolerance(self, capsys, split_file, monkeypatch):
-        monkeypatch.setenv("PSDPARAM_TOL", "1e-7")
-        _, report, _ = run_cli(capsys, "check", split_file, "--goal", "strong-pd")
-        assert report["tolerances"]["definiteness"] == 1e-7
-
-    def test_env_tolerance_invalid(self, capsys, split_file, monkeypatch):
-        monkeypatch.setenv("PSDPARAM_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "check", split_file, "--goal", "strong-pd")
-        assert code == EXIT_INPUT_ERROR and "PSDPARAM_TOL" in err
 
     def test_determinism_modulo_timings(self, capsys, regularity_file):
         _, a, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
@@ -215,6 +246,23 @@ class TestConvex:
         code, report, _ = run_cli(capsys, "convex", "x^2 + y^2", "--box", "x=0:1", "--box", "y=0:2")
         assert code == EXIT_PROVED
         assert report["box"] == {"x1": [0.0, 1.0], "x2": [0.0, 2.0]}
+
+    def test_huge_indefinite_quadratic_disproved(self, capsys):
+        code, report, _ = run_cli(
+            capsys, "convex", "--box", "x1=0:1", "--box", "x2=0:1", "--", "1e200 x1^2 + 1e201 x1 x2 + 1e200 x2^2"
+        )
+        assert code == EXIT_DISPROVED
+        assert report["method"] == "vertex"
+        assert report["diagnostics"]["relaxation_strongly_psd"] is False
+        assert report["diagnostics"]["hertz_min_eig"] == pytest.approx(-8e200, rel=1e-9)
+
+    def test_hessian_near_the_largest_double(self, capsys):
+        # The Hessian entry 1e308 is finite; symmetrising the interval
+        # Hessian once overflowed it to inf and ended in a traceback.
+        code, report, _ = run_cli(capsys, "convex", "--box", "x1=0:1", "--", "5e307 x1^2")
+        assert code == EXIT_PROVED
+        assert report["diagnostics"]["relaxation_strongly_psd"] is True
+        assert report["diagnostics"]["hertz_min_eig"] == pytest.approx(1e308, rel=1e-12)
 
     def test_overflowing_hessian_is_input_error(self, capsys):
         code, report, err = run_cli(

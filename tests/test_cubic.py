@@ -199,3 +199,17 @@ class TestCertifyConvexity:
     def test_negative_cube_disproved(self):
         res = certify_convexity(parse("-x1^3"), ParameterBox([Interval(1.0, 2.0)]))
         assert res.verdict.disproved
+
+    def test_diagnostics_come_from_one_hertz_value(self, rng):
+        from psdparam import hertz_min_eig, relax, strong_psd_interval
+
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            terms = [(float(rng.integers(-3, 4)), tuple(sorted(rng.integers(0, n + 1, 3)))) for _ in range(6)]
+            f = CubicPolynomial.from_terms(n, terms + [(1.0, (0, 1, 1))])
+            box = ParameterBox.from_bounds([(float(lo), float(lo) + 1.0) for lo in rng.uniform(-2, 2, n)])
+            relaxed = relax(hessian(f, box))
+            for tol in (None, 1e-6, 10.0):
+                res = certify_convexity(f, box, tol=tol)
+                assert res.relaxation_min_eig == hertz_min_eig(relaxed)
+                assert res.relaxation_strongly_psd == strong_psd_interval(relaxed, tol=tol)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from psdparam import (
     NecessaryFailure,
     ParameterBox,
     ParametricSymMatrix,
-    SignVector,
     SplitWitness,
     Status,
     SymMatrix,
@@ -34,9 +35,7 @@ from psdparam import (
     hertz_min_eig,
     min_eig,
     relax,
-    sign_vectors,
     strong_pd,
-    strong_pd_interval,
     strong_pd_regularity,
     strong_pd_split,
     strong_psd,
@@ -293,7 +292,7 @@ class TestIntervalChecks:
 
     def test_degenerate_pd_point_matrix(self):
         m = IntervalMatrix.point(np.array([[2.0, 0.3], [0.3, 1.5]]))
-        assert strong_psd_interval(m) and strong_pd_interval(m)
+        assert strong_psd_interval(m) and hertz_min_eig(m) > definiteness.interval_tol(m)
 
     def test_asymmetric_input_rejected(self):
         bad = IntervalMatrix([[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [3.0, 1.0]])
@@ -302,12 +301,15 @@ class TestIntervalChecks:
         with pytest.raises(AsymmetricMatrixError):
             hertz_min_eig(bad)
 
-    def test_sign_vectors_pin_first_entry(self):
-        vs = list(sign_vectors(3))
-        assert len(vs) == 4
-        assert all(v.z[0] == 1 for v in vs)
-        with pytest.raises(ValueError):
-            SignVector((1, 0, -1))
+    def test_default_tolerance_is_uniform(self):
+        # interval_tol = 1e-10 * (1 + n * max|entry|) = 3e-10 here.
+        t = definiteness.interval_tol(IntervalMatrix.point(np.eye(2)))
+        assert t == pytest.approx(3e-10)
+        inside = IntervalMatrix.point(np.diag([1.0, -0.5 * t]))
+        outside = IntervalMatrix.point(np.diag([1.0, -2.0 * t]))
+        assert strong_psd_interval(inside) and not strong_psd_interval(outside)
+        assert strong_psd_interval(outside, tol=3.0 * t)
+        assert not strong_psd_interval(inside, tol=0.0)
 
     def test_sign_enumeration_consistent_with_hertz(self, rng):
         for _ in range(20):
@@ -350,10 +352,25 @@ class TestHertz:
         a = IntervalMatrix(lo, lo + rng.uniform(0.1, 1.0))
         mid, rad = a.symmetric_parts()
         sampled = np.inf
-        for sv in sign_vectors(3):
-            z = np.array(sv.z, dtype=float)
+        for z in itertools.product((1.0, -1.0), repeat=3):
             sampled = min(sampled, float(np.linalg.eigvalsh(mid - np.outer(z, z) * rad)[0]))
         assert hertz_min_eig(a) == pytest.approx(sampled, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_every_sign_pattern_counts(self, rng, n):
+        # With Rad all ones the sign-vertex matrix of y is Mid - y y^T, and
+        # Mid = 4n I - z z^T puts the minimum 2n on the pattern +-z alone,
+        # so a skipped pattern shows in the value.
+        for z in itertools.product((1.0, -1.0), repeat=n):
+            mid = 4.0 * n * np.eye(n) - np.outer(z, z)
+            a = IntervalMatrix(mid - 1.0, mid + 1.0)
+            mids, rads = a.symmetric_parts()
+            ref = min(
+                float(np.linalg.eigvalsh(mids - np.outer(y, y) * rads)[0])
+                for y in itertools.product((1.0, -1.0), repeat=n)
+            )
+            assert ref == pytest.approx(2.0 * n, abs=1e-9)
+            assert hertz_min_eig(a) == pytest.approx(ref, abs=1e-9)
 
 
 def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str) -> np.ndarray | None:
@@ -501,6 +518,16 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(rank_one_cone(), "psd")
 
+    @pytest.mark.parametrize("goal", definiteness.GOALS)
+    def test_stages_run_in_table_order(self, goal):
+        # A one-vertex budget keeps the strong cascades from deciding early
+        # on the vertex stage; every applicable stage then runs.
+        applicable = [s.name for s in definiteness.STAGES if goal in s.goals]
+        timings: dict = {}
+        v = decide(diag_sign_family(), goal, vertex_budget=0, timings=timings)
+        assert list(timings) == applicable[: applicable.index(v.method) + 1]
+        assert v.method in applicable
+
     def test_certificates_recheck(self, rng):
         reverified = 0
         for _ in range(60):
@@ -524,3 +551,46 @@ class TestDecide:
             if pd_v.proved:
                 assert strong_psd(p).proved
                 assert not weak_pd_necessary(p).disproved
+
+
+class TestRunStage:
+    def test_matches_the_named_wrappers(self, rng):
+        for _ in range(20):
+            p = random_family(rng)
+            pairs = [
+                (("strong_psd", "split"), strong_psd_split(p)),
+                (("strong_pd", "split"), strong_pd_split(p)),
+                (("strong_pd", "regularity"), strong_pd_regularity(p)),
+                (("strong_psd", "vertex"), strong_psd(p)),
+                (("strong_pd", "vertex"), strong_pd(p)),
+                (("weak_psd", "necessary"), weak_psd_necessary(p)),
+                (("weak_pd", "necessary"), weak_pd_necessary(p)),
+            ]
+            for (goal, stage), expected in pairs:
+                v = definiteness.run_stage(p, goal, stage)
+                assert (v.status, v.method, v.detail) == (expected.status, expected.method, expected.detail)
+                assert type(v.certificate) is type(expected.certificate)
+
+    def test_witness_stage(self):
+        v = definiteness.run_stage(rank_one_cone(), "weak_psd", "witness")
+        assert v.proved and isinstance(v.certificate, WitnessPoint)
+        assert definiteness.run_stage(diag_sign_family(), "weak_pd", "witness", restarts=1).unknown
+
+    def test_vertex_budget_reaches_the_stage(self):
+        v = definiteness.run_stage(regularity_favorable(), "strong_psd", "vertex", vertex_budget=1)
+        assert v.unknown and "budget 1" in v.detail
+
+    @pytest.mark.parametrize(
+        "goal, stage",
+        [("weak_pd", "split"), ("strong_psd", "regularity"), ("weak_psd", "regularity"),
+         ("weak_psd", "vertex"), ("strong_pd", "necessary"), ("strong_psd", "witness")],
+    )
+    def test_rejects_stage_outside_its_goals(self, goal, stage):
+        with pytest.raises(ValueError, match=f"'{stage}' applies to"):
+            definiteness.run_stage(rank_one_cone(), goal, stage)
+
+    def test_rejects_unknown_stage_and_goal(self):
+        with pytest.raises(ValueError, match="unknown stage"):
+            definiteness.run_stage(rank_one_cone(), "strong_psd", "oracle")
+        with pytest.raises(ValueError, match="goal must be one of"):
+            definiteness.run_stage(rank_one_cone(), "psd", "split")

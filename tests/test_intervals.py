@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -16,8 +15,6 @@ from psdparam import (
     IntervalMatrix,
     contains,
     im_add,
-    interval_add,
-    interval_mul,
     scale,
 )
 
@@ -54,37 +51,52 @@ class TestInterval:
         assert iv.rad >= 0.0
 
 
+def one(lo: float, hi: float) -> IntervalMatrix:
+    return IntervalMatrix([[lo]], [[hi]])
+
+
 class TestScalarOps:
+    """Exact-rounding checks of the entrywise operations, on 1x1 ``im_add`` and ``scale``.
+
+    They pin the error-free transforms ``_two_sum`` and ``_two_prod`` and
+    the ``_prod_unsafe`` fallback against exact rational arithmetic.
+    """
+
     def test_add_exact_dyadic(self):
-        assert interval_add(Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
+        assert im_add(one(1, 2), one(3, 4)).entry(0, 0) == Interval(4, 6)
 
     def test_add_identity(self):
-        iv = Interval(-3.25, 7.5)
-        assert interval_add(Interval(0, 0), iv) == iv
+        assert im_add(one(0, 0), one(-3.25, 7.5)).entry(0, 0) == Interval(-3.25, 7.5)
 
     def test_add_tenths_encloses_rational_sum(self):
         # Exact-rational oracle: the true sum 0.3 must be inside, and the
         # result may be at most two ulps wide.
-        r = interval_add(Interval(0.1, 0.1), Interval(0.2, 0.2))
+        r = im_add(one(0.1, 0.1), one(0.2, 0.2)).entry(0, 0)
         true = Fraction(1, 10) + Fraction(2, 10)
         assert Fraction(r.inf) <= true <= Fraction(r.sup)
         assert r.sup <= math.nextafter(math.nextafter(r.inf, math.inf), math.inf)
 
     def test_mul_endpoint_products(self):
-        assert interval_mul(Interval(0, 1), Interval(-1, 1)) == Interval(-1, 1)
+        r = scale([[0.0, 1.0, -1.0]], Interval(-1, 1))
+        assert np.array_equal(r.inf, [[0.0, -1.0, -1.0]]) and np.array_equal(r.sup, [[0.0, 1.0, 1.0]])
 
     def test_mul_identity(self):
-        iv = Interval(-2.5, 0.75)
-        assert interval_mul(Interval(1, 1), iv) == iv
+        assert scale([[1.0]], Interval(-2.5, 0.75)).entry(0, 0) == Interval(-2.5, 0.75)
 
     def test_mul_mixed_signs_brute_force(self):
-        # Dense-sample oracle over both intervals.
-        r = interval_mul(Interval(-2, 3), Interval(-5, 7))
-        xs = np.linspace(-2, 3, 201)
+        # Dense-sample oracle: each real entry of either sign times an
+        # interval that straddles zero.
+        r = scale([[-2.0, 3.0]], Interval(-5, 7))
         ys = np.linspace(-5, 7, 201)
-        prods = np.outer(xs, ys)
-        assert r.inf <= prods.min() and prods.max() <= r.sup
-        assert r == Interval(-15, 21)
+        for j, x in enumerate((-2.0, 3.0)):
+            assert r.inf[0, j] <= (x * ys).min() and (x * ys).max() <= r.sup[0, j]
+        assert r.entry(0, 0) == Interval(-14, 10) and r.entry(0, 1) == Interval(-15, 21)
+
+    def test_unsafe_products_widen_unconditionally(self):
+        # Past 1e290 the two-product residual is not trusted, so even exact
+        # products move outward.
+        r = scale([[2.0 ** 970]], Interval(2.0, 2.0)).entry(0, 0)
+        assert r.inf < 2.0 ** 971 < r.sup
 
     @given(finite_floats, finite_floats, finite_floats, finite_floats, st.data())
     def test_inclusion_isotonicity(self, a1, a2, b1, b2, data):
@@ -92,29 +104,25 @@ class TestScalarOps:
         b = make_interval(b1, b2)
         x = data.draw(st.floats(min_value=a.inf, max_value=a.sup))
         y = data.draw(st.floats(min_value=b.inf, max_value=b.sup))
-        s = interval_add(a, b)
-        assert s.inf <= x + y <= s.sup
-        p = interval_mul(a, b)
-        assert p.inf <= x * y <= p.sup
+        s = im_add(one(a.inf, a.sup), one(b.inf, b.sup)).entry(0, 0)
+        assert Fraction(s.inf) <= Fraction(x) + Fraction(y) <= Fraction(s.sup)
+        p = scale([[x]], b).entry(0, 0)
+        assert Fraction(p.inf) <= Fraction(x) * Fraction(y) <= Fraction(p.sup)
 
     def test_inclusion_isotonicity_bulk(self):
         # 1e4 random member pairs per operation, exact-rational membership.
         rng = np.random.default_rng(42)
         bounds = rng.uniform(-50, 50, size=(10_000, 4))
-        for a1, a2, b1, b2 in bounds[:, :4]:
+        for a1, a2, b1, b2 in bounds:
             a = make_interval(a1, a2)
             b = make_interval(b1, b2)
             t = rng.random(2)
             x = a.inf + t[0] * (a.sup - a.inf)
             y = b.inf + t[1] * (b.sup - b.inf)
-            s = interval_add(a, b)
-            p = interval_mul(a, b)
+            s = im_add(one(a.inf, a.sup), one(b.inf, b.sup)).entry(0, 0)
+            p = scale([[x]], b).entry(0, 0)
             assert Fraction(s.inf) <= Fraction(x) + Fraction(y) <= Fraction(s.sup)
             assert Fraction(p.inf) <= Fraction(x) * Fraction(y) <= Fraction(p.sup)
-
-    def test_widen_disabled_is_plain_arithmetic(self):
-        r = interval_add(Interval(0.1, 0.1), Interval(0.2, 0.2), widen=False)
-        assert r.inf == r.sup == 0.1 + 0.2
 
 
 class TestIntervalMatrix:
@@ -182,13 +190,6 @@ class TestIntervalMatrix:
         n = b.inf + rng.random((2, 2)) * (b.sup - b.inf)
         assert contains(im_add(a, b), m + n)
 
-    def test_json_roundtrip(self):
-        a = IntervalMatrix([[0.1, -2.0]], [[0.3, -1.0]])
-        doc = json.loads(a.to_json())
-        assert doc["rows"] == 1 and doc["cols"] == 2
-        b = IntervalMatrix.from_json(a.to_json())
-        assert np.array_equal(a.inf, b.inf) and np.array_equal(a.sup, b.sup)
-
     def test_symmetric_parts_gate(self):
         ok = IntervalMatrix([[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]])
         mid, rad = ok.symmetric_parts()
@@ -196,6 +197,11 @@ class TestIntervalMatrix:
         bad = IntervalMatrix([[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(AsymmetricMatrixError):
             bad.symmetric_parts()
+
+    def test_symmetric_parts_cannot_overflow(self):
+        big = IntervalMatrix.point([[1e308, 1.7e308], [1.7e308, -1e308]])
+        mid, rad = big.symmetric_parts()
+        assert np.array_equal(mid, big.inf) and not rad.any()
 
     def test_immutability(self):
         a = IntervalMatrix.point(np.eye(2))

@@ -132,19 +132,17 @@ class TestPreconditionRelax:
 
 class TestVertices:
     def test_split_favorable_reduced_pair(self):
-        vs = list(vertices(split_favorable(), "pd"))
+        vs = list(vertices(split_favorable()))
         assert [v.values for v in vs] == [(1.0, 0.0), (1.0, 1.0)]
-        assert vs[0].fixed_mask == (True, False)
 
     def test_psd_coefficient_fixes_lower_endpoint(self):
         p = ParametricSymMatrix([np.eye(2)], ParameterBox([Interval(-1.0, 2.0)]))
-        vs = list(vertices(p, "psd"))
+        vs = list(vertices(p))
         assert [v.values for v in vs] == [(-1.0,)]
-        assert vs[0].fixed_mask == (True,)
 
     def test_nsd_coefficient_fixes_upper_endpoint(self):
         p = ParametricSymMatrix([-np.eye(2)], ParameterBox([Interval(-1.0, 2.0)]))
-        assert [v.values for v in vertices(p, "psd")] == [(2.0,)]
+        assert [v.values for v in vertices(p)] == [(2.0,)]
 
     def test_three_free_coordinates_gray_order(self, rng):
         coeffs = [SymMatrix(rng.uniform(-2, 2, (3, 3))) for _ in range(3)]
@@ -174,20 +172,15 @@ class TestVertices:
         for p in families:
             for tol in (None, family_tol(p)):
                 enum = vertices(p, tol=tol)
-                vertex = enum[0]
+                rows = enum.points(0, len(enum))
                 for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
-                    if iv.is_degenerate:
-                        assert vertex.fixed_mask[k]
-                        continue
-                    if is_psd(coeff, tol):
-                        expected = iv.inf
+                    if iv.is_degenerate or is_psd(coeff, tol):
+                        expected = {iv.inf}
                     elif is_psd(SymMatrix(-coeff.array), tol):
-                        expected = iv.sup
+                        expected = {iv.sup}
                     else:
-                        expected = None
-                    assert vertex.fixed_mask[k] == (expected is not None)
-                    if expected is not None:
-                        assert vertex.values[k] == expected
+                        expected = {iv.inf, iv.sup}
+                    assert set(rows[:, k].tolist()) == expected
 
     def test_coefficient_spectra_read_only(self):
         vals, vecs = split_favorable().coefficient_spectra()
@@ -195,10 +188,6 @@ class TestVertices:
         assert np.allclose(vals[1], [-np.sqrt(2), np.sqrt(2)])
         with pytest.raises(ValueError):
             vals[0, 0] = 0.0
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            vertices(rank_one_cone(), "both")
 
     def test_reduction_soundness_vs_full_enumeration(self, rng):
         from psdparam import strong_pd, strong_psd

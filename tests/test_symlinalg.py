@@ -77,6 +77,23 @@ class TestEigSym:
         with pytest.raises(ConvergenceError):
             eig_sym(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
 
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1e307])
+    def test_huge_entries_match_lapack(self, big):
+        # Squaring these entries overflows; the solver must still rotate.
+        m = np.array([[0.0, big], [big, 0.0]])
+        vals, q = eig_sym(SymMatrix(m))
+        assert vals == pytest.approx(np.linalg.eigvalsh(m), rel=1e-12)
+        assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+
+    def test_huge_random_matrices_match_lapack(self, rng):
+        for exponent in (150, 200, 300):
+            for n in (3, 5):
+                a = rng.uniform(-1.0, 1.0, (n, n))
+                a = (a + a.T) * 10.0 ** exponent
+                vals, _ = eig_sym(SymMatrix(a))
+                ref = np.linalg.eigvalsh(a)
+                assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestBatchedLapack:
     """The batched LAPACK kernels against the Jacobi solver they stand beside."""
@@ -146,6 +163,21 @@ class TestDefiniteness:
         a = SymMatrix([[1.0, 2.0], [0.0, 1.0]])
         assert a.asymmetry == pytest.approx(2.0)
         assert np.array_equal(a.array, a.array.T)
+
+    def test_symmetrization_cannot_overflow(self):
+        a = SymMatrix([[1e308, 0.0], [0.0, 1e308]])
+        assert np.array_equal(a.array, [[1e308, 0.0], [0.0, 1e308]])
+        b = SymMatrix([[1e308, 1.7e308], [1.5e308, -1e308]])
+        assert b.array[0, 1] == b.array[1, 0] == pytest.approx(1.6e308)
+        assert b.asymmetry == pytest.approx(2e307)
+
+    def test_symmetric_input_kept_bit_for_bit(self, rng):
+        tiny = 5e-324  # the smallest subnormal; halving it gives 0
+        a = SymMatrix([[tiny, tiny], [tiny, 0.0]])
+        assert a.array[0, 1] == a.array[1, 0] == tiny and a.asymmetry == 0.0
+        m = rng.uniform(-1.0, 1.0, (4, 4))
+        m = m + m.T
+        assert np.array_equal(SymMatrix(m).array, m)
 
 
 class TestPsdSplit:
