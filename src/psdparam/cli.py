@@ -11,6 +11,7 @@ a one-line human summary goes to stderr.  Exit codes: 0 proved,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -153,7 +154,11 @@ def cmd_convex(args) -> int:
     if poly.n < 1:
         raise InputError("polynomial has no variables; nothing to certify")
     box = _parse_box_flags(args.box or [], poly.n)
-    default_tol = _finite_family_tol(hessian(poly, box))
+    try:
+        family = hessian(poly, box)
+    except ValueError as exc:
+        raise InputError(f"cannot form the Hessian: {exc}") from exc
+    default_tol = _finite_family_tol(family)
 
     timings: dict = {}
     t0 = time.perf_counter()
@@ -187,6 +192,20 @@ def _emit(verdict: df.Verdict, timings: dict, tol: float, extra: dict, label: st
     return _STATUS_EXIT[verdict.status]
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return df.check_tol(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdparam",
@@ -195,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="definiteness tolerance (default: family-derived)")
+    common.add_argument("--tol", type=_tolerance, default=None, help="definiteness tolerance (default: family-derived)")
     common.add_argument("--vertex-budget", type=int, default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
-    common.add_argument("--seed", type=int, default=df.DEFAULT_SEED, help="seed for the witness search")
+    common.add_argument("--seed", type=_seed, default=df.DEFAULT_SEED, help="seed for the witness search")
 
     check = sub.add_parser("check", parents=[common], help="decide a definiteness goal for a parametric matrix problem")
     check.add_argument("file", help="problem JSON file")
@@ -212,24 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *(s.name for s in df.STAGES)],
         help="force a single decision procedure instead of the cascade",
     )
-    check.set_defaults(func=cmd_check)
 
     convex = sub.add_parser("convex", parents=[common], help="certify convexity of a cubic polynomial on a box")
     convex.add_argument("expression", help="cubic polynomial, e.g. 'x1^2 + 2 x1 x2'")
     convex.add_argument("--box", action="append", metavar="VAR=LO:HI", help="variable domain; repeat per variable")
-    convex.set_defaults(func=cmd_convex)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; fold into the input-error code.
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
+    # Look the command up by name on each call, so a wrapper installed on
+    # the module (a tracer, a test spy) is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -236,13 +236,16 @@ def hessian_coefficients(f: CubicPolynomial) -> tuple[list[np.ndarray], np.ndarr
     n = f.n
     mats = [np.zeros((n, n)) for _ in range(n)]
     const = np.zeros((n, n))
-    for c, key in f.terms:
-        for s, t, r in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            i, j, rem = key[s], key[t], key[r]
-            if i == 0 or j == 0:
-                continue
-            target = const if rem == 0 else mats[rem - 1]
-            target[i - 1, j - 1] += c
+    # A sum past the largest double becomes inf here, and the family built
+    # from these matrices rejects it as a non-finite entry.
+    with np.errstate(over="ignore"):
+        for c, key in f.terms:
+            for s, t, r in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+                i, j, rem = key[s], key[t], key[r]
+                if i == 0 or j == 0:
+                    continue
+                target = const if rem == 0 else mats[rem - 1]
+                target[i - 1, j - 1] += c
     return mats, const
 
 

@@ -17,6 +17,7 @@ can be re-checked independently.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -125,8 +126,20 @@ class Verdict:
         return self.status is Status.UNKNOWN
 
 
+def check_tol(tol: float) -> float:
+    """``tol`` as a float; ValueError unless it is finite and nonnegative.
+
+    A NaN, infinite or negative tolerance would let every comparison
+    against it prove false claims.
+    """
+    value = float(tol)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return value
+
+
 def _resolve_tol(p: ParametricSymMatrix, tol: float | None) -> float:
-    return family_tol(p) if tol is None else float(tol)
+    return family_tol(p) if tol is None else check_tol(tol)
 
 
 def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
@@ -315,47 +328,57 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
 def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
     """Strong PSD of a symmetric interval matrix: ``hertz_min_eig(a) >= -tol``.
 
-    ``tol`` defaults to ``interval_tol(a)``.
+    ``tol`` defaults to ``interval_tol(a)``; ValueError for a NaN,
+    infinite or negative ``tol``.
     """
-    return hertz_min_eig(a) >= -(interval_tol(a) if tol is None else tol)
+    return hertz_min_eig(a) >= -(interval_tol(a) if tol is None else check_tol(tol))
 
 
 # ---------------------------------------------------------------------------
 # heuristic witness search for weak definiteness
 
 
-def _coordinate_ascent(p: ParametricSymMatrix, start: np.ndarray, sweeps: int = 30, steps: int = 48):
-    """Maximize min_eig(A(q)) over the box by per-coordinate ternary search.
+def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int = 30, steps: int = 48):
+    """Maximize min_eig(A(q)) over the box from each row of ``starts``.
 
-    The objective is concave in q, so each line search is unimodal.  The
-    two probes of a ternary step differ from q only in coordinate k; both
-    members are formed and their smallest eigenvalues taken in one
-    batched LAPACK call.
+    Each row runs per-coordinate ternary search, and the objective is
+    concave in q, so each line search is unimodal.  The rows run in
+    lockstep: every ternary step forms the two probe members of every
+    active row and takes their smallest eigenvalues in one batched
+    LAPACK call.  Each row keeps its own bracket, in Python floats, and
+    leaves the batch once a sweep no longer improves it.  Returns the
+    final points and their values.
     """
-    lows = p.box.inf()
-    highs = p.box.sup()
-    q = start.copy()
-    best = float(_member_min_eigs(p, q[None])[0])
-    probes = np.empty((2, p.K))
+    lows = p.box.inf().tolist()
+    highs = p.box.sup().tolist()
+    q = starts.copy()
+    best = _member_min_eigs(p, q)
+    active = np.arange(len(q))
     for _ in range(sweeps):
-        improved = best
+        improved = best[active]
         for k in range(p.K):
             if lows[k] == highs[k]:
                 continue
-            lo, hi = lows[k], highs[k]
-            probes[:] = q
+            rows = len(active)
+            lo, hi = [lows[k]] * rows, [highs[k]] * rows
+            probes = np.repeat(q[active], 2, axis=0)
+            ab = [0.0] * (2 * rows)
             for _ in range(steps):
-                third = (hi - lo) / 3.0
-                a, b = lo + third, hi - third
-                probes[0, k], probes[1, k] = a, b
-                fa, fb = _member_min_eigs(p, probes)
-                if fa < fb:
-                    lo = a
-                else:
-                    hi = b
-            q[k] = 0.5 * (lo + hi)
-            best = float(_member_min_eigs(p, q[None])[0])
-        if best - improved <= 1e-13 * (1.0 + abs(best)):
+                for i in range(rows):
+                    third = (hi[i] - lo[i]) / 3.0
+                    ab[2 * i], ab[2 * i + 1] = lo[i] + third, hi[i] - third
+                probes[:, k] = ab
+                f = _member_min_eigs(p, probes).tolist()
+                for i in range(rows):
+                    if f[2 * i] < f[2 * i + 1]:
+                        lo[i] = ab[2 * i]
+                    else:
+                        hi[i] = ab[2 * i + 1]
+            q[active, k] = [0.5 * (lo[i] + hi[i]) for i in range(rows)]
+            best[active] = _member_min_eigs(p, q[active])
+        now = best[active]
+        active = active[~(now - improved <= 1e-13 * (1.0 + np.abs(now)))]
+        if not len(active):
             break
     return q, best
 
@@ -371,23 +394,28 @@ def weak_pd_witness(
 
     Returns a constructive witness or None; absence of a witness proves
     nothing.  ``goal="psd"`` relaxes the acceptance threshold to the PSD
-    tolerance.
+    tolerance.  The first start is the box midpoint and runs alone; the
+    other ``restarts - 1`` run in lockstep batches whose probe members
+    fit ``VERTEX_CHUNK_BYTES``, and the lowest-index accepted start wins.
     """
     if goal not in ("pd", "psd"):
         raise ValueError(f"goal must be 'pd' or 'psd', got {goal!r}")
     tol = _resolve_tol(p, tol)
+
+    def accepted(values: np.ndarray) -> np.ndarray:
+        return values > tol if goal == "pd" else values >= -tol
+
+    q, best = _coordinate_ascent(p, p.box.mid()[None])
+    if accepted(best[0]):
+        return q[0]
     rng = np.random.default_rng(seed)
-    lows = p.box.inf()
-    highs = p.box.sup()
-
-    def accepted(value: float) -> bool:
-        return value > tol if goal == "pd" else value >= -tol
-
-    for trial in range(max(restarts, 1)):
-        start = p.box.mid() if trial == 0 else rng.uniform(lows, highs)
-        q, best = _coordinate_ascent(p, start)
-        if accepted(best):
-            return q
+    starts = rng.uniform(p.box.inf(), p.box.sup(), size=(max(restarts, 1) - 1, p.K))
+    rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
+    for first in range(0, len(starts), rows):
+        q, best = _coordinate_ascent(p, starts[first : first + rows])
+        ok = accepted(best)
+        if ok.any():
+            return q[int(np.argmax(ok))]
     return None
 
 

@@ -247,8 +247,8 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     try:
         n = int(doc["n"])
         k = int(doc["K"])
-        raw_coeffs = doc["coefficients"]
-        raw_params = doc["parameters"]
+        raw_coeffs = list(doc["coefficients"])
+        raw_params = list(doc["parameters"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
     if len(raw_coeffs) != k or len(raw_params) != k:
@@ -262,5 +262,8 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         if sym.asymmetry > SYMMETRY_TOL_FACTOR * max(sym.max_abs, 1e-300):
             raise ValueError(f"coefficient {idx} is asymmetric by {sym.asymmetry:g}")
         coeffs.append(sym)
-    box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
+    try:
+        box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed parameter entry: {exc!r}") from exc
     return ParametricSymMatrix(coeffs, box)

@@ -32,6 +32,9 @@ OVERFLOW_DOC = (
     '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
 )
 
+# diag(p, -p) on p in [1, 2]: no member is even PSD, whatever the goal.
+INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1,0],[0,-1]]],"parameters":[{"inf":1,"sup":2}]}'
+
 # Finite entries whose squares overflow; the member's smallest eigenvalue is -9e200.
 HUGE_DOC = '{"n":2,"K":1,"coefficients":[[[1e200,1e201],[1e201,1e200]]],"parameters":[{"inf":1,"sup":1}]}'
 
@@ -61,6 +64,12 @@ def run_cli(capsys, *argv):
 
 def assert_schema_valid(report):
     jsonschema.validate(report, report_schema())
+
+
+def assert_input_error(result, message: str):
+    code, report, err = result
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert "error:" in err and message in err
 
 
 def test_shipped_schema_is_itself_valid():
@@ -175,6 +184,44 @@ class TestCheck:
         assert code == EXIT_PROVED
         assert report["tolerances"]["definiteness"] == 1e-6
 
+    @pytest.mark.parametrize(
+        "tol, goal",
+        [("nan", "strong-pd"), ("inf", "strong-psd"), ("-inf", "weak-psd"), ("-5", "strong-pd"), ("-5", "weak-pd")],
+    )
+    def test_invalid_tolerance_is_input_error(self, capsys, tmp_path, tol, goal):
+        # NaN, inf and -5 once proved false claims about an indefinite family.
+        # "--tol=" keeps argparse from reading "-inf" as an option.
+        path = tmp_path / "indefinite.json"
+        path.write_text(INDEFINITE_DOC)
+        result = run_cli(capsys, "check", str(path), "--goal", goal, f"--tol={tol}")
+        assert_input_error(result, "finite and nonnegative")
+
+    def test_zero_tolerance_is_valid(self, capsys, tmp_path):
+        path = tmp_path / "indefinite.json"
+        path.write_text(INDEFINITE_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-pd", "--tol", "0")
+        assert code == EXIT_DISPROVED
+        assert report["tolerances"]["definiteness"] == 0.0
+        assert report["certificate"]["min_eig"] == -1.0
+
+    def test_negative_seed_is_input_error(self, capsys, split_file):
+        result = run_cli(capsys, "check", split_file, "--goal", "weak-pd", "--seed", "-1")
+        assert_input_error(result, "seed must be a nonnegative integer")
+
+    @pytest.mark.parametrize(
+        "parameters",
+        ['[{"inf":1}]', "[1]", '[{"inf":null,"sup":1}]'],
+    )
+    def test_malformed_parameter_is_input_error(self, capsys, tmp_path, parameters):
+        path = tmp_path / "bad.json"
+        path.write_text(INDEFINITE_DOC.replace('[{"inf":1,"sup":2}]', parameters))
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed parameter entry")
+
+    def test_non_list_coefficients_are_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n":2,"K":1,"coefficients":5,"parameters":[{"inf":1,"sup":2}]}')
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed problem document")
+
     def test_determinism_modulo_timings(self, capsys, regularity_file):
         _, a, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
         _, b, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
@@ -271,6 +318,62 @@ class TestConvex:
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
 
+    def test_hessian_past_the_largest_double_is_input_error(self, capsys):
+        result = run_cli(capsys, "convex", "--box", "x1=0:1e308", "--", "1e308 x1^3")
+        assert_input_error(result, "cannot form the Hessian")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_is_input_error(self, capsys, tol):
+        # --tol nan once proved the concave -x1^2 convex.
+        result = run_cli(capsys, "convex", "--box", "x1=0:1", "--tol", tol, "--", "-x1^2")
+        assert_input_error(result, "finite and nonnegative")
+
+    def test_successive_calls_share_no_box(self, capsys):
+        code, first, _ = run_cli(capsys, "convex", "x^2 + y^2", "--box", "x=0:1", "--box", "y=0:2")
+        assert code == EXIT_PROVED and first["box"] == {"x1": [0.0, 1.0], "x2": [0.0, 2.0]}
+        code, second, _ = run_cli(capsys, "convex", "x1^2", "--box", "x1=3:4")
+        assert code == EXIT_PROVED and second["box"] == {"x1": [3.0, 4.0]}
+        code, _, err = run_cli(capsys, "convex", "x^2 + y^2", "--box", "x=0:1")
+        assert code == EXIT_INPUT_ERROR and "missing --box for x2" in err
+
     def test_usage_error_maps_to_input_error(self, capsys):
         assert main(["convex"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+
+def test_parser_is_built_once(capsys, monkeypatch, split_file):
+    from psdparam import cli
+
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        assert main(["check", split_file, "--goal", "strong-pd"]) == EXIT_PROVED
+        assert main(["convex", "x1^2", "--box", "x1=0:1"]) == EXIT_PROVED
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_command_is_looked_up_at_call_time(capsys, monkeypatch, split_file):
+    from psdparam import cli
+
+    seen = []
+    check = cli.cmd_check
+
+    def wrapped(args):
+        seen.append(args.goal)
+        return check(args)
+
+    main(["check", split_file, "--goal", "strong-pd"])
+    monkeypatch.setattr(cli, "cmd_check", wrapped)
+    assert main(["check", split_file, "--goal", "strong-psd"]) == EXIT_PROVED
+    capsys.readouterr()
+    assert seen == ["strong-psd"]

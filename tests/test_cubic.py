@@ -200,6 +200,15 @@ class TestCertifyConvexity:
         res = certify_convexity(parse("-x1^3"), ParameterBox([Interval(1.0, 2.0)]))
         assert res.verdict.disproved
 
+    def test_nan_tolerance_rejected(self):
+        # A NaN tolerance once proved the concave -x1^2 convex.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            certify_convexity(parse("-x1^2"), ParameterBox([Interval(0.0, 1.0)]), tol=float("nan"))
+
+    def test_hessian_past_the_largest_double_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            hessian(parse("1e308 x1^3"), ParameterBox([Interval(0.0, 1e308)]))
+
     def test_diagnostics_come_from_one_hertz_value(self, rng):
         from psdparam import hertz_min_eig, relax, strong_psd_interval
 

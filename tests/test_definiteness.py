@@ -311,6 +311,11 @@ class TestIntervalChecks:
         assert strong_psd_interval(outside, tol=3.0 * t)
         assert not strong_psd_interval(inside, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            strong_psd_interval(IntervalMatrix.point(np.eye(2)), tol=tol)
+
     def test_sign_enumeration_consistent_with_hertz(self, rng):
         for _ in range(20):
             lo = rng.uniform(-2, 2, (3, 3))
@@ -373,19 +378,19 @@ class TestHertz:
             assert hertz_min_eig(a) == pytest.approx(ref, abs=1e-9)
 
 
-def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str) -> np.ndarray | None:
+def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.DEFAULT_SEED):
     """Reference witness search: one ``min_eig(evaluate(...))`` (Jacobi) per probe.
 
     The same seeded restarts, ternary rule, step and sweep counts and
-    stopping test as ``weak_pd_witness``, with no batching.
+    stopping test as ``weak_pd_witness``, one restart after another with
+    no batching.  Yields (point, value, sweeps run) for each restart.
     """
-    tol = family_tol(p)
-    rng = np.random.default_rng(definiteness.DEFAULT_SEED)
+    rng = np.random.default_rng(seed)
     lows, highs = p.box.inf(), p.box.sup()
     for trial in range(max(restarts, 1)):
         q = p.box.mid() if trial == 0 else rng.uniform(lows, highs)
         best = min_eig(evaluate(p, q, check=False))
-        for _ in range(30):
+        for sweep in range(1, 31):
             improved = best
             for k in range(p.K):
                 if lows[k] == highs[k]:
@@ -406,23 +411,49 @@ def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str) -> np.n
                 best = min_eig(evaluate(p, q, check=False))
             if best - improved <= 1e-13 * (1.0 + abs(best)):
                 break
-        if best > tol if goal == "pd" else best >= -tol:
-            return q
-    return None
+        yield q, best, sweep
+
+
+def passes(goal: str, value: float, tol: float) -> bool:
+    return value > tol if goal == "pd" else value >= -tol
+
+
+def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: int = definiteness.DEFAULT_SEED):
+    """The first restart of ``sequential_ascents`` whose value passes the goal, or None."""
+    tol = family_tol(p)
+    return next((q for q, best, _ in sequential_ascents(p, restarts, seed) if passes(goal, best, tol)), None)
+
+
+def ridge_family(n: int, c: float) -> ParametricSymMatrix:
+    """diag(2 q1 - q2, 2 q2 - q1, 5, ..., 5) - c I on [0, 1]^2, the shift on a degenerate q3.
+
+    min_eig is concave with a ridge along q1 = q2, and each coordinate
+    alone can only leave the ridge downhill.  So the search from a start
+    (x, y) stalls on the ridge near (y, y) with value about y - c: the
+    midpoint reaches 0.5 - c, and each restart the second coordinate of
+    its own start.  The members are diagonal, which keeps the Jacobi
+    reference cheap at any n.
+    """
+    a = np.zeros((3, n, n))
+    a[0, 0, 0], a[0, 1, 1] = 2.0, -1.0
+    a[1, 0, 0], a[1, 1, 1] = -1.0, 2.0
+    a[2] = -c * np.eye(n)
+    a[2, 2:, 2:] += 5.0 * np.eye(n - 2)
+    box = ParameterBox([Interval(0.0, 1.0), Interval(0.0, 1.0), Interval(1.0, 1.0)])
+    return ParametricSymMatrix([SymMatrix(m) for m in a], box)
 
 
 class TestWitnessSearch:
-    def assert_matches_sequential(self, p, goal, restarts):
-        expected = sequential_witness(p, restarts, goal)
-        got = weak_pd_witness(p, restarts=restarts, goal=goal)
+    def assert_matches_sequential(self, p, goal, restarts, seed=definiteness.DEFAULT_SEED):
+        expected = sequential_witness(p, restarts, goal, seed)
+        got = weak_pd_witness(p, restarts=restarts, goal=goal, seed=seed)
         assert (got is None) == (expected is None)
         if got is None:
             return False
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
         assert p.box.contains(got)
         m = float(np.linalg.eigvalsh(np.tensordot(got, p.coefficient_stack(), axes=1))[0])
-        tol = family_tol(p)
-        assert m > tol if goal == "pd" else m >= -tol
+        assert passes(goal, m, family_tol(p))
         return True
 
     @pytest.mark.parametrize("goal", ["pd", "psd"])
@@ -442,17 +473,79 @@ class TestWitnessSearch:
             found += self.assert_matches_sequential(random_family(rng, max_n=2, max_k=4), goal, restarts=2)
         assert 0 < found < 30
 
+    @pytest.mark.parametrize("restarts", [1, 2, 20])
+    @pytest.mark.parametrize("goal", ["pd", "psd"])
+    def test_lowest_accepted_restart_wins(self, goal, restarts):
+        p = ridge_family(2, 0.6)
+        runs = list(sequential_ascents(p, restarts))
+        accepted = [i for i, (_, best, _) in enumerate(runs) if passes(goal, best, family_tol(p))]
+        assert 0 not in accepted
+        if restarts == 20:
+            # Several restarts pass and they stop after different numbers
+            # of sweeps, so rows leave the lockstep batch at different times.
+            assert len(accepted) >= 2
+            assert len({sweeps for *_, sweeps in runs[1:]}) > 1
+        assert self.assert_matches_sequential(p, goal, restarts) == bool(accepted)
+
+    def test_batches_split_by_size(self, monkeypatch):
+        # At n = 60 the two probe members of a row take 57600 bytes, so a
+        # batch holds 18 rows and the 19 random restarts run as 18 + 1.
+        # The seed puts the only start that reaches the threshold last, so
+        # only the second batch accepts.
+        n = 60
+        rows = definiteness.VERTEX_CHUNK_BYTES // (2 * n * n * 8)
+        assert rows == 18
+        seed = next(
+            s for s in range(1000)
+            if np.argmax(np.random.default_rng(s).uniform(0.0, 1.0, (19, 3))[:, 1]) == 18
+        )
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (19, 3))[:, 1]
+        c = 0.5 * (max(0.5, y[:18].max()) + y[18])
+        assert c < y[18] - 1e-6
+        p = ridge_family(n, c)
+        batches = []
+        ascent = definiteness._coordinate_ascent
+
+        def spy(p, starts):
+            batches.append(len(starts))
+            return ascent(p, starts)
+
+        monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
+        assert self.assert_matches_sequential(p, "pd", restarts=20, seed=seed)
+        assert batches == [1, rows, 19 - rows]
+
+    def test_one_row_batches_match(self, rng, monkeypatch):
+        # A chunk smaller than two members still gives one row per batch.
+        monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", 1)
+        self.assert_matches_sequential(ridge_family(2, 0.6), "pd", restarts=20)
+        for _ in range(3):
+            p, _ = planted_pd_family(rng)
+            assert self.assert_matches_sequential(p, "psd", restarts=20)
+
     def test_unknown_goal_rejected(self):
         with pytest.raises(ValueError):
             weak_pd_witness(rank_one_cone(), goal="x")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lockstep_rows_equal_rows_run_alone(self, seed):
+        # Batching changes no bit: each row of a batch ends where the same
+        # start ends when it runs by itself.  Seed 5 has a row that stops
+        # on a tiny nonzero gain, and moves if it keeps sweeping.
+        rng = np.random.default_rng(seed)
+        for p in (ridge_family(2, 0.6), random_family(rng, 3, 4)):
+            starts = rng.uniform(p.box.inf(), p.box.sup(), (6, p.K))
+            q, best = definiteness._coordinate_ascent(p, starts)
+            for i, start in enumerate(starts):
+                qi, bi = definiteness._coordinate_ascent(p, start[None])
+                assert np.array_equal(q[i], qi[0]) and best[i] == bi[0]
 
     def test_zero_restarts_runs_one_start(self, monkeypatch):
         starts = []
         ascent = definiteness._coordinate_ascent
 
-        def spy(p, start):
-            starts.append(start.copy())
-            return ascent(p, start)
+        def spy(p, rows):
+            starts.extend(rows.copy())
+            return ascent(p, rows)
 
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
         p = diag_sign_family()
@@ -517,6 +610,18 @@ class TestDecide:
     def test_invalid_goal(self):
         with pytest.raises(ValueError):
             decide(rank_one_cone(), "psd")
+
+    @pytest.mark.parametrize(
+        "tol, goal",
+        [(float("nan"), "strong_pd"), (float("inf"), "strong_psd"), (-float("inf"), "weak_psd"),
+         (-5.0, "strong_pd"), (-5.0, "weak_pd")],
+    )
+    def test_invalid_tolerance_rejected(self, tol, goal):
+        # diag(p, -p) on [1, 2] is indefinite; NaN, inf and -5 once proved it.
+        p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(1.0, 2.0)]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            decide(p, goal, tol=tol)
+        assert decide(p, goal, tol=0.0).disproved
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
     def test_stages_run_in_table_order(self, goal):

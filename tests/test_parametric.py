@@ -231,6 +231,12 @@ class TestProblemJson:
         with pytest.raises(ValueError):
             problem_from_json('{"n":2,"K":1,"coefficients":[],"parameters":[]}')
 
+    @pytest.mark.parametrize("parameters", [[{"inf": 1}], [1], [{"inf": None, "sup": 1}], 5])
+    def test_malformed_parameters_raise_value_error(self, parameters):
+        doc = {"n": 1, "K": 1, "coefficients": [[[1.0]]], "parameters": parameters}
+        with pytest.raises(ValueError, match="malformed"):
+            problem_from_json(doc)
+
     def test_family_tol_scales_with_problem(self):
         p = problem_from_json(self.DOC)
         assert 0 < family_tol(p) < 1e-8
