@@ -16,6 +16,12 @@ each axis includes both endpoints, so the grid holds all 2^K vertices.
 Unknown weak verdicts with a passing grid point are counted as missed
 witnesses and reported without failing the sweep.
 
+For every family with at most HERTZ_MAX_N rows, the interval-Hessian
+diagnostic ``hertz_min_eig(relax(family))``, which solves each sign
+matrix with the package's Jacobi kernel, is re-checked against the
+smallest LAPACK eigenvalue over all 2^(n-1) sign matrices
+Mid - diag(z) Rad diag(z), z_0 = +1, within the interval tolerance.
+
 Reports which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
@@ -24,17 +30,21 @@ disagreement, so this doubles as a long-running soak test:
 
 import argparse
 import collections
+import itertools
 import sys
 import time
 
 import numpy as np
 
 import psdparam as pp
+from psdparam.definiteness import interval_tol
 from psdparam.oracle import full_vertex_check
 
 GRID_POINTS = 5
 # Member matrices formed at once while scanning the grid.
 GRID_CHUNK = 4096
+# Largest n whose 2^(n-1) sign matrices the Hertz re-check forms at once.
+HERTZ_MAX_N = 12
 
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
@@ -104,6 +114,18 @@ def weak_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> s
     return None
 
 
+def hertz_problem(p: pp.ParametricSymMatrix) -> str | None:
+    """Why ``hertz_min_eig(relax(p))`` disagrees with LAPACK over all sign matrices, or None."""
+    relaxed = pp.relax(p)
+    mid, rad = relaxed.symmetric_parts()
+    signs = np.array([(1.0, *z) for z in itertools.product((1.0, -1.0), repeat=p.n - 1)])
+    ref = float(np.linalg.eigvalsh(mid - signs[:, :, None] * signs[:, None, :] * rad)[:, 0].min())
+    h = pp.hertz_min_eig(relaxed)
+    if abs(h - ref) > interval_tol(relaxed):
+        return f"hertz_min_eig {h:.12g}, LAPACK over all sign matrices says {ref:.12g}"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
@@ -116,9 +138,15 @@ def main() -> int:
     tally = collections.Counter()
     disagreements = []
     missed = collections.Counter()
+    hertz_checked = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         p = random_family(rng, args.max_n, args.max_k)
+        if p.n <= HERTZ_MAX_N:
+            hertz_checked += 1
+            problem = hertz_problem(p)
+            if problem is not None:
+                disagreements.append((i, "hertz_min_eig", problem))
         for goal in ("strong_psd", "strong_pd"):
             verdict = pp.decide(p, goal)
             tally[(goal, verdict.status.value, verdict.method)] += 1
@@ -147,6 +175,7 @@ def main() -> int:
     for goal in ("weak_psd", "weak_pd"):
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
         print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")
+    print(f"  hertz_min_eig re-checked against LAPACK on {hertz_checked} relaxations")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
         return 1

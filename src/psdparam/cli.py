@@ -199,11 +199,13 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
-    return value
+def _nonnegative_int(what: str):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be a nonnegative integer, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=None, help="definiteness tolerance (default: family-derived)")
-    common.add_argument("--vertex-budget", type=int, default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
-    common.add_argument("--seed", type=_seed, default=df.DEFAULT_SEED, help="seed for the witness search")
+    common.add_argument("--vertex-budget", type=_nonnegative_int("vertex budget"), default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
+    common.add_argument("--seed", type=_nonnegative_int("seed"), default=df.DEFAULT_SEED, help="seed for the witness search")
 
     check = sub.add_parser("check", parents=[common], help="decide a definiteness goal for a parametric matrix problem")
     check.add_argument("file", help="problem JSON file")

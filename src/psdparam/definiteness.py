@@ -138,6 +138,12 @@ def check_tol(tol: float) -> float:
     return value
 
 
+def check_budget(budget: int) -> None:
+    """Raise ValueError when the vertex budget is negative."""
+    if budget < 0:
+        raise ValueError(f"vertex budget must be a nonnegative integer, got {budget!r}")
+
+
 def _resolve_tol(p: ParametricSymMatrix, tol: float | None) -> float:
     return family_tol(p) if tol is None else check_tol(tol)
 
@@ -159,6 +165,7 @@ def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
     with a failing vertex.  The certificate names the first failing
     vertex, or the first vertex attaining the minimum, in Gray order.
     """
+    check_budget(budget)
     tol = _resolve_tol(p, tol)
     enum = vertices(p, tol=tol)
     total = len(enum)
@@ -474,10 +481,11 @@ def run_stage(
 ) -> Verdict:
     """Run the single stage named ``stage`` of ``STAGES`` for ``goal``.
 
-    Raises ValueError when the goal or the stage is unknown, or when the
-    stage does not apply to the goal.
+    Raises ValueError when the goal or the stage is unknown, when the
+    stage does not apply to the goal, or for a negative vertex budget.
     """
     kind = _check_goal(goal)
+    check_budget(vertex_budget)
     entry = next((s for s in STAGES if s.name == stage), None)
     if entry is None:
         raise ValueError(f"unknown stage {stage!r}; stages are {', '.join(s.name for s in STAGES)}")
@@ -502,6 +510,7 @@ def decide(
     are added to ``timings`` when a dict is supplied.
     """
     kind = _check_goal(goal)
+    check_budget(vertex_budget)
     verdict = Verdict(Status.UNKNOWN, "none")
     for stage in STAGES:
         if goal not in stage.goals:

@@ -4,11 +4,11 @@ Everything here enumerates without reductions: all 2^K endpoint
 combinations, a grid or random samples, never the reduced Gray-code
 vertex set.  That unreduced enumeration is what makes this an
 independent, slow ground truth for the clever routes.  Its eigenvalues
-come from LAPACK (numpy.linalg.eigvalsh), the same library the batched
-vertex route and the witness search use, so the eigensolver itself is
-cross-checked separately by a test that compares batched LAPACK against
-the package's Jacobi solver.  The decision procedures never consult this
-module.
+come from LAPACK (numpy.linalg.eigvalsh), the same library behind
+``eig_sym``, ``eig_stack``, ``min_eigs``, ``psd_split``, ``invert`` and
+``determinant``, so the eigensolver itself is cross-checked separately:
+tests compare batched LAPACK against the Jacobi kernel that is left
+behind ``min_eig``.  The decision procedures never consult this module.
 """
 
 from __future__ import annotations

@@ -208,6 +208,14 @@ class TestCheck:
         result = run_cli(capsys, "check", split_file, "--goal", "weak-pd", "--seed", "-1")
         assert_input_error(result, "seed must be a nonnegative integer")
 
+    @pytest.mark.parametrize("goal", ["strong-pd", "weak-psd"])
+    def test_negative_vertex_budget_is_input_error(self, capsys, tmp_path, goal):
+        # -5 once ran the cascade and came back "unknown by vertex", exit 2.
+        path = tmp_path / "indefinite.json"
+        path.write_text(INDEFINITE_DOC)
+        result = run_cli(capsys, "check", str(path), "--goal", goal, "--vertex-budget", "-5")
+        assert_input_error(result, "vertex budget must be a nonnegative integer")
+
     @pytest.mark.parametrize(
         "parameters",
         ['[{"inf":1}]', "[1]", '[{"inf":null,"sup":1}]'],
@@ -327,6 +335,10 @@ class TestConvex:
         # --tol nan once proved the concave -x1^2 convex.
         result = run_cli(capsys, "convex", "--box", "x1=0:1", "--tol", tol, "--", "-x1^2")
         assert_input_error(result, "finite and nonnegative")
+
+    def test_negative_vertex_budget_is_input_error(self, capsys):
+        result = run_cli(capsys, "convex", "--box", "x1=0:1", "--vertex-budget", "-1", "--", "x1^2")
+        assert_input_error(result, "vertex budget must be a nonnegative integer")
 
     def test_successive_calls_share_no_box(self, capsys):
         code, first, _ = run_cli(capsys, "convex", "x^2 + y^2", "--box", "x=0:1", "--box", "y=0:2")

@@ -28,4 +28,5 @@ def test_small_sweep_agrees_on_all_goals():
         assert f"  {goal} " in out
     assert "proved    by witness" in out and "disproved by necessary" in out
     assert "missed witness" in out
+    assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

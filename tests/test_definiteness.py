@@ -624,6 +624,12 @@ class TestDecide:
         assert decide(p, goal, tol=0.0).disproved
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
+    def test_negative_vertex_budget_rejected(self, goal):
+        with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
+            decide(diag_sign_family(), goal, vertex_budget=-5)
+        assert not decide(diag_sign_family(), goal, vertex_budget=0).proved
+
+    @pytest.mark.parametrize("goal", definiteness.GOALS)
     def test_stages_run_in_table_order(self, goal):
         # A one-vertex budget keeps the strong cascades from deciding early
         # on the vertex stage; every applicable stage then runs.
@@ -684,6 +690,14 @@ class TestRunStage:
     def test_vertex_budget_reaches_the_stage(self):
         v = definiteness.run_stage(regularity_favorable(), "strong_psd", "vertex", vertex_budget=1)
         assert v.unknown and "budget 1" in v.detail
+
+    @pytest.mark.parametrize("stage", ["split", "vertex"])
+    def test_rejects_negative_vertex_budget(self, stage):
+        with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
+            definiteness.run_stage(diag_sign_family(), "strong_pd", stage, vertex_budget=-1)
+        for wrapper in (strong_psd, strong_pd):
+            with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
+                wrapper(diag_sign_family(), budget=-1)
 
     @pytest.mark.parametrize(
         "goal, stage",

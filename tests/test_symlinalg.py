@@ -22,6 +22,7 @@ from psdparam import (
     psd_split,
     spectral_radius_nonneg,
 )
+from psdparam.symlinalg import _jacobi_eigvals
 
 EX2_INDEFINITE = np.array([[-1.0, 1.0], [1.0, 1.0]])
 EX2_SPLIT_SUM = np.array([[0.2929, 0.5], [0.5, 0.8929]])
@@ -36,6 +37,30 @@ sym_matrices = st.integers(min_value=2, max_value=6).flatmap(
         st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=n * n, max_size=n * n
     ).map(lambda vals: SymMatrix(np.array(vals).reshape(int(len(vals) ** 0.5), -1)))
 )
+
+
+def two_sided_jacobi_eigvals(a: SymMatrix) -> np.ndarray:
+    """Reference: the kernel's scaling and stopping rule with textbook two-sided rotations."""
+    n = a.n
+    e = int(np.frexp(a.max_abs)[1])
+    w = np.ldexp(a.array, -e)
+    stop = 1e-13 * float(np.sqrt((w * w).sum()))
+    skip = stop / (2.0 * n * n)
+    while float(np.sqrt(2.0 * (np.tril(w, -1) ** 2).sum())) > stop:
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                if abs(w[p, r]) <= skip:
+                    continue
+                tau = (w[r, r] - w[p, p]) / (2.0 * w[p, r])
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                cp, cr = w[:, p].copy(), w[:, r].copy()
+                w[:, p], w[:, r] = c * cp - s * cr, s * cp + c * cr
+                rp, rr = w[p, :].copy(), w[r, :].copy()
+                w[p, :], w[r, :] = c * rp - s * rr, s * rp + c * rr
+                w[p, r] = w[r, p] = 0.0
+    return np.sort(np.ldexp(np.diagonal(w), e))
 
 
 class TestEigSym:
@@ -75,28 +100,59 @@ class TestEigSym:
 
     def test_sweep_cap_raises(self):
         with pytest.raises(ConvergenceError):
-            eig_sym(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+            _jacobi_eigvals(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
 
     @pytest.mark.parametrize("big", [1e155, 1e200, 1e307])
     def test_huge_entries_match_lapack(self, big):
-        # Squaring these entries overflows; the solver must still rotate.
+        # Squaring these entries overflows; the Jacobi kernel must still rotate.
         m = np.array([[0.0, big], [big, 0.0]])
+        ref = np.linalg.eigvalsh(m)
         vals, q = eig_sym(SymMatrix(m))
-        assert vals == pytest.approx(np.linalg.eigvalsh(m), rel=1e-12)
+        assert vals == pytest.approx(ref, rel=1e-12)
         assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+        assert _jacobi_eigvals(SymMatrix(m)) == pytest.approx(ref, rel=1e-12)
+        assert min_eig(SymMatrix(m)) == pytest.approx(ref[0], rel=1e-12)
 
     def test_huge_random_matrices_match_lapack(self, rng):
         for exponent in (150, 200, 300):
             for n in (3, 5):
                 a = rng.uniform(-1.0, 1.0, (n, n))
                 a = (a + a.T) * 10.0 ** exponent
-                vals, _ = eig_sym(SymMatrix(a))
                 ref = np.linalg.eigvalsh(a)
-                assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+                for vals in (eig_sym(SymMatrix(a))[0], _jacobi_eigvals(SymMatrix(a))):
+                    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert abs(min_eig(SymMatrix(a)) - ref[0]) <= 1e-12 * np.abs(ref).max()
+
+    def test_tiny_entries_are_rotated(self, rng):
+        # The stopping rule is relative, so a matrix whose entries all sit
+        # below 1e-13 is still diagonalized, not returned as its diagonal.
+        m = np.array([[1e-20, 1e-14], [1e-14, 1e-20]])
+        assert min_eig(SymMatrix(m)) == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
+        a = rng.uniform(-1.0, 1.0, (5, 5))
+        a = (a + a.T) * 1e-300
+        for m in (m, a):
+            ref = np.linalg.eigvalsh(m)
+            assert np.abs(_jacobi_eigvals(SymMatrix(m)) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_sided_update_matches_two_sided_rotations(self, rng):
+        # The kernel writes each rotation's new columns as rows too, which
+        # is exact only while the iterate stays exactly symmetric.
+        for n in range(2, 11):
+            for scale in (1e-300, 1e-3, 1.0, 1e200):
+                a = rng.uniform(-1.0, 1.0, (n, n))
+                if n % 2:
+                    a = np.round(a * 4.0) / 4.0  # ties and exact zeros
+                a = SymMatrix((a + a.T) * scale)
+                assert np.array_equal(_jacobi_eigvals(a), two_sided_jacobi_eigvals(a))
+
+    def test_zero_matrix(self):
+        z = SymMatrix(np.zeros((4, 4)))
+        assert np.array_equal(_jacobi_eigvals(z), np.zeros(4))
+        assert min_eig(z) == 0.0
 
 
 class TestBatchedLapack:
-    """The batched LAPACK kernels against the Jacobi solver they stand beside."""
+    """The batched LAPACK kernels against the Jacobi kernel behind ``min_eig``."""
 
     def test_min_eigs_matches_jacobi(self, rng):
         for n in range(1, 13):
@@ -112,7 +168,7 @@ class TestBatchedLapack:
             vals, vecs = eig_stack(np.stack([a.array for a in mats]))
             for a, w, q in zip(mats, vals, vecs):
                 scale = 1e-10 * (1.0 + a.norm_bound)
-                assert np.abs(w - eig_sym(a)[0]).max() <= scale
+                assert np.abs(w - _jacobi_eigvals(a)).max() <= scale
                 assert np.abs((q * w) @ q.T - a.array).max() <= scale
 
     def test_lapack_failure_is_convergence_error(self):
