@@ -205,6 +205,7 @@ def _nonnegative_int(what: str):
         if value < 0:
             raise argparse.ArgumentTypeError(f"{what} must be a nonnegative integer, got {text}")
         return value
+    parse.__name__ = what  # argparse names the type in "invalid <name> value"
     return parse
 
 

@@ -216,6 +216,11 @@ class TestCheck:
         result = run_cli(capsys, "check", str(path), "--goal", goal, "--vertex-budget", "-5")
         assert_input_error(result, "vertex budget must be a nonnegative integer")
 
+    @pytest.mark.parametrize("flag, name", [("--vertex-budget", "vertex budget"), ("--seed", "seed")])
+    def test_non_integer_count_is_input_error(self, capsys, split_file, flag, name):
+        result = run_cli(capsys, "check", split_file, "--goal", "strong-pd", flag, "2.5")
+        assert_input_error(result, f"invalid {name} value: '2.5'")
+
     @pytest.mark.parametrize(
         "parameters",
         ['[{"inf":1}]', "[1]", '[{"inf":null,"sup":1}]'],
