@@ -42,7 +42,7 @@ def show_family(name: str, p: pp.ParametricSymMatrix) -> None:
         parts = []
         for stage in STAGES:
             if goal in stage.goals:
-                v = pp.run_stage(p, goal, stage.name)
+                v = pp.decide(p, goal, method=stage.name)
                 rho = f" (rho={v.certificate.rho:.4f})" if isinstance(v.certificate, pp.BeeckWitness) else ""
                 parts.append(f"{stage.name}={v.status.value}{rho}")
         cascade = pp.decide(p, goal)

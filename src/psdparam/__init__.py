@@ -29,7 +29,6 @@ from .definiteness import (
     WitnessPoint,
     decide,
     hertz_min_eig,
-    run_stage,
     strong_pd,
     strong_pd_regularity,
     strong_pd_split,
@@ -71,10 +70,9 @@ from .symlinalg import (
     eig_stack,
     eig_sym,
     invert,
-    is_pd,
-    is_psd,
     min_eig,
     min_eigs,
+    passes,
     psd_split,
     spectral_radius_nonneg,
 )

@@ -11,19 +11,21 @@ a one-line human summary goes to stderr.  Exit codes: 0 proved,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
-import math
 import re
 import sys
 import time
 from importlib import resources
-from typing import Optional
+from typing import Optional, get_args
 
 from . import definiteness as df
 from .cubic import ALIASES, certify_convexity, hessian, parse as parse_poly
 from .intervals import Interval
 from .parametric import ParameterBox, family_tol, problem_from_json
+from .symlinalg import SymMatrix
 
 EXIT_PROVED = 0
 EXIT_DISPROVED = 1
@@ -48,51 +50,44 @@ def report_schema() -> dict:
 
 
 def certificate_to_jsonable(cert) -> Optional[dict]:
+    """``{"type": cert.json_type, <field>: <value>, ...}``, a SymMatrix as nested lists, a tuple as a list."""
     if cert is None:
         return None
-    if isinstance(cert, df.VertexList):
-        return {
-            "type": "vertex_list",
-            "checked": cert.checked,
-            "worst_vertex": list(cert.worst_vertex),
-            "worst_min_eig": cert.worst_min_eig,
-        }
-    if isinstance(cert, df.CounterexampleVertex):
-        return {"type": "counterexample_vertex", "p": list(cert.p), "min_eig": cert.min_eig}
-    if isinstance(cert, df.SplitWitness):
-        return {"type": "split_witness", "matrix": cert.matrix.array.tolist(), "min_eig": cert.min_eig}
-    if isinstance(cert, df.BeeckWitness):
-        return {"type": "beeck", "rho": cert.rho, "converged": cert.converged}
-    if isinstance(cert, df.NecessaryFailure):
-        return {"type": "necessary_failure", "matrix": cert.matrix.array.tolist(), "min_eig": cert.min_eig}
-    if isinstance(cert, df.WitnessPoint):
-        return {"type": "witness_point", "p": list(cert.p), "min_eig": cert.min_eig}
-    raise TypeError(f"unknown certificate type {type(cert).__name__}")
+    if not isinstance(cert, get_args(df.Certificate)):
+        raise TypeError(f"unknown certificate type {type(cert).__name__}")
+    doc = {"type": cert.json_type}
+    for field in dataclasses.fields(cert):
+        value = getattr(cert, field.name)
+        if isinstance(value, SymMatrix):
+            value = value.array.tolist()
+        doc[field.name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def _finite_family_tol(family) -> float:
     """The family's default tolerance; InputError when its members overflow over the box."""
-    t = family_tol(family)
-    if not math.isfinite(t):
-        raise InputError("member matrices overflow double precision over the parameter box")
-    return t
+    try:
+        return family_tol(family)
+    except ValueError as exc:
+        raise InputError("member matrices overflow double precision over the parameter box") from exc
 
 
 def cmd_check(args) -> int:
     try:
-        text = open(args.file, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
         problem = problem_from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
     default_tol = _finite_family_tol(problem)
 
     goal = args.goal.replace("-", "_")
     timings: dict = {}
     t0 = time.perf_counter()
-    if args.method == "auto":
+    try:
         verdict = df.decide(
             problem,
             goal,
@@ -100,12 +95,10 @@ def cmd_check(args) -> int:
             vertex_budget=args.vertex_budget,
             seed=args.seed,
             timings=timings,
+            method=args.method,
         )
-    else:
-        try:
-            verdict = df.run_stage(problem, goal, args.method, tol=args.tol, vertex_budget=args.vertex_budget, seed=args.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     extra = {"goal": args.goal, "input": args.file}
@@ -140,9 +133,11 @@ def _parse_box_flags(flags, n: int) -> ParameterBox:
             assigned[idx] = Interval(lo, hi)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    missing = [f"x{i}" for i in range(1, n + 1) if i not in assigned]
+    # Stop at the fourth missing variable: n may be far too large to scan.
+    missing = list(itertools.islice((f"x{i}" for i in range(1, n + 1) if i not in assigned), 4))
     if missing:
-        raise InputError(f"missing --box for {', '.join(missing)}")
+        names = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
+        raise InputError(f"missing --box for {names}")
     return ParameterBox(assigned[i] for i in range(1, n + 1))
 
 

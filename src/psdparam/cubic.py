@@ -21,6 +21,7 @@ from .definiteness import (
     decide,
     hertz_min_eig,
     interval_tol,
+    passes,
 )
 from .intervals import Interval
 from .parametric import ParameterBox, ParametricSymMatrix, relax
@@ -282,7 +283,7 @@ class ConvexityResult:
     the dependency-free interval Hessian alone can certify; the verdict
     uses the parametric family, which is never weaker.  Both come from
     one ``hertz_min_eig`` pass; the interval Hessian counts as strongly
-    PSD when that minimum is >= -tol (``interval_tol`` by default).
+    PSD when that minimum ``passes`` as PSD (``interval_tol`` by default).
     """
 
     verdict: Verdict
@@ -308,6 +309,6 @@ def certify_convexity(
     h = hertz_min_eig(relaxed)
     return ConvexityResult(
         verdict=verdict,
-        relaxation_strongly_psd=h >= -(interval_tol(relaxed) if tol is None else tol),
+        relaxation_strongly_psd=passes(h, "psd", interval_tol(relaxed) if tol is None else tol),
         relaxation_min_eig=h,
     )

@@ -8,20 +8,19 @@ some member satisfy it?) get a splitting-based necessary condition and a
 heuristic witness search; a full weak decision is out of scope, so those
 routes may report Unknown.
 
-All verdicts follow one tolerance convention: a matrix counts as PSD when
-its smallest eigenvalue is >= -tol and as PD when it is > +tol, so
-"disproved PD" includes matrices whose smallest eigenvalue sits inside the
-tolerance band.  Every Proved/Disproved verdict carries a certificate that
+All verdicts follow one tolerance rule, ``passes``: a matrix counts as
+PSD when its smallest eigenvalue is >= -tol and as PD when it is > +tol,
+so "disproved PD" includes matrices whose smallest eigenvalue sits inside
+the tolerance band.  Every Proved/Disproved verdict carries a certificate that
 can be re-checked independently.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,8 +35,11 @@ from .parametric import (
 from .symlinalg import (
     SingularMatrixError,
     SymMatrix,
+    check_tol,
     min_eig,
     min_eigs,
+    passes,
+    scaled_tol,
     spectral_radius_nonneg,
 )
 
@@ -62,6 +64,7 @@ class Status(Enum):
 class VertexList:
     """All reduced vertices checked; the worst one is recorded."""
 
+    json_type: ClassVar[str] = "vertex_list"
     checked: int
     worst_vertex: tuple[float, ...]
     worst_min_eig: float
@@ -69,6 +72,7 @@ class VertexList:
 
 @dataclass(frozen=True)
 class CounterexampleVertex:
+    json_type: ClassVar[str] = "counterexample_vertex"
     p: tuple[float, ...]
     min_eig: float
 
@@ -77,12 +81,14 @@ class CounterexampleVertex:
 class SplitWitness:
     """The splitting-condition bound matrix and its smallest eigenvalue."""
 
+    json_type: ClassVar[str] = "split_witness"
     matrix: SymMatrix
     min_eig: float
 
 
 @dataclass(frozen=True)
 class BeeckWitness:
+    json_type: ClassVar[str] = "beeck"
     rho: float
     converged: bool
 
@@ -91,12 +97,14 @@ class BeeckWitness:
 class NecessaryFailure:
     """The necessary-condition bound matrix and its smallest eigenvalue."""
 
+    json_type: ClassVar[str] = "necessary_failure"
     matrix: SymMatrix
     min_eig: float
 
 
 @dataclass(frozen=True)
 class WitnessPoint:
+    json_type: ClassVar[str] = "witness_point"
     p: tuple[float, ...]
     min_eig: float
 
@@ -124,18 +132,6 @@ class Verdict:
     @property
     def unknown(self) -> bool:
         return self.status is Status.UNKNOWN
-
-
-def check_tol(tol: float) -> float:
-    """``tol`` as a float; ValueError unless it is finite and nonnegative.
-
-    A NaN, infinite or negative tolerance would let every comparison
-    against it prove false claims.
-    """
-    value = float(tol)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    return value
 
 
 def check_budget(budget: int) -> None:
@@ -183,7 +179,7 @@ def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
         stop = min(start + size, total)
         points = enum.points(start, stop)
         mins = _member_min_eigs(p, points)
-        failed = mins <= tol if goal == "pd" else mins < -tol
+        failed = ~passes(mins, goal, tol)
         if failed.any():
             i = int(np.argmax(failed))
             return Verdict(Status.DISPROVED, "vertex", CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
@@ -219,9 +215,9 @@ def _split_parts(a: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float) -> tup
     nonnegative eigenvalues go to ``plus`` and magnitudes of negative
     ones to ``minus``.
     """
-    if w[0] >= -tol:
+    if passes(w[0], "psd", tol):
         return a, np.zeros_like(a)
-    if w[-1] <= tol:
+    if passes(-w[-1], "psd", tol):
         return np.zeros_like(a), -a
     return (q * np.maximum(w, 0.0)) @ q.T, (q * np.maximum(-w, 0.0)) @ q.T
 
@@ -247,8 +243,7 @@ def _strong_by_split(p, goal: str, tol) -> Verdict:
     tol = _resolve_tol(p, tol)
     s = _split_combination(p, proving=True, tol=tol)
     m = min_eig(s)
-    ok = m > tol if goal == "pd" else m >= -tol
-    status = Status.PROVED if ok else Status.UNKNOWN
+    status = Status.PROVED if passes(m, goal, tol) else Status.UNKNOWN
     return Verdict(status, "split", SplitWitness(s, m))
 
 
@@ -266,8 +261,7 @@ def _weak_by_necessary(p, goal: str, tol) -> Verdict:
     tol = _resolve_tol(p, tol)
     n = _split_combination(p, proving=False, tol=tol)
     m = min_eig(n)
-    fails = m <= tol if goal == "pd" else m < -tol
-    status = Status.DISPROVED if fails else Status.UNKNOWN
+    status = Status.UNKNOWN if passes(m, goal, tol) else Status.DISPROVED
     return Verdict(status, "necessary", NecessaryFailure(n, m))
 
 
@@ -300,9 +294,10 @@ def strong_pd_regularity(p: ParametricSymMatrix, tol: float | None = None) -> Ve
         return Verdict(Status.UNKNOWN, "regularity", detail=f"singular midpoint: {exc}")
     bracket = spectral_radius_nonneg(m.rad())
     cert = BeeckWitness(bracket.upper, bracket.converged)
-    if mid_min > tol and bracket.upper < 1.0 - RHO_MARGIN:
+    mid_pd = passes(mid_min, "pd", tol)
+    if mid_pd and bracket.upper < 1.0 - RHO_MARGIN:
         return Verdict(Status.PROVED, "regularity", cert)
-    why = "midpoint not positive definite" if mid_min <= tol else "spectral radius not below one"
+    why = "spectral radius not below one" if mid_pd else "midpoint not positive definite"
     return Verdict(Status.UNKNOWN, "regularity", cert, detail=why)
 
 
@@ -311,8 +306,8 @@ def strong_pd_regularity(p: ParametricSymMatrix, tol: float | None = None) -> Ve
 
 
 def interval_tol(a: IntervalMatrix) -> float:
-    """Uniform tolerance 1e-10 * (1 + n * max|entry|) of the interval-matrix checks."""
-    return 1e-10 * (1.0 + a.rows * a.max_abs())
+    """Uniform tolerance ``scaled_tol(n * max|entry|)`` of the interval-matrix checks."""
+    return scaled_tol(a.rows * a.max_abs())
 
 
 def hertz_min_eig(a: IntervalMatrix) -> float:
@@ -333,12 +328,13 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
 
 
 def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
-    """Strong PSD of a symmetric interval matrix: ``hertz_min_eig(a) >= -tol``.
+    """Strong PSD of a symmetric interval matrix: ``hertz_min_eig(a)`` passes as PSD.
 
     ``tol`` defaults to ``interval_tol(a)``; ValueError for a NaN,
-    infinite or negative ``tol``.
+    infinite or negative ``tol``, or when the default overflows.
     """
-    return hertz_min_eig(a) >= -(interval_tol(a) if tol is None else check_tol(tol))
+    tol = interval_tol(a) if tol is None else check_tol(tol)
+    return passes(hertz_min_eig(a), "psd", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +404,15 @@ def weak_pd_witness(
     if goal not in ("pd", "psd"):
         raise ValueError(f"goal must be 'pd' or 'psd', got {goal!r}")
     tol = _resolve_tol(p, tol)
-
-    def accepted(values: np.ndarray) -> np.ndarray:
-        return values > tol if goal == "pd" else values >= -tol
-
     q, best = _coordinate_ascent(p, p.box.mid()[None])
-    if accepted(best[0]):
+    if passes(best[0], goal, tol):
         return q[0]
     rng = np.random.default_rng(seed)
     starts = rng.uniform(p.box.inf(), p.box.sup(), size=(max(restarts, 1) - 1, p.K))
     rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
     for first in range(0, len(starts), rows):
         q, best = _coordinate_ascent(p, starts[first : first + rows])
-        ok = accepted(best)
+        ok = passes(best, goal, tol)
         if ok.any():
             return q[int(np.argmax(ok))]
     return None
@@ -463,37 +455,6 @@ STAGES = (
 )
 
 
-def _check_goal(goal: str) -> str:
-    """The property ("psd" or "pd") a goal asks about; ValueError for an unknown goal."""
-    if goal not in GOALS:
-        raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
-    return goal.rsplit("_", 1)[1]
-
-
-def run_stage(
-    p: ParametricSymMatrix,
-    goal: str,
-    stage: str,
-    tol: float | None = None,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    restarts: int = 20,
-    seed: int = DEFAULT_SEED,
-) -> Verdict:
-    """Run the single stage named ``stage`` of ``STAGES`` for ``goal``.
-
-    Raises ValueError when the goal or the stage is unknown, when the
-    stage does not apply to the goal, or for a negative vertex budget.
-    """
-    kind = _check_goal(goal)
-    check_budget(vertex_budget)
-    entry = next((s for s in STAGES if s.name == stage), None)
-    if entry is None:
-        raise ValueError(f"unknown stage {stage!r}; stages are {', '.join(s.name for s in STAGES)}")
-    if goal not in entry.goals:
-        raise ValueError(f"stage {stage!r} applies to {', '.join(entry.goals)} only, not {goal}")
-    return entry.run(p, kind, tol, vertex_budget, restarts, seed)
-
-
 def decide(
     p: ParametricSymMatrix,
     goal: str,
@@ -502,19 +463,31 @@ def decide(
     restarts: int = 20,
     seed: int = DEFAULT_SEED,
     timings: dict | None = None,
+    method: str = "auto",
 ) -> Verdict:
     """Run the stages of ``STAGES`` that apply to ``goal`` until one decides.
 
-    The returned verdict's ``method`` names the stage that decided (or
-    the last one run, when none did); stage wall times in milliseconds
-    are added to ``timings`` when a dict is supplied.
+    ``method="auto"`` walks the whole cascade; a stage name runs that
+    stage alone.  The returned verdict's ``method`` names the stage that
+    decided (or the last one run, when none did); stage wall times in
+    milliseconds are added to ``timings`` when a dict is supplied.
+    Raises ValueError when the goal or the stage is unknown, when the
+    stage does not apply to the goal, or for a negative vertex budget.
     """
-    kind = _check_goal(goal)
+    if goal not in GOALS:
+        raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
     check_budget(vertex_budget)
+    kind = goal.rsplit("_", 1)[1]  # the property the goal asks about
+    stages = [s for s in STAGES if goal in s.goals]
+    if method != "auto":
+        entry = next((s for s in STAGES if s.name == method), None)
+        if entry is None:
+            raise ValueError(f"unknown stage {method!r}; stages are {', '.join(s.name for s in STAGES)}")
+        if goal not in entry.goals:
+            raise ValueError(f"stage {method!r} applies to {', '.join(entry.goals)} only, not {goal}")
+        stages = [entry]
     verdict = Verdict(Status.UNKNOWN, "none")
-    for stage in STAGES:
-        if goal not in stage.goals:
-            continue
+    for stage in stages:
         t0 = time.perf_counter()
         verdict = stage.run(p, kind, tol, vertex_budget, restarts, seed)
         if timings is not None:

@@ -54,10 +54,6 @@ def _two_prod(a, b):
     return p, err
 
 
-def _up_f(value: float, err: float) -> float:
-    return value if err <= 0.0 else math.nextafter(value, _INF)
-
-
 def _prod_unsafe(a, b, p):
     return (np.abs(p) > _SAFE_HI) | ((np.abs(p) < _SAFE_LO) & (a != 0.0) & (b != 0.0))
 
@@ -86,15 +82,6 @@ class Interval:
     @property
     def mid(self) -> float:
         return 0.5 * self.inf + 0.5 * self.sup
-
-    @property
-    def rad(self) -> float:
-        # Chosen so that [mid - rad, mid + rad] encloses [inf, sup] even
-        # after the midpoint itself was rounded.
-        m = self.mid
-        left, e1 = _two_sum(m, -self.inf)
-        right, e2 = _two_sum(self.sup, -m)
-        return max(_up_f(left, e1), _up_f(right, e2), 0.0)
 
     @property
     def is_degenerate(self) -> bool:

@@ -90,6 +90,7 @@ def full_vertex_check(p: ParametricSymMatrix, goal: str = "psd", tol: float | No
         tol = family_tol(p)
     combos = np.array(list(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals])))
     mins = _member_min_eigs(p, combos)
+    # Its own copy of the tolerance rule, not ``passes``, so the reference shares no code with the stages.
     if goal == "pd":
         return bool((mins > tol).all())
     return bool((mins >= -tol).all())

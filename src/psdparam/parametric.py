@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import Interval, IntervalMatrix, im_add, scale, zeros
-from .symlinalg import SymMatrix, default_tol, eig_stack, invert
+from .symlinalg import SymMatrix, default_tol, eig_stack, invert, passes, scaled_tol
 
 SYMMETRY_TOL_FACTOR = 1e-12
 
@@ -49,9 +49,6 @@ class ParameterBox:
 
     def mid(self) -> np.ndarray:
         return np.array([iv.mid for iv in self.intervals])
-
-    def rad(self) -> np.ndarray:
-        return np.array([iv.rad for iv in self.intervals])
 
     def contains(self, p, slack: float = 1e-12) -> bool:
         p = np.asarray(p, dtype=float)
@@ -108,13 +105,13 @@ class ParametricSymMatrix:
 def family_tol(p: ParametricSymMatrix) -> float:
     """Uniform definiteness tolerance for every member matrix of the family.
 
-    1e-10 * (1 + bound), where the bound dominates ||A(p)|| over the box.
+    ``scaled_tol(bound)``, where the bound dominates ||A(p)|| over the box.
     """
     reach = sum(
         max(abs(iv.inf), abs(iv.sup)) * c.norm_bound
         for iv, c in zip(p.box.intervals, p.coeffs)
     )
-    return 1e-10 * (1.0 + reach)
+    return scaled_tol(reach)
 
 
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
@@ -205,8 +202,8 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     """Reduced vertex set sufficient for deciding strong PSD and strong PD alike.
 
     ``tol`` is the semidefiniteness tolerance used by the coefficient
-    classification (per-matrix default when omitted), applied to the
-    eigenvalues the family computed once when it was built.
+    classification (per-matrix ``default_tol`` when omitted), applied to
+    the eigenvalues the family computed once when it was built.
     """
     lows = p.box.inf()
     highs = p.box.sup()
@@ -217,9 +214,9 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
         t = default_tol(coeff) if tol is None else tol
         if iv.is_degenerate:
             base[k] = iv.inf
-        elif eigvals[k, 0] >= -t:  # PSD coefficient
+        elif passes(eigvals[k, 0], "psd", t):  # PSD coefficient
             base[k] = iv.inf
-        elif eigvals[k, -1] <= t:  # NSD coefficient
+        elif passes(-eigvals[k, -1], "psd", t):  # NSD coefficient
             base[k] = iv.sup
         else:
             free.append(k)
@@ -240,17 +237,18 @@ def problem_to_json(p: ParametricSymMatrix) -> str:
 def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     """Parse the parametric-matrix problem format.
 
-    Expects {"n", "K", "coefficients", "parameters"}; coefficient matrices
-    must be symmetric within 1e-12 times their largest entry.
+    Expects {"n", "K", "coefficients", "parameters"}, n and K integers;
+    coefficients must be symmetric within 1e-12 times their largest entry.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     try:
-        n = int(doc["n"])
-        k = int(doc["K"])
+        n, k = doc["n"], doc["K"]
         raw_coeffs = list(doc["coefficients"])
         raw_params = list(doc["parameters"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, k)):
+        raise ValueError(f"n and K must be integers, got n={n!r} and K={k!r}")
     if len(raw_coeffs) != k or len(raw_params) != k:
         raise ValueError(f"declared K={k} but found {len(raw_coeffs)} coefficients and {len(raw_params)} parameters")
     coeffs = []

@@ -3,10 +3,11 @@
 LAPACK (numpy.linalg) does the spectral decomposition, the splitting of
 a symmetric matrix into a difference of two positive semidefinite parts,
 inversion, the determinant and the batched solves over stacks of
-matrices.  ``min_eig`` and the definiteness tests built on it keep an
-eigenvalue-only cyclic Jacobi kernel until the benchmark's harness stops
-charging each verdict's report to peak memory, which the LAPACK speed-up
-would push past its bound.  Also a bracketed Perron root.
+matrices.  ``min_eig`` keeps an eigenvalue-only cyclic Jacobi kernel
+until the benchmark's harness stops charging each verdict's report to
+peak memory, which the LAPACK speed-up would push past its bound.  Also
+a bracketed Perron root, and the tolerances with the one rule every
+definiteness decision compares against (``passes``).
 """
 
 from __future__ import annotations
@@ -77,9 +78,31 @@ class PsdSplit:
     minus: SymMatrix
 
 
+def check_tol(tol: float) -> float:
+    """``tol`` as a float; ValueError unless it is finite and nonnegative.
+
+    A NaN, infinite or negative tolerance would let every comparison
+    against it prove false claims.
+    """
+    value = float(tol)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return value
+
+
+def scaled_tol(bound: float) -> float:
+    """The default tolerance 1e-10 * (1 + bound) for a norm bound; ValueError when it overflows."""
+    return check_tol(1e-10 * (1.0 + bound))
+
+
+def passes(values, kind: str, tol: float):
+    """The one tolerance rule, on scalars or arrays: PD is ``values > tol``, PSD ``values >= -tol``; NaN fails."""
+    return values > tol if kind == "pd" else values >= -tol
+
+
 def default_tol(a: SymMatrix) -> float:
-    """Definiteness tolerance 1e-10 * (1 + ||A||) with the cheap norm bound."""
-    return 1e-10 * (1.0 + a.norm_bound)
+    """Definiteness tolerance ``scaled_tol(||A||)`` with the cheap norm bound."""
+    return scaled_tol(a.norm_bound)
 
 
 def _jacobi_eigvals(a: SymMatrix, max_sweeps: int = 30) -> np.ndarray:
@@ -158,20 +181,6 @@ def min_eigs(stack: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 
 
-def is_psd(a: SymMatrix, tol: float | None = None) -> bool:
-    """Positive semidefinite up to tolerance: smallest eigenvalue >= -tol."""
-    if tol is None:
-        tol = default_tol(a)
-    return min_eig(a) >= -tol
-
-
-def is_pd(a: SymMatrix, tol: float | None = None) -> bool:
-    """Positive definite with margin: smallest eigenvalue > +tol."""
-    if tol is None:
-        tol = default_tol(a)
-    return min_eig(a) > tol
-
-
 def psd_split(a: SymMatrix) -> PsdSplit:
     """Split A = plus - minus with PSD parts via the spectral decomposition.
 
@@ -215,9 +224,6 @@ class PerronBracket:
     lower: float
     converged: bool
     iterations: int
-
-    def __float__(self) -> float:
-        return self.upper
 
 
 def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> PerronBracket:

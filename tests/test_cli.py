@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
+from typing import get_args
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import DEMO_CUBIC
+from psdparam import definiteness as df
 from psdparam.cli import (
     EXIT_DISPROVED,
     EXIT_INPUT_ERROR,
     EXIT_PROVED,
     EXIT_UNKNOWN,
+    certificate_to_jsonable,
     main,
     report_schema,
 )
+from psdparam.symlinalg import SymMatrix
 
 SPLIT_DOC = (
     '{"n":2,"K":2,"coefficients":[[[1.5,0],[0,1.1]],[[-1,1],[1,1]]],'
@@ -76,6 +83,49 @@ def test_shipped_schema_is_itself_valid():
     jsonschema.Draft202012Validator.check_schema(report_schema())
 
 
+def test_certificate_types_match_the_schema():
+    # The Certificate union, the classes' type names, the schema's type
+    # enum and its properties all name the same types and fields.
+    types = get_args(df.Certificate)
+    schema = report_schema()["properties"]["certificate"]["oneOf"][1]
+    assert [t.json_type for t in types] == schema["properties"]["type"]["enum"]
+    fields = {f.name for t in types for f in dataclasses.fields(t)}
+    assert set(schema["properties"]) == fields | {"type"}
+    assert "type" not in fields and "json_type" not in fields
+
+
+# Each certificate type with the report JSON the hand-written serializer produced.
+GOLDEN_CERTIFICATES = [
+    (df.VertexList(4, (1.0, -0.5), 0.25), '{"checked":4,"type":"vertex_list","worst_min_eig":0.25,"worst_vertex":[1.0,-0.5]}'),
+    (df.CounterexampleVertex((2.0, 0.0), -1.5), '{"min_eig":-1.5,"p":[2.0,0.0],"type":"counterexample_vertex"}'),
+    (
+        df.SplitWitness(SymMatrix([[1.0, 2.0], [2.0, 3.0]]), -0.25),
+        '{"matrix":[[1.0,2.0],[2.0,3.0]],"min_eig":-0.25,"type":"split_witness"}',
+    ),
+    (df.BeeckWitness(0.9678, False), '{"converged":false,"rho":0.9678,"type":"beeck"}'),
+    (
+        df.NecessaryFailure(SymMatrix(np.diag([-2.0, 1.0])), -2.0),
+        '{"matrix":[[-2.0,0.0],[0.0,1.0]],"min_eig":-2.0,"type":"necessary_failure"}',
+    ),
+    (df.WitnessPoint((0.5,), 0.125), '{"min_eig":0.125,"p":[0.5],"type":"witness_point"}'),
+]
+
+
+@pytest.mark.parametrize("cert, expected", GOLDEN_CERTIFICATES, ids=lambda x: getattr(x, "json_type", ""))
+def test_certificate_json_is_unchanged(cert, expected):
+    assert json.dumps(certificate_to_jsonable(cert), sort_keys=True, separators=(",", ":")) == expected
+
+
+def test_every_certificate_type_has_a_golden_case():
+    assert {type(c) for c, _ in GOLDEN_CERTIFICATES} == set(get_args(df.Certificate))
+
+
+def test_unknown_certificate_type_is_rejected():
+    assert certificate_to_jsonable(None) is None
+    with pytest.raises(TypeError, match="unknown certificate type"):
+        certificate_to_jsonable(df.Verdict(df.Status.PROVED, "split"))
+
+
 class TestCheck:
     def test_split_route(self, capsys, split_file):
         code, report, err = run_cli(capsys, "check", split_file, "--goal", "strong-pd")
@@ -102,6 +152,28 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "check", "/nonexistent.json", "--goal", "strong-pd")
         assert code == EXIT_INPUT_ERROR
+
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        # Once a UnicodeDecodeError traceback, exit 1 ("disproved").
+        path = tmp_path / "latin1.json"
+        path.write_bytes(SPLIT_DOC.encode().replace(b'"n"', b'"\xe9n"'))
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "cannot read")
+
+    @pytest.mark.parametrize("old, new", [('"n":2', '"n":1e400'), ('"K":1', '"K":1e400'), ('"n":2', '"n":1.7')])
+    def test_non_integer_size_is_input_error(self, capsys, tmp_path, old, new):
+        # 1e400 once raised OverflowError (a traceback) and 1.7 was truncated to 1.
+        path = tmp_path / "size.json"
+        path.write_text(INDEFINITE_DOC.replace(old, new))
+        assert new in path.read_text()
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "n and K must be integers")
+
+    @pytest.mark.parametrize("old, new", [("[[[1,", "[[[1{zeros},"), ('"sup":2', '"sup":1{zeros}')])
+    def test_integer_past_the_largest_double_is_input_error(self, capsys, tmp_path, old, new):
+        # A 401-digit integer entry or bound once raised OverflowError (a traceback).
+        path = tmp_path / "big.json"
+        path.write_text(INDEFINITE_DOC.replace(old, new.format(zeros="0" * 400)))
+        assert "0" * 400 in path.read_text()
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed problem file")
 
     def test_asymmetric_coefficients(self, capsys, tmp_path):
         doc = json.loads(SPLIT_DOC)
@@ -132,6 +204,11 @@ class TestCheck:
         assert report["status"] == "unknown" and report["method"] == "regularity"
         assert report["certificate"]["rho"] == pytest.approx(1.0419, abs=5e-4)
         assert_schema_valid(report)
+
+    def test_forced_method_is_timed(self, capsys, split_file):
+        code, report, _ = run_cli(capsys, "check", split_file, "--goal", "strong-psd", "--method", "vertex")
+        assert code == EXIT_PROVED and report["method"] == "vertex"
+        assert set(report["timings_ms"]) == {"vertex", "total"}
 
     def test_forced_method_goal_mismatch(self, capsys, split_file):
         code, _, err = run_cli(
@@ -293,6 +370,14 @@ class TestConvex:
     def test_missing_box(self, capsys):
         code, _, err = run_cli(capsys, "convex", "x1^2 + x2^2", "--box", "x1=0:1")
         assert code == EXIT_INPUT_ERROR and "x2" in err
+
+    def test_huge_variable_index_is_quick_input_error(self, capsys):
+        # Listing every missing variable of x1..x(10^12) once ran for hours.
+        t0 = time.perf_counter()
+        code, report, err = run_cli(capsys, "convex", "x1000000000000^2", "--box", "x1=0:1")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == EXIT_INPUT_ERROR and report is None
+        assert err.strip() == "error: missing --box for x2, x3, x4, ..."
 
     def test_unknown_box_variable(self, capsys):
         code, _, err = run_cli(capsys, "convex", "x1^2", "--box", "x1=0:1", "--box", "q=0:1")

@@ -311,6 +311,14 @@ class TestIntervalChecks:
         assert strong_psd_interval(outside, tol=3.0 * t)
         assert not strong_psd_interval(inside, tol=0.0)
 
+    def test_overflowing_default_tolerance_rejected(self):
+        # n * max|entry| overflows; the inf default once passed this
+        # indefinite point matrix as strongly PSD.
+        m = IntervalMatrix.point(np.diag([1e308, -1e308]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            strong_psd_interval(m)
+        assert not strong_psd_interval(m, tol=0.0)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
     def test_invalid_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -624,6 +632,15 @@ class TestDecide:
         assert decide(p, goal, tol=0.0).disproved
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
+    def test_overflowing_default_tolerance_rejected(self, goal):
+        # The default tolerance of diag(1e308, -1e308) overflows to inf;
+        # "strong_psd" was once proved by split with min_eig -1e308.
+        p = ParametricSymMatrix([np.diag([1e308, -1e308])], ParameterBox([Interval(1.0, 1.0)]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            decide(p, goal)
+        assert decide(p, goal, tol=0.0).disproved
+
+    @pytest.mark.parametrize("goal", definiteness.GOALS)
     def test_negative_vertex_budget_rejected(self, goal):
         with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
             decide(diag_sign_family(), goal, vertex_budget=-5)
@@ -665,6 +682,8 @@ class TestDecide:
 
 
 class TestRunStage:
+    """One stage alone, through ``decide(..., method=<stage>)``."""
+
     def test_matches_the_named_wrappers(self, rng):
         for _ in range(20):
             p = random_family(rng)
@@ -678,23 +697,34 @@ class TestRunStage:
                 (("weak_pd", "necessary"), weak_pd_necessary(p)),
             ]
             for (goal, stage), expected in pairs:
-                v = definiteness.run_stage(p, goal, stage)
+                v = decide(p, goal, method=stage)
                 assert (v.status, v.method, v.detail) == (expected.status, expected.method, expected.detail)
                 assert type(v.certificate) is type(expected.certificate)
 
     def test_witness_stage(self):
-        v = definiteness.run_stage(rank_one_cone(), "weak_psd", "witness")
+        v = decide(rank_one_cone(), "weak_psd", method="witness")
         assert v.proved and isinstance(v.certificate, WitnessPoint)
-        assert definiteness.run_stage(diag_sign_family(), "weak_pd", "witness", restarts=1).unknown
+        assert decide(diag_sign_family(), "weak_pd", restarts=1, method="witness").unknown
 
     def test_vertex_budget_reaches_the_stage(self):
-        v = definiteness.run_stage(regularity_favorable(), "strong_psd", "vertex", vertex_budget=1)
+        v = decide(regularity_favorable(), "strong_psd", vertex_budget=1, method="vertex")
         assert v.unknown and "budget 1" in v.detail
+
+    def test_only_the_named_stage_runs_and_is_timed(self):
+        # The cascade would stop at split; the vertex stage alone still
+        # decides, and its time is the only one recorded.
+        timings = {}
+        v = decide(split_favorable(), "strong_pd", timings=timings, method="vertex")
+        assert v.proved and v.method == "vertex" and isinstance(v.certificate, VertexList)
+        assert list(timings) == ["vertex"] and timings["vertex"] >= 0
+        timings = {}
+        assert decide(split_favorable(), "strong_pd", timings=timings, method="auto").method == "split"
+        assert list(timings) == ["split"]
 
     @pytest.mark.parametrize("stage", ["split", "vertex"])
     def test_rejects_negative_vertex_budget(self, stage):
         with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
-            definiteness.run_stage(diag_sign_family(), "strong_pd", stage, vertex_budget=-1)
+            decide(diag_sign_family(), "strong_pd", vertex_budget=-1, method=stage)
         for wrapper in (strong_psd, strong_pd):
             with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
                 wrapper(diag_sign_family(), budget=-1)
@@ -706,10 +736,10 @@ class TestRunStage:
     )
     def test_rejects_stage_outside_its_goals(self, goal, stage):
         with pytest.raises(ValueError, match=f"'{stage}' applies to"):
-            definiteness.run_stage(rank_one_cone(), goal, stage)
+            decide(rank_one_cone(), goal, method=stage)
 
     def test_rejects_unknown_stage_and_goal(self):
         with pytest.raises(ValueError, match="unknown stage"):
-            definiteness.run_stage(rank_one_cone(), "strong_psd", "oracle")
+            decide(rank_one_cone(), "strong_psd", method="oracle")
         with pytest.raises(ValueError, match="goal must be one of"):
-            definiteness.run_stage(rank_one_cone(), "psd", "split")
+            decide(rank_one_cone(), "psd", method="split")

@@ -44,11 +44,14 @@ class TestInterval:
 
     @given(finite_floats, finite_floats)
     def test_mid_rad_enclose_bounds(self, a, b):
+        # The radius lives on IntervalMatrix; a 1x1 matrix carries the interval.
         iv = make_interval(a, b)
-        mid, rad = Fraction(iv.mid), Fraction(iv.rad)
+        m = IntervalMatrix([[iv.inf]], [[iv.sup]])
+        mid, rad = Fraction(float(m.mid()[0, 0])), Fraction(float(m.rad()[0, 0]))
+        assert mid == Fraction(iv.mid)
         assert mid - rad <= Fraction(iv.inf)
         assert mid + rad >= Fraction(iv.sup)
-        assert iv.rad >= 0.0
+        assert rad >= 0
 
 
 def one(lo: float, hi: float) -> IntervalMatrix:

@@ -23,11 +23,13 @@ from psdparam import (
     SingularMatrixError,
     SymMatrix,
     contains,
+    default_tol,
     evaluate,
     family_tol,
     parse,
     hessian,
-    is_psd,
+    min_eig,
+    passes,
     precondition_relax,
     problem_from_json,
     problem_to_json,
@@ -167,20 +169,32 @@ class TestVertices:
                 assert tuple(row) == enum[i].values
             assert np.array_equal(enum.points(1, len(enum)), rows[1:])
 
-    def test_fixing_rule_agrees_with_is_psd(self, rng):
+    def test_fixing_rule_agrees_with_passes(self, rng):
         families = [random_family(rng) for _ in range(30)] + [random_semidefinite_family(rng) for _ in range(30)]
         for p in families:
             for tol in (None, family_tol(p)):
                 enum = vertices(p, tol=tol)
                 rows = enum.points(0, len(enum))
                 for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
-                    if iv.is_degenerate or is_psd(coeff, tol):
+                    t = default_tol(coeff) if tol is None else tol
+                    if iv.is_degenerate or passes(min_eig(coeff), "psd", t):
                         expected = {iv.inf}
-                    elif is_psd(SymMatrix(-coeff.array), tol):
+                    elif passes(min_eig(SymMatrix(-coeff.array)), "psd", t):
                         expected = {iv.sup}
                     else:
                         expected = {iv.inf, iv.sup}
                     assert set(rows[:, k].tolist()) == expected
+
+    def test_overflowing_default_tolerance_raises(self):
+        # n * max|entry| of diag(1e308, -1e308) overflows; the default
+        # tolerance once became inf and pinned the indefinite coefficient
+        # as PSD, leaving no free coordinate.
+        p = ParametricSymMatrix([np.diag([1e308, -1e308])], ParameterBox([Interval(0.0, 1.0)]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            vertices(p)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            family_tol(p)
+        assert vertices(p, tol=0.0).free_count == 1
 
     def test_coefficient_spectra_read_only(self):
         vals, vecs = split_favorable().coefficient_spectra()
@@ -236,6 +250,14 @@ class TestProblemJson:
         doc = {"n": 1, "K": 1, "coefficients": [[[1.0]]], "parameters": parameters}
         with pytest.raises(ValueError, match="malformed"):
             problem_from_json(doc)
+
+    @pytest.mark.parametrize("key, value", [("n", 1.7), ("n", 1e400), ("K", 1e400), ("n", "1"), ("K", True)])
+    def test_n_and_k_must_be_integers(self, key, value):
+        # 1.7 was once truncated to 1, and 1e400 (inf) raised OverflowError.
+        doc = json.loads(self.DOC)
+        doc[key] = value
+        with pytest.raises(ValueError, match="n and K must be integers"):
+            problem_from_json(json.dumps(doc))
 
     def test_family_tol_scales_with_problem(self):
         p = problem_from_json(self.DOC)

@@ -14,15 +14,15 @@ from psdparam import (
     determinant,
     eig_stack,
     eig_sym,
+    default_tol,
     invert,
-    is_pd,
-    is_psd,
     min_eig,
     min_eigs,
+    passes,
     psd_split,
     spectral_radius_nonneg,
 )
-from psdparam.symlinalg import _jacobi_eigvals
+from psdparam.symlinalg import _jacobi_eigvals, check_tol, scaled_tol
 
 EX2_INDEFINITE = np.array([[-1.0, 1.0], [1.0, 1.0]])
 EX2_SPLIT_SUM = np.array([[0.2929, 0.5], [0.5, 0.8929]])
@@ -179,6 +179,13 @@ class TestBatchedLapack:
             eig_stack(stack)
 
 
+def psd_pd(a: SymMatrix, tol: float | None = None) -> tuple[bool, bool]:
+    """Whether ``a`` passes as PSD and as PD, within ``default_tol(a)`` unless ``tol`` is given."""
+    m = min_eig(a)
+    t = default_tol(a) if tol is None else tol
+    return passes(m, "psd", t), passes(m, "pd", t)
+
+
 class TestDefiniteness:
     def test_min_eig_identity(self):
         assert min_eig(SymMatrix(np.eye(3))) == pytest.approx(1.0)
@@ -190,30 +197,55 @@ class TestDefiniteness:
         assert min_eig(SymMatrix([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
 
     def test_zero_matrix(self):
-        z = SymMatrix(np.zeros((2, 2)))
-        assert is_psd(z) and not is_pd(z)
+        assert psd_pd(SymMatrix(np.zeros((2, 2)))) == (True, False)
+        assert psd_pd(SymMatrix(np.zeros((2, 2))), tol=0.0) == (True, False)
 
     def test_swap_matrix_neither(self):
-        m = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
-        assert not is_psd(m) and not is_pd(m)
+        assert psd_pd(SymMatrix([[0.0, 1.0], [1.0, 0.0]])) == (False, False)
 
     def test_split_sum_pd(self):
-        assert is_pd(SymMatrix(EX2_SPLIT_SUM))
+        assert psd_pd(SymMatrix(EX2_SPLIT_SUM)) == (True, True)
 
     def test_tolerance_band_splits_the_predicates(self):
         # Matrix with an eigenvalue inside the default band: PSD up to
         # tolerance, but not provably PD.
         a = SymMatrix(np.diag([1.0, 5e-11]))
-        assert is_psd(a) and not is_pd(a)
+        assert psd_pd(a) == (True, False)
         # An explicit tolerance moves the band.
-        assert is_pd(a, tol=1e-12)
-        assert not is_psd(SymMatrix(np.diag([1.0, -5e-3])), tol=1e-6)
+        assert psd_pd(a, tol=1e-12) == (True, True)
+        assert psd_pd(SymMatrix(np.diag([1.0, -5e-3])), tol=1e-6) == (False, False)
+        # The band's edges: -tol still passes as PSD, +tol does not pass as PD.
+        assert passes(-1e-6, "psd", 1e-6) and not passes(1e-6, "pd", 1e-6)
 
     @settings(max_examples=60, deadline=None)
-    @given(sym_matrices)
-    def test_pd_implies_psd(self, a):
-        if is_pd(a):
-            assert is_psd(a)
+    @given(sym_matrices, st.sampled_from([None, 0.0, 1e-3]))
+    def test_pd_implies_psd(self, a, tol):
+        psd, pd = psd_pd(a, tol)
+        if pd:
+            assert psd
+
+    def test_arrays_match_scalars(self, rng):
+        values = np.concatenate([rng.normal(scale=1e-6, size=50), [-1e-7, 1e-7, 0.0]])
+        for kind in ("psd", "pd"):
+            got = passes(values, kind, 1e-7)
+            assert got.dtype == bool
+            assert got.tolist() == [passes(float(v), kind, 1e-7) for v in values]
+            # Failures are the complement, the band included.
+            assert (~got).tolist() == (values <= 1e-7 if kind == "pd" else values < -1e-7).tolist()
+
+    def test_nan_never_passes(self):
+        for kind in ("psd", "pd"):
+            assert not passes(float("nan"), kind, 1.0)
+            assert not passes(np.array([np.nan]), kind, 1.0).any()
+
+    def test_default_tolerance_overflow_raises(self):
+        # n * max|entry| overflows: the default must not become inf, which
+        # would pass every matrix as PSD.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            default_tol(SymMatrix(np.diag([1e308, -1e308])))
+        assert scaled_tol(2.0) == 1e-10 * 3.0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_tol(float("nan"))
 
     def test_symmetrization_recorded(self):
         a = SymMatrix([[1.0, 2.0], [0.0, 1.0]])
