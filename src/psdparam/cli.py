@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
         problem = problem_from_json(text)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
     default_tol = _finite_family_tol(problem)
 

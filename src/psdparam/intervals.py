@@ -81,7 +81,9 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * self.inf + 0.5 * self.sup
+        """0.5 * inf + 0.5 * sup, clamped into the interval: halving a subnormal bound can round out of it."""
+        m = 0.5 * self.inf + 0.5 * self.sup
+        return self.inf if m < self.inf else self.sup if m > self.sup else m
 
     @property
     def is_degenerate(self) -> bool:
@@ -136,7 +138,9 @@ class IntervalMatrix:
         return Interval(self.inf[i, j], self.sup[i, j])
 
     def mid(self) -> np.ndarray:
-        return 0.5 * self.inf + 0.5 * self.sup
+        """Entrywise ``Interval.mid``: 0.5 * inf + 0.5 * sup, clamped into the bounds."""
+        m = 0.5 * self.inf + 0.5 * self.sup
+        return np.where(m < self.inf, self.inf, np.where(m > self.sup, self.sup, m))
 
     def rad(self) -> np.ndarray:
         """Entrywise radius, rounded up so mid +/- rad encloses the bounds."""

@@ -5,10 +5,11 @@ combinations, a grid or random samples, never the reduced Gray-code
 vertex set.  That unreduced enumeration is what makes this an
 independent, slow ground truth for the clever routes.  Its eigenvalues
 come from LAPACK (numpy.linalg.eigvalsh), the same library behind
-``eig_sym``, ``eig_stack``, ``min_eigs``, ``psd_split``, ``invert`` and
-``determinant``, so the eigensolver itself is cross-checked separately:
-tests compare batched LAPACK against the Jacobi kernel that is left
-behind ``min_eig``.  The decision procedures never consult this module.
+``min_eig``, ``min_eigs``, ``eig_sym``, ``eig_stack``, ``psd_split``,
+``invert`` and ``determinant``, so the eigensolver itself is
+cross-checked separately: tests compare LAPACK against the Jacobi kernel
+that is left behind ``hertz_min_eig``.  The decision procedures never
+consult this module.
 """
 
 from __future__ import annotations

@@ -81,6 +81,9 @@ class ParametricSymMatrix:
             a.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
+        # Bound on ||A(q)|| over the box, summed once here for ``family_tol``; inf or NaN when it overflows.
+        reach = sum(max(abs(iv.inf), abs(iv.sup)) * c.norm_bound for iv, c in zip(box.intervals, cs))
+        object.__setattr__(self, "_reach", reach)
 
     @property
     def n(self) -> int:
@@ -105,13 +108,11 @@ class ParametricSymMatrix:
 def family_tol(p: ParametricSymMatrix) -> float:
     """Uniform definiteness tolerance for every member matrix of the family.
 
-    ``scaled_tol(bound)``, where the bound dominates ||A(p)|| over the box.
+    ``scaled_tol(bound)``, where the bound dominates ||A(p)|| over the box;
+    the family sums the bound once, when it is built.  ValueError when the
+    tolerance overflows.
     """
-    reach = sum(
-        max(abs(iv.inf), abs(iv.sup)) * c.norm_bound
-        for iv, c in zip(p.box.intervals, p.coeffs)
-    )
-    return scaled_tol(reach)
+    return scaled_tol(p._reach)
 
 
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
@@ -253,7 +254,10 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         raise ValueError(f"declared K={k} but found {len(raw_coeffs)} coefficients and {len(raw_params)} parameters")
     coeffs = []
     for idx, raw in enumerate(raw_coeffs):
-        m = np.asarray(raw, dtype=float)
+        try:
+            m = np.asarray(raw, dtype=float)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
         if m.shape != (n, n):
             raise ValueError(f"coefficient {idx} has shape {m.shape}, expected ({n}, {n})")
         sym = SymMatrix(m)
@@ -262,6 +266,6 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         coeffs.append(sym)
     try:
         box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
     return ParametricSymMatrix(coeffs, box)

@@ -1,13 +1,13 @@
 """Dense symmetric eigensolvers and the numeric kernels built on them.
 
-LAPACK (numpy.linalg) does the spectral decomposition, the splitting of
-a symmetric matrix into a difference of two positive semidefinite parts,
-inversion, the determinant and the batched solves over stacks of
-matrices.  ``min_eig`` keeps an eigenvalue-only cyclic Jacobi kernel
-until the benchmark's harness stops charging each verdict's report to
-peak memory, which the LAPACK speed-up would push past its bound.  Also
-a bracketed Perron root, and the tolerances with the one rule every
-definiteness decision compares against (``passes``).
+LAPACK (numpy.linalg) does the smallest eigenvalue, the spectral
+decomposition, the splitting of a symmetric matrix into a difference of
+two positive semidefinite parts, inversion, the determinant and the
+batched solves over stacks of matrices.  An eigenvalue-only cyclic
+Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
+convexity diagnostic ``definiteness.hertz_min_eig`` (its docstring says
+why).  Also a bracketed Perron root, and the tolerances with the one
+rule every definiteness decision compares against (``passes``).
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _jacobi_eigvals(a: SymMatrix, max_sweeps: int = 30) -> np.ndarray:
 
 
 def min_eig(a: SymMatrix) -> float:
-    """Smallest eigenvalue, by the eigenvalue-only Jacobi kernel."""
-    return float(_jacobi_eigvals(a)[0])
+    """Smallest eigenvalue, by LAPACK through ``min_eigs``."""
+    return float(min_eigs(a.array[None])[0])
 
 
 def eig_sym(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -307,6 +307,13 @@ class TestCheck:
         path.write_text(INDEFINITE_DOC.replace('[{"inf":1,"sup":2}]', parameters))
         assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed parameter entry")
 
+    def test_non_numeric_entry_is_input_error(self, capsys, tmp_path):
+        # An object inside a coefficient once raised TypeError (a traceback).
+        path = tmp_path / "bad.json"
+        path.write_text(INDEFINITE_DOC.replace("[[[1,", '[[[{"re":1},'))
+        assert '{"re":1}' in path.read_text()
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "not a matrix of doubles")
+
     def test_non_list_coefficients_are_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n":2,"K":1,"coefficients":5,"parameters":[{"inf":1,"sup":2}]}')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -29,11 +30,13 @@ from psdparam import (
     SymMatrix,
     VertexList,
     WitnessPoint,
+    certify_convexity,
     decide,
     evaluate,
     family_tol,
     hertz_min_eig,
     min_eig,
+    parse,
     relax,
     strong_pd,
     strong_pd_regularity,
@@ -48,6 +51,7 @@ from psdparam import (
 )
 from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
+from psdparam.symlinalg import _jacobi_eigvals
 
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
 
@@ -74,7 +78,7 @@ def planted_vertex_family(rng, j: int, shift: float) -> ParametricSymMatrix:
 
 
 def sequential_vertex_scan(p: ParametricSymMatrix, goal: str):
-    """The one-vertex-at-a-time Jacobi scan the batched route must agree with."""
+    """The one-vertex-at-a-time scalar scan the batched route must agree with."""
     tol = family_tol(p)
     enum = vertices(p, tol=tol)
     worst, worst_vertex = np.inf, None
@@ -387,7 +391,7 @@ class TestHertz:
 
 
 def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.DEFAULT_SEED):
-    """Reference witness search: one ``min_eig(evaluate(...))`` (Jacobi) per probe.
+    """Reference witness search: one scalar ``min_eig(evaluate(...))`` per probe.
 
     The same seeded restarts, ternary rule, step and sweep counts and
     stopping test as ``weak_pd_witness``, one restart after another with
@@ -439,7 +443,7 @@ def ridge_family(n: int, c: float) -> ParametricSymMatrix:
     alone can only leave the ridge downhill.  So the search from a start
     (x, y) stalls on the ridge near (y, y) with value about y - c: the
     midpoint reaches 0.5 - c, and each restart the second coordinate of
-    its own start.  The members are diagonal, which keeps the Jacobi
+    its own start.  The members are diagonal, which keeps the scalar
     reference cheap at any n.
     """
     a = np.zeros((3, n, n))
@@ -474,7 +478,7 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("goal", ["pd", "psd"])
     def test_batched_matches_sequential_on_random_families(self, rng, goal):
-        # 2x2 members keep the Jacobi reference fast; the planted fixtures
+        # 2x2 members keep the scalar reference fast; the planted fixtures
         # above cover 3x3.
         found = 0
         for _ in range(30):
@@ -743,3 +747,42 @@ class TestRunStage:
             decide(rank_one_cone(), "strong_psd", method="oracle")
         with pytest.raises(ValueError, match="goal must be one of"):
             decide(rank_one_cone(), "psd", method="split")
+
+
+class TestJacobiOnlyBehindHertz:
+    """The decision stages solve on LAPACK; the Jacobi kernel serves ``hertz_min_eig`` alone."""
+
+    @staticmethod
+    def patch_kernel(monkeypatch, replacement):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("psdparam") and hasattr(module, "_jacobi_eigvals"):
+                monkeypatch.setattr(module, "_jacobi_eigvals", replacement)
+
+    def test_decide_never_reaches_the_kernel(self, monkeypatch, rng):
+        def refuse(*_):
+            raise AssertionError("a decision stage reached the Jacobi kernel")
+
+        families = [rank_one_cone(), split_favorable(), regularity_favorable(), diag_sign_family()]
+        families += [random_family(rng, max_n=4, max_k=3) for _ in range(4)]
+        self.patch_kernel(monkeypatch, refuse)
+        methods = set()
+        for p in families:
+            for goal in definiteness.GOALS:
+                for method in ["auto", *(s.name for s in definiteness.STAGES if goal in s.goals)]:
+                    decide(p, goal, method=method, restarts=3)
+                    methods.add(method)
+        assert methods == {"auto", *(s.name for s in definiteness.STAGES)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_certify_convexity_reaches_the_kernel_per_sign_matrix(self, monkeypatch, n):
+        sizes = []
+
+        def count(a, *rest):
+            sizes.append(a.n)
+            return _jacobi_eigvals(a, *rest)
+
+        self.patch_kernel(monkeypatch, count)
+        f = parse(" + ".join([f"x{i}^3" for i in range(1, n + 1)] + [f"x{i} x{i + 1}" for i in range(1, n)]))
+        result = certify_convexity(f, ParameterBox.from_bounds([(1.0, 2.0)] * n))
+        assert sizes == [n] * (1 << (n - 1))
+        assert result.verdict.proved

@@ -19,6 +19,8 @@ from psdparam import (
 )
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+# Floats whose half is exact: zero, or at least twice the smallest normal.
+halvable_floats = finite_floats.filter(lambda x: x == 0.0 or abs(x) >= 2.0**-1021)
 
 
 def make_interval(a: float, b: float) -> Interval:
@@ -52,6 +54,28 @@ class TestInterval:
         assert mid - rad <= Fraction(iv.inf)
         assert mid + rad >= Fraction(iv.sup)
         assert rad >= 0
+
+    @pytest.mark.parametrize("lo, hi", [(5e-324, 5e-324), (1.5e-323, 1.5e-323), (5e-324, 1e-323), (-1e-323, -5e-324)])
+    def test_mid_stays_inside_subnormal_bounds(self, lo, hi):
+        # 0.5 * 5e-324 rounds to 0, so the plain formula once left the interval.
+        iv = Interval(lo, hi)
+        assert lo <= iv.mid <= hi
+        m = IntervalMatrix([[lo, 1.0]], [[hi, 3.0]])
+        assert m.mid().tolist() == [[iv.mid, 2.0]]
+        assert contains(m, m.mid())
+
+    def test_degenerate_subnormal_mid_is_the_point(self):
+        assert Interval(5e-324, 5e-324).mid == 5e-324
+        assert IntervalMatrix.point([[5e-324]]).mid()[0, 0] == 5e-324
+
+    @given(halvable_floats, halvable_floats)
+    def test_ordinary_mid_bits_unchanged(self, a, b):
+        # The clamp only acts where halving a bound rounds: bit-identical elsewhere.
+        iv = make_interval(a, b)
+        plain = 0.5 * iv.inf + 0.5 * iv.sup
+        assert math.copysign(1.0, iv.mid) == math.copysign(1.0, plain) and iv.mid == plain
+        m = IntervalMatrix([[iv.inf]], [[iv.sup]]).mid()
+        assert m.tobytes() == np.array([[plain]]).tobytes()
 
 
 def one(lo: float, hi: float) -> IntervalMatrix:

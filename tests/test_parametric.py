@@ -59,6 +59,12 @@ class TestModel:
         with pytest.raises(ValueError):
             ParametricSymMatrix([np.eye(2), np.eye(3)], ParameterBox([Interval(0, 1)] * 2))
 
+    def test_subnormal_box_contains_its_midpoint(self):
+        # Its midpoint was once 0.0, outside the degenerate first interval.
+        box = ParameterBox([Interval(5e-324, 5e-324), Interval(5e-324, 1e-323), Interval(0.0, 1.0)])
+        assert box.mid().tolist() == [5e-324, 5e-324, 0.5]
+        assert box.contains(box.mid(), slack=0.0)
+
 
 class TestEvaluate:
     def test_rank_one_at_one(self):
@@ -262,3 +268,43 @@ class TestProblemJson:
     def test_family_tol_scales_with_problem(self):
         p = problem_from_json(self.DOC)
         assert 0 < family_tol(p) < 1e-8
+
+    @pytest.mark.parametrize("old, new", [("[[[1.5,", "[[[1{zeros},"), ('"sup":1}]', '"sup":1{zeros}}]')])
+    def test_integer_past_the_largest_double_raises_value_error(self, old, new):
+        # A 401-digit integer entry or bound once raised OverflowError.
+        text = self.DOC.replace(old, new.replace("{zeros}", "0" * 400))
+        assert "0" * 400 in text
+        with pytest.raises(ValueError) as info:
+            problem_from_json(text)
+        assert not isinstance(info.value, OverflowError)
+
+    def test_non_numeric_entry_raises_value_error(self):
+        # An object inside a coefficient once raised TypeError.
+        doc = json.loads(self.DOC)
+        doc["coefficients"][0][0][0] = {"re": 1.5}
+        with pytest.raises(ValueError, match="coefficient 0 is not a matrix of doubles"):
+            problem_from_json(doc)
+
+
+class TestFamilyTol:
+    def test_bits_match_the_per_call_sum(self, rng):
+        for _ in range(50):
+            p = random_family(rng)
+            reach = sum(max(abs(iv.inf), abs(iv.sup)) * c.norm_bound for iv, c in zip(p.box.intervals, p.coeffs))
+            assert family_tol(p) == 1e-10 * (1.0 + reach)
+
+    def test_summed_once_at_construction(self, monkeypatch):
+        p = split_favorable()
+        expected = family_tol(p)
+
+        def walk(self):
+            raise AssertionError("family_tol walked the coefficients again")
+
+        monkeypatch.setattr(SymMatrix, "norm_bound", property(walk))
+        assert family_tol(p) == expected
+
+    def test_overflow_raises_on_every_call(self):
+        p = ParametricSymMatrix([np.diag([1e308, -1e308])], ParameterBox([Interval(0.0, 1.0)]))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                family_tol(p)

@@ -1,4 +1,4 @@
-"""Numeric kernels: Jacobi and batched LAPACK eigensolvers, definiteness tests, splitting, inversion, Perron root."""
+"""Numeric kernels: LAPACK eigensolvers (scalar and batched), the Jacobi kernel, definiteness tests, splitting, inversion, Perron root."""
 
 from __future__ import annotations
 
@@ -127,6 +127,7 @@ class TestEigSym:
         # The stopping rule is relative, so a matrix whose entries all sit
         # below 1e-13 is still diagonalized, not returned as its diagonal.
         m = np.array([[1e-20, 1e-14], [1e-14, 1e-20]])
+        assert _jacobi_eigvals(SymMatrix(m))[0] == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
         assert min_eig(SymMatrix(m)) == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
         a = rng.uniform(-1.0, 1.0, (5, 5))
         a = (a + a.T) * 1e-300
@@ -152,7 +153,7 @@ class TestEigSym:
 
 
 class TestBatchedLapack:
-    """The batched LAPACK kernels against the Jacobi kernel behind ``min_eig``."""
+    """The LAPACK kernels against the Jacobi kernel behind ``hertz_min_eig``."""
 
     def test_min_eigs_matches_jacobi(self, rng):
         for n in range(1, 13):
@@ -160,7 +161,25 @@ class TestBatchedLapack:
             batched = min_eigs(np.stack([a.array for a in mats]))
             assert batched.shape == (4,)
             for a, value in zip(mats, batched):
-                assert abs(value - min_eig(a)) <= 1e-10 * (1.0 + a.norm_bound)
+                assert abs(value - _jacobi_eigvals(a)[0]) <= 1e-10 * (1.0 + a.norm_bound)
+
+    def test_min_eig_is_eigvalsh_at_every_scale(self, rng):
+        cases = [np.array([[0.0, big], [big, 0.0]]) for big in (1e155, 1e200, 1e307)]
+        cases.append(np.array([[1e-20, 1e-14], [1e-14, 1e-20]]))
+        for exponent in range(-300, 301, 50):
+            for n in (1, 2, 3, 5, 8):
+                a = rng.uniform(-1.0, 1.0, (n, n))
+                cases.append((a + a.T) * 10.0**exponent)
+        for m in cases:
+            assert min_eig(SymMatrix(m)) == float(np.linalg.eigvalsh(m)[0])
+
+    def test_min_eig_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            min_eig(SymMatrix(np.eye(2)))
 
     def test_eig_stack_matches_jacobi(self, rng):
         for n in range(1, 9):
