@@ -4,9 +4,11 @@
 Builds the instances of every benchmark workload for seeds 1 and 12 with
 ``perfbench/workloads.build`` from this checkout, then runs each
 checkout's ``psdparam.cli.main`` over all of them, one subprocess per
-checkout with BLAS threads pinned to one.  Reports are compared without
-``timings_ms`` and ``input``.  Prints how many reports are bit-identical
-and, per JSON field, the largest relative difference between numbers.
+checkout with BLAS threads pinned to one.  Each ``check`` instance also
+runs once per ``--method`` that applies to its goal.  Reports are
+compared without ``timings_ms`` and ``input``.  Prints how many reports
+are bit-identical and, per JSON field, the largest relative difference
+between numbers.
 Exits 1 on any exit-code, status, method or certificate-type mismatch:
 
     python scripts/report_diff.py OLD_ROOT NEW_ROOT
@@ -32,6 +34,13 @@ from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 12)
 IGNORED = ("timings_ms", "input")
+# The stages each goal can run alone through ``check --method``.
+METHODS = {
+    "strong_psd": ("split", "vertex"),
+    "strong_pd": ("split", "regularity", "vertex"),
+    "weak_psd": ("necessary", "witness"),
+    "weak_pd": ("necessary", "witness"),
+}
 
 # Runs in the subprocess: argv lists on stdin, one {"exit", "stdout"} per list on stdout.
 CHILD = """
@@ -150,8 +159,13 @@ def main(argv=None) -> int:
                 workdir = Path(tmp) / f"{workload}-{seed}"
                 workdir.mkdir()
                 for slot, inst in enumerate(build(workload, seed, workdir, smoke=args.smoke)):
-                    labels.append(f"{workload} seed {seed} slot {slot} ({inst.label})")
+                    label = f"{workload} seed {seed} slot {slot} ({inst.label})"
+                    labels.append(label)
                     argvs.append(inst.argv)
+                    if inst.argv[0] == "check":
+                        for method in METHODS[inst.goal]:
+                            labels.append(f"{label} --method {method}")
+                            argvs.append([*inst.argv, "--method", method])
         old = run_checkout(args.old_root, argvs)
         new = run_checkout(args.new_root, argvs)
     return compare(labels, old, new)

@@ -65,7 +65,6 @@ from .symlinalg import (
     PsdSplit,
     SingularMatrixError,
     SymMatrix,
-    default_tol,
     determinant,
     eig_stack,
     eig_sym,

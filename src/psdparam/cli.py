@@ -82,7 +82,7 @@ def cmd_check(args) -> int:
         problem = problem_from_json(text)
     except ValueError as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
-    default_tol = _finite_family_tol(problem)
+    auto_tol = _finite_family_tol(problem)
 
     goal = args.goal.replace("-", "_")
     timings: dict = {}
@@ -102,7 +102,7 @@ def cmd_check(args) -> int:
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     extra = {"goal": args.goal, "input": args.file}
-    return _emit(verdict, timings, args.tol if args.tol is not None else default_tol, extra, f"{args.goal}: ")
+    return _emit(verdict, timings, args.tol if args.tol is not None else auto_tol, extra, f"{args.goal}: ")
 
 
 _BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
@@ -153,7 +153,7 @@ def cmd_convex(args) -> int:
         family = hessian(poly, box)
     except ValueError as exc:
         raise InputError(f"cannot form the Hessian: {exc}") from exc
-    default_tol = _finite_family_tol(family)
+    auto_tol = _finite_family_tol(family)
 
     timings: dict = {}
     t0 = time.perf_counter()
@@ -168,7 +168,7 @@ def cmd_convex(args) -> int:
             "hertz_min_eig": result.relaxation_min_eig,
         },
     }
-    return _emit(result.verdict, timings, args.tol if args.tol is not None else default_tol, extra, "convexity: ")
+    return _emit(result.verdict, timings, args.tol if args.tol is not None else auto_tol, extra, "convexity: ")
 
 
 def _emit(verdict: df.Verdict, timings: dict, tol: float, extra: dict, label: str) -> int:

@@ -284,11 +284,13 @@ class ConvexityResult:
     uses the parametric family, which is never weaker.  Both come from
     one ``hertz_min_eig`` pass; the interval Hessian counts as strongly
     PSD when that minimum ``passes`` as PSD (``interval_tol`` by default).
+    Both are None when the pass's 2^(n-1) sign matrices exceed the
+    vertex budget.
     """
 
     verdict: Verdict
-    relaxation_strongly_psd: bool
-    relaxation_min_eig: float
+    relaxation_strongly_psd: bool | None
+    relaxation_min_eig: float | None
 
 
 def certify_convexity(
@@ -301,14 +303,13 @@ def certify_convexity(
     """Certify convexity of f on the box via its parametric Hessian.
 
     Proved means the Hessian is positive semidefinite everywhere on the
-    box; Disproved exhibits a point where it is not.
+    box; Disproved exhibits a point where it is not.  ``vertex_budget``
+    bounds the diagnostics as well as the vertex stage.
     """
     family = hessian(f, box)
-    relaxed = relax(family)
     verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget, timings=timings)
+    if 1 << (f.n - 1) > vertex_budget:
+        return ConvexityResult(verdict, None, None)
+    relaxed = relax(family)
     h = hertz_min_eig(relaxed)
-    return ConvexityResult(
-        verdict=verdict,
-        relaxation_strongly_psd=passes(h, "psd", interval_tol(relaxed) if tol is None else tol),
-        relaxation_min_eig=h,
-    )
+    return ConvexityResult(verdict, passes(h, "psd", interval_tol(relaxed) if tol is None else tol), h)

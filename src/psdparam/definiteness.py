@@ -8,6 +8,9 @@ some member satisfy it?) get a splitting-based necessary condition and a
 heuristic witness search; a full weak decision is out of scope, so those
 routes may report Unknown.
 
+The stages form one table, ``STAGES``, run only by ``decide``; each
+public per-stage function is one ``decide(..., method=...)`` call.
+
 All verdicts follow one tolerance rule, ``passes``: a matrix counts as
 PSD when its smallest eigenvalue is >= -tol and as PD when it is > +tol,
 so "disproved PD" includes matrices whose smallest eigenvalue sits inside
@@ -40,6 +43,7 @@ from .symlinalg import (
     min_eig,
     min_eigs,
     passes,
+    psd_parts,
     scaled_tol,
     spectral_radius_nonneg,
 )
@@ -48,6 +52,7 @@ DEFAULT_VERTEX_BUDGET = 1 << 20
 # Largest block of member matrices the vertex route forms at once.
 VERTEX_CHUNK_BYTES = 1 << 20
 DEFAULT_SEED = 0x5EED
+WITNESS_RESTARTS = 20
 RHO_MARGIN = 1e-9
 
 STRONG_GOALS = ("strong_psd", "strong_pd")
@@ -135,16 +140,6 @@ class Verdict:
         return self.status is Status.UNKNOWN
 
 
-def check_budget(budget: int) -> None:
-    """Raise ValueError when the vertex budget is negative."""
-    if budget < 0:
-        raise ValueError(f"vertex budget must be a nonnegative integer, got {budget!r}")
-
-
-def _resolve_tol(p: ParametricSymMatrix, tol: float | None) -> float:
-    return family_tol(p) if tol is None else check_tol(tol)
-
-
 def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of A(q) for each row q of ``points``, by one batched call."""
     return min_eigs(np.einsum("vk,kij->vij", points, p.coefficient_stack()))
@@ -154,7 +149,7 @@ def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
 # vertex characterizations
 
 
-def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
+def _strong_by_vertices(p, kind: str, tol: float, budget: int, *_) -> Verdict:
     """Scan the reduced vertices in Gray order, in chunks of 1, 2, 4, ... rows.
 
     Each chunk forms its member matrices at once and takes their smallest
@@ -162,8 +157,6 @@ def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
     with a failing vertex.  The certificate names the first failing
     vertex, or the first vertex attaining the minimum, in Gray order.
     """
-    check_budget(budget)
-    tol = _resolve_tol(p, tol)
     enum = vertices(p, tol=tol)
     total = len(enum)
     if total > budget:
@@ -180,7 +173,7 @@ def _strong_by_vertices(p, goal: str, tol, budget) -> Verdict:
         stop = min(start + size, total)
         points = enum.points(start, stop)
         mins = _member_min_eigs(p, points)
-        failed = ~passes(mins, goal, tol)
+        failed = ~passes(mins, kind, tol)
         if failed.any():
             i = int(np.argmax(failed))
             return Verdict(Status.DISPROVED, "vertex", CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
@@ -195,14 +188,14 @@ def strong_psd(
     p: ParametricSymMatrix, tol: float | None = None, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Verdict:
     """Exact decision of strong positive semidefiniteness over the reduced vertex set."""
-    return _strong_by_vertices(p, "psd", tol, budget)
+    return decide(p, "strong_psd", tol, budget, method="vertex")
 
 
 def strong_pd(
     p: ParametricSymMatrix, tol: float | None = None, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Verdict:
     """Exact decision of strong positive definiteness over the reduced vertex set."""
-    return _strong_by_vertices(p, "pd", tol, budget)
+    return decide(p, "strong_pd", tol, budget, method="vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -213,67 +206,62 @@ def _split_parts(a: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float) -> tup
     """PSD parts (plus, minus) with a = plus - minus, from a's spectrum a = q diag(w) q^T.
 
     A semidefinite matrix (within ``tol``) is its own part; otherwise
-    nonnegative eigenvalues go to ``plus`` and magnitudes of negative
-    ones to ``minus``.
+    the parts are ``psd_parts(w, q)``.
     """
     if passes(w[0], "psd", tol):
         return a, np.zeros_like(a)
     if passes(-w[-1], "psd", tol):
         return np.zeros_like(a), -a
-    return (q * np.maximum(w, 0.0)) @ q.T, (q * np.maximum(-w, 0.0)) @ q.T
+    return psd_parts(w, q)
 
 
-def _split_combination(p: ParametricSymMatrix, proving: bool, tol: float) -> SymMatrix:
-    """Bound matrix built from per-coefficient PSD splits.
+def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray, tol: float) -> SymMatrix:
+    """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the splits A_k = plus_k - minus_k.
 
-    ``proving=True`` pairs the PSD part with the lower endpoint and the
-    NSD part with the upper (underestimates every member); ``False``
-    swaps the endpoints (overestimates every member).  The splits come
-    from the coefficient spectra the family computed when it was built.
+    With the box's (inf, sup) this underestimates every member; with
+    (sup, inf) it overestimates every member.  The splits come from the
+    coefficient spectra the family computed when it was built.
     """
     acc = np.zeros((p.n, p.n))
     eigvals, eigvecs = p.coefficient_spectra()
-    for coeff, iv, w, q in zip(p.coeffs, p.box.intervals, eigvals, eigvecs):
+    for coeff, x_plus, x_minus, w, q in zip(p.coeffs, plus_at, minus_at, eigvals, eigvecs):
         plus, minus = _split_parts(coeff.array, w, q, tol)
-        lo, hi = (iv.inf, iv.sup) if proving else (iv.sup, iv.inf)
-        acc += plus * lo - minus * hi
+        acc += plus * x_plus - minus * x_minus
     return SymMatrix(acc)
 
 
-def _strong_by_split(p, goal: str, tol) -> Verdict:
-    tol = _resolve_tol(p, tol)
-    s = _split_combination(p, proving=True, tol=tol)
+def _strong_by_split(p, kind: str, tol: float, *_) -> Verdict:
+    s = _split_combination(p, p.box.inf(), p.box.sup(), tol)
     m = min_eig(s)
-    status = Status.PROVED if passes(m, goal, tol) else Status.UNKNOWN
+    status = Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN
     return Verdict(status, "split", SplitWitness(s, m))
 
 
 def strong_psd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
     """Sufficient splitting condition for strong PSD; never disproves."""
-    return _strong_by_split(p, "psd", tol)
+    return decide(p, "strong_psd", tol, method="split")
 
 
 def strong_pd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
     """Sufficient splitting condition for strong PD; never disproves."""
-    return _strong_by_split(p, "pd", tol)
+    return decide(p, "strong_pd", tol, method="split")
 
 
-def _weak_by_necessary(p, goal: str, tol) -> Verdict:
-    tol = _resolve_tol(p, tol)
-    n = _split_combination(p, proving=False, tol=tol)
+def _weak_by_necessary(p, kind: str, tol: float, *_) -> Verdict:
+    n = _split_combination(p, p.box.sup(), p.box.inf(), tol)
     m = min_eig(n)
-    status = Status.UNKNOWN if passes(m, goal, tol) else Status.DISPROVED
+    status = Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED
     return Verdict(status, "necessary", NecessaryFailure(n, m))
 
 
 def weak_psd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
     """Necessary condition for weak PSD; Disproved means no member is PSD."""
-    return _weak_by_necessary(p, "psd", tol)
+    return decide(p, "weak_psd", tol, method="necessary")
 
 
 def weak_pd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
     """Necessary condition for weak PD; Disproved means no member is PD."""
-    return _weak_by_necessary(p, "pd", tol)
+    return decide(p, "weak_pd", tol, method="necessary")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +275,10 @@ def strong_pd_regularity(p: ParametricSymMatrix, tol: float | None = None) -> Ve
     preconditioned relaxation M; sufficient only, so the alternative is
     always Unknown.
     """
-    tol = _resolve_tol(p, tol)
+    return decide(p, "strong_pd", tol, method="regularity")
+
+
+def _strong_pd_by_regularity(p, kind: str, tol: float, *_) -> Verdict:
     mid_min = min_eig(evaluate(p, p.box.mid(), check=False))
     try:
         _, m = precondition_relax(p)
@@ -395,7 +386,7 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
 
 def weak_pd_witness(
     p: ParametricSymMatrix,
-    restarts: int = 20,
+    restarts: int = WITNESS_RESTARTS,
     goal: str = "pd",
     seed: int = DEFAULT_SEED,
     tol: float | None = None,
@@ -410,23 +401,27 @@ def weak_pd_witness(
     """
     if goal not in ("pd", "psd"):
         raise ValueError(f"goal must be 'pd' or 'psd', got {goal!r}")
-    tol = _resolve_tol(p, tol)
+    return _search_witness(p, goal, family_tol(p) if tol is None else check_tol(tol), restarts, seed)
+
+
+def _search_witness(p: ParametricSymMatrix, kind: str, tol: float, restarts: int, seed: int) -> Optional[np.ndarray]:
+    """The search of ``weak_pd_witness`` under an already resolved ``tol``."""
     q, best = _coordinate_ascent(p, p.box.mid()[None])
-    if passes(best[0], goal, tol):
+    if passes(best[0], kind, tol):
         return q[0]
     rng = np.random.default_rng(seed)
     starts = rng.uniform(p.box.inf(), p.box.sup(), size=(max(restarts, 1) - 1, p.K))
     rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
     for first in range(0, len(starts), rows):
         q, best = _coordinate_ascent(p, starts[first : first + rows])
-        ok = passes(best, goal, tol)
+        ok = passes(best, kind, tol)
         if ok.any():
             return q[int(np.argmax(ok))]
     return None
 
 
-def _weak_by_witness(p, goal: str, tol, restarts: int, seed: int) -> Verdict:
-    witness = weak_pd_witness(p, restarts=restarts, goal=goal, seed=seed, tol=tol)
+def _weak_by_witness(p, kind: str, tol: float, _budget: int, seed: int) -> Verdict:
+    witness = _search_witness(p, kind, tol, WITNESS_RESTARTS, seed)
     if witness is None:
         return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
     m = float(_member_min_eigs(p, witness[None])[0])
@@ -440,8 +435,9 @@ def _weak_by_witness(p, goal: str, tol, restarts: int, seed: int) -> Verdict:
 class Stage(NamedTuple):
     """A decision stage, the goals it applies to, and the function that runs it.
 
-    ``run(p, kind, tol, vertex_budget, restarts, seed)`` returns a Verdict;
-    ``kind`` is "psd" or "pd", the property the goal asks about.
+    ``run(p, kind, tol, vertex_budget, seed)`` returns a Verdict; ``kind``
+    is "psd" or "pd", the property the goal asks about, and ``decide`` has
+    already resolved ``tol`` and checked ``vertex_budget``.
     """
 
     name: str
@@ -454,11 +450,11 @@ class Stage(NamedTuple):
 # vertex enumeration; weak goals get the necessary condition, then the
 # witness search, and otherwise stay Unknown.
 STAGES = (
-    Stage("split", STRONG_GOALS, lambda p, kind, tol, *_: _strong_by_split(p, kind, tol)),
-    Stage("regularity", ("strong_pd",), lambda p, kind, tol, *_: strong_pd_regularity(p, tol)),
-    Stage("vertex", STRONG_GOALS, lambda p, kind, tol, budget, *_: _strong_by_vertices(p, kind, tol, budget)),
-    Stage("necessary", WEAK_GOALS, lambda p, kind, tol, *_: _weak_by_necessary(p, kind, tol)),
-    Stage("witness", WEAK_GOALS, lambda p, kind, tol, _, restarts, seed: _weak_by_witness(p, kind, tol, restarts, seed)),
+    Stage("split", STRONG_GOALS, _strong_by_split),
+    Stage("regularity", ("strong_pd",), _strong_pd_by_regularity),
+    Stage("vertex", STRONG_GOALS, _strong_by_vertices),
+    Stage("necessary", WEAK_GOALS, _weak_by_necessary),
+    Stage("witness", WEAK_GOALS, _weak_by_witness),
 )
 
 
@@ -467,7 +463,6 @@ def decide(
     goal: str,
     tol: float | None = None,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    restarts: int = 20,
     seed: int = DEFAULT_SEED,
     timings: dict | None = None,
     method: str = "auto",
@@ -479,11 +474,13 @@ def decide(
     decided (or the last one run, when none did); stage wall times in
     milliseconds are added to ``timings`` when a dict is supplied.
     Raises ValueError when the goal or the stage is unknown, when the
-    stage does not apply to the goal, or for a negative vertex budget.
+    stage does not apply to the goal, for a negative vertex budget, or
+    for a bad ``tol`` (default ``family_tol(p)``, resolved once here).
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
-    check_budget(vertex_budget)
+    if vertex_budget < 0:
+        raise ValueError(f"vertex budget must be a nonnegative integer, got {vertex_budget!r}")
     kind = goal.rsplit("_", 1)[1]  # the property the goal asks about
     stages = [s for s in STAGES if goal in s.goals]
     if method != "auto":
@@ -493,10 +490,11 @@ def decide(
         if goal not in entry.goals:
             raise ValueError(f"stage {method!r} applies to {', '.join(entry.goals)} only, not {goal}")
         stages = [entry]
+    tol = family_tol(p) if tol is None else check_tol(tol)
     verdict = Verdict(Status.UNKNOWN, "none")
     for stage in stages:
         t0 = time.perf_counter()
-        verdict = stage.run(p, kind, tol, vertex_budget, restarts, seed)
+        verdict = stage.run(p, kind, tol, vertex_budget, seed)
         if timings is not None:
             timings[stage.name] = timings.get(stage.name, 0.0) + (time.perf_counter() - t0) * 1e3
         if not verdict.unknown:

@@ -156,19 +156,18 @@ class IntervalMatrix:
             return 0.0
         return float(max(np.abs(self.inf).max(), np.abs(self.sup).max()))
 
-    def symmetric_parts(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint and radius of the symmetric view.
 
-        Permitted only when both are symmetric within ``tol`` (default
-        1e-12 times the largest entry magnitude); raises
-        AsymmetricMatrixError otherwise.  The returned arrays are exactly
-        symmetrized: entries that differ from their transpose become
-        0.5 * x_ij + 0.5 * x_ji, which cannot overflow.
+        Permitted only when both are symmetric within 1e-12 times the
+        largest entry magnitude; raises AsymmetricMatrixError otherwise.
+        The returned arrays are exactly symmetrized: entries that differ
+        from their transpose become 0.5 * x_ij + 0.5 * x_ji, which cannot
+        overflow.
         """
         if self.rows != self.cols:
             raise AsymmetricMatrixError(f"matrix is {self.rows}x{self.cols}, not square")
-        if tol is None:
-            tol = 1e-12 * self.max_abs()
+        tol = 1e-12 * self.max_abs()
         mid = self.mid()
         rad = self.rad()
         skew = max(np.abs(mid - mid.T).max(), np.abs(rad - rad.T).max()) if self.rows else 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import Interval, IntervalMatrix, im_add, scale, zeros
-from .symlinalg import SymMatrix, default_tol, eig_stack, invert, passes, scaled_tol
+from .symlinalg import SymMatrix, eig_stack, invert, passes, scaled_tol
 
 SYMMETRY_TOL_FACTOR = 1e-12
 
@@ -203,21 +203,23 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     """Reduced vertex set sufficient for deciding strong PSD and strong PD alike.
 
     ``tol`` is the semidefiniteness tolerance used by the coefficient
-    classification (per-matrix ``default_tol`` when omitted), applied to
-    the eigenvalues the family computed once when it was built.
+    classification (``family_tol(p)`` when omitted, as in the vertex
+    stage), applied to the eigenvalues the family computed once when it
+    was built.
     """
+    if tol is None:
+        tol = family_tol(p)
     lows = p.box.inf()
     highs = p.box.sup()
     base = p.box.mid()
     eigvals = p.coefficient_spectra()[0]
     free: list[int] = []
-    for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
-        t = default_tol(coeff) if tol is None else tol
+    for k, iv in enumerate(p.box.intervals):
         if iv.is_degenerate:
             base[k] = iv.inf
-        elif passes(eigvals[k, 0], "psd", t):  # PSD coefficient
+        elif passes(eigvals[k, 0], "psd", tol):  # PSD coefficient
             base[k] = iv.inf
-        elif passes(-eigvals[k, -1], "psd", t):  # NSD coefficient
+        elif passes(-eigvals[k, -1], "psd", tol):  # NSD coefficient
             base[k] = iv.sup
         else:
             free.append(k)

@@ -100,11 +100,6 @@ def passes(values, kind: str, tol: float):
     return values > tol if kind == "pd" else values >= -tol
 
 
-def default_tol(a: SymMatrix) -> float:
-    """Definiteness tolerance ``scaled_tol(||A||)`` with the cheap norm bound."""
-    return scaled_tol(a.norm_bound)
-
-
 def _jacobi_eigvals(a: SymMatrix, max_sweeps: int = 30) -> np.ndarray:
     """Eigenvalues, ascending, by cyclic Jacobi rotations without eigenvectors.
 
@@ -181,15 +176,18 @@ def min_eigs(stack: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 
 
-def psd_split(a: SymMatrix) -> PsdSplit:
-    """Split A = plus - minus with PSD parts via the spectral decomposition.
+def psd_parts(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PSD parts (plus, minus) of A = Q diag(w) Q^T with A = plus - minus.
 
     Nonnegative eigenvalues (zeros included) go to ``plus``; magnitudes of
     negative ones go to ``minus``.
     """
-    vals, q = eig_sym(a)
-    plus = (q * np.maximum(vals, 0.0)) @ q.T
-    minus = (q * np.maximum(-vals, 0.0)) @ q.T
+    return (q * np.maximum(w, 0.0)) @ q.T, (q * np.maximum(-w, 0.0)) @ q.T
+
+
+def psd_split(a: SymMatrix) -> PsdSplit:
+    """Split A = plus - minus with PSD parts, ``psd_parts`` of the spectral decomposition."""
+    plus, minus = psd_parts(*eig_sym(a))
     return PsdSplit(SymMatrix(plus), SymMatrix(minus))
 
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import get_args
 
 import jsonschema
@@ -407,6 +411,24 @@ class TestConvex:
         assert report["method"] == "vertex"
         assert report["diagnostics"]["relaxation_strongly_psd"] is False
         assert report["diagnostics"]["hertz_min_eig"] == pytest.approx(-8e200, rel=1e-9)
+
+    def test_diagnostics_past_the_budget_are_null(self):
+        # The Hertz diagnostic of 70 variables has 2^69 sign matrices; it
+        # once ended in a traceback and exit 1 ("disproved").  Past the
+        # vertex budget it is skipped and the report says null.
+        n = 70
+        argv = ["convex", *(f"--box=x{i}=0:1" for i in range(1, n + 1)), " + ".join(f"x{i}^2" for i in range(1, n + 1))]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "psdparam.cli", *argv], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert time.perf_counter() - t0 < 5.0
+        assert proc.returncode == EXIT_PROVED and "Traceback" not in proc.stderr, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["diagnostics"] == {"relaxation_strongly_psd": None, "hertz_min_eig": None}
+        assert_schema_valid(report)
 
     def test_hessian_near_the_largest_double(self, capsys):
         # The Hessian entry 1e308 is finite; symmetrising the interval

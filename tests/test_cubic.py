@@ -209,6 +209,15 @@ class TestCertifyConvexity:
         with pytest.raises(ValueError, match="finite"):
             hessian(parse("1e308 x1^3"), ParameterBox([Interval(0.0, 1e308)]))
 
+    def test_vertex_budget_bounds_the_diagnostics(self):
+        # Three variables: the Hertz pass solves 2^2 sign matrices.
+        f, box = parse("x1^2 + x2^2 + x3^2"), ParameterBox.from_bounds([(0, 1)] * 3)
+        within = certify_convexity(f, box, vertex_budget=4)
+        past = certify_convexity(f, box, vertex_budget=3)
+        assert within.relaxation_strongly_psd is True and within.relaxation_min_eig == 2.0
+        assert past.relaxation_strongly_psd is None and past.relaxation_min_eig is None
+        assert past.verdict.proved and past.verdict.method == within.verdict.method == "split"
+
     def test_diagnostics_come_from_one_hertz_value(self, rng):
         from psdparam import hertz_min_eig, relax, strong_psd_interval
 

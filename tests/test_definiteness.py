@@ -623,6 +623,23 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(rank_one_cone(), "psd")
 
+    @pytest.mark.parametrize("goal", definiteness.GOALS)
+    def test_default_tolerance_resolved_once(self, monkeypatch, goal):
+        # No member of diag_sign_family is PSD and a zero budget blocks the
+        # vertex stage, so the strong cascades run every stage; the weak
+        # ones reach the witness stage on a strongly PD family.
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return family_tol(p)
+
+        monkeypatch.setattr(definiteness, "family_tol", counted)
+        p = diag_sign_family() if goal in definiteness.STRONG_GOALS else regularity_favorable()
+        timings: dict = {}
+        decide(p, goal, vertex_budget=0, timings=timings)
+        assert len(timings) >= 2 and len(calls) == 1
+
     @pytest.mark.parametrize(
         "tol, goal",
         [(float("nan"), "strong_pd"), (float("inf"), "strong_psd"), (-float("inf"), "weak_psd"),
@@ -689,26 +706,40 @@ class TestRunStage:
     """One stage alone, through ``decide(..., method=<stage>)``."""
 
     def test_matches_the_named_wrappers(self, rng):
-        for _ in range(20):
+        # All seven public per-stage functions, under the defaults and under
+        # a coarse tolerance with a budget that blocks most vertex scans.
+        from psdparam.cli import certificate_to_jsonable
+
+        for tol, budget in [(None, definiteness.DEFAULT_VERTEX_BUDGET), (0.05, 3)] * 20:
             p = random_family(rng)
             pairs = [
-                (("strong_psd", "split"), strong_psd_split(p)),
-                (("strong_pd", "split"), strong_pd_split(p)),
-                (("strong_pd", "regularity"), strong_pd_regularity(p)),
-                (("strong_psd", "vertex"), strong_psd(p)),
-                (("strong_pd", "vertex"), strong_pd(p)),
-                (("weak_psd", "necessary"), weak_psd_necessary(p)),
-                (("weak_pd", "necessary"), weak_pd_necessary(p)),
+                (("strong_psd", "split"), strong_psd_split(p, tol)),
+                (("strong_pd", "split"), strong_pd_split(p, tol)),
+                (("strong_pd", "regularity"), strong_pd_regularity(p, tol)),
+                (("strong_psd", "vertex"), strong_psd(p, tol, budget)),
+                (("strong_pd", "vertex"), strong_pd(p, tol, budget)),
+                (("weak_psd", "necessary"), weak_psd_necessary(p, tol)),
+                (("weak_pd", "necessary"), weak_pd_necessary(p, tol)),
             ]
             for (goal, stage), expected in pairs:
-                v = decide(p, goal, method=stage)
+                v = decide(p, goal, tol=tol, vertex_budget=budget, method=stage)
                 assert (v.status, v.method, v.detail) == (expected.status, expected.method, expected.detail)
-                assert type(v.certificate) is type(expected.certificate)
+                assert certificate_to_jsonable(v.certificate) == certificate_to_jsonable(expected.certificate)
 
-    def test_witness_stage(self):
+    def test_witness_stage(self, monkeypatch):
         v = decide(rank_one_cone(), "weak_psd", method="witness")
         assert v.proved and isinstance(v.certificate, WitnessPoint)
-        assert decide(diag_sign_family(), "weak_pd", restarts=1, method="witness").unknown
+        starts = []
+        ascent = definiteness._coordinate_ascent
+
+        def spy(p, rows):
+            starts.extend(rows.copy())
+            return ascent(p, rows)
+
+        monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
+        monkeypatch.setattr(definiteness, "WITNESS_RESTARTS", 1)
+        assert decide(diag_sign_family(), "weak_pd", method="witness").unknown
+        assert len(starts) == 1
 
     def test_vertex_budget_reaches_the_stage(self):
         v = decide(regularity_favorable(), "strong_psd", vertex_budget=1, method="vertex")
@@ -765,11 +796,12 @@ class TestJacobiOnlyBehindHertz:
         families = [rank_one_cone(), split_favorable(), regularity_favorable(), diag_sign_family()]
         families += [random_family(rng, max_n=4, max_k=3) for _ in range(4)]
         self.patch_kernel(monkeypatch, refuse)
+        monkeypatch.setattr(definiteness, "WITNESS_RESTARTS", 3)
         methods = set()
         for p in families:
             for goal in definiteness.GOALS:
                 for method in ["auto", *(s.name for s in definiteness.STAGES if goal in s.goals)]:
-                    decide(p, goal, method=method, restarts=3)
+                    decide(p, goal, method=method)
                     methods.add(method)
         assert methods == {"auto", *(s.name for s in definiteness.STAGES)}
 

@@ -23,7 +23,6 @@ from psdparam import (
     SingularMatrixError,
     SymMatrix,
     contains,
-    default_tol,
     evaluate,
     family_tol,
     parse,
@@ -182,7 +181,7 @@ class TestVertices:
                 enum = vertices(p, tol=tol)
                 rows = enum.points(0, len(enum))
                 for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
-                    t = default_tol(coeff) if tol is None else tol
+                    t = family_tol(p) if tol is None else tol
                     if iv.is_degenerate or passes(min_eig(coeff), "psd", t):
                         expected = {iv.inf}
                     elif passes(min_eig(SymMatrix(-coeff.array)), "psd", t):
@@ -190,6 +189,17 @@ class TestVertices:
                     else:
                         expected = {iv.inf, iv.sup}
                     assert set(rows[:, k].tolist()) == expected
+
+    def test_default_tolerance_is_the_vertex_stage_one(self):
+        # diag(10, -1e-9) on [0, 1e-3]: within the per-matrix tolerance
+        # 1e-10 * (1 + 20) the coefficient passed as PSD and ``vertices``
+        # listed one vertex, while the vertex stage, under family_tol =
+        # 1e-10 * (1 + 20 * 1e-3), enumerates and checks two.
+        from psdparam import strong_psd
+
+        p = ParametricSymMatrix([np.diag([10.0, -1e-9])], ParameterBox([Interval(0.0, 1e-3)]))
+        assert len(vertices(p)) == len(vertices(p, tol=family_tol(p))) == 2
+        assert strong_psd(p).certificate.checked == 2
 
     def test_overflowing_default_tolerance_raises(self):
         # n * max|entry| of diag(1e308, -1e308) overflows; the default

@@ -29,8 +29,11 @@ def run_diff(old: Path, new: Path) -> subprocess.CompletedProcess:
 def test_repo_against_itself_is_bit_identical():
     proc = run_diff(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # Smoke slots: 3 strong-vertex, 3 weak and 2 convex instances, for seeds 1 and 12.
-    assert "16 reports, 16 bit-identical" in proc.stdout
+    # Smoke slots per seed: 3 strong-vertex (strong-psd, strong-pd,
+    # strong-psd), 3 weak and 2 convex instances, plus the strong ones'
+    # 2 + 3 + 2 and the weak ones' 3 * 2 single-stage --method runs:
+    # 21 reports for each of seeds 1 and 12.
+    assert "42 reports, 42 bit-identical" in proc.stdout
     assert "certificate.min_eig" in proc.stdout
     assert "no exit-code, status, method or certificate-type mismatches" in proc.stdout
 
@@ -42,5 +45,5 @@ def test_changed_answers_exit_nonzero(tmp_path):
     (package / "cli.py").write_text(STUB_CLI)
     proc = run_diff(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "16 reports, 0 bit-identical" in proc.stdout
-    assert "16 exit-code, status, method or certificate-type mismatches" in proc.stdout
+    assert "42 reports, 0 bit-identical" in proc.stdout
+    assert "42 exit-code, status, method or certificate-type mismatches" in proc.stdout

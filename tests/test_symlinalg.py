@@ -14,7 +14,6 @@ from psdparam import (
     determinant,
     eig_stack,
     eig_sym,
-    default_tol,
     invert,
     min_eig,
     min_eigs,
@@ -199,9 +198,9 @@ class TestBatchedLapack:
 
 
 def psd_pd(a: SymMatrix, tol: float | None = None) -> tuple[bool, bool]:
-    """Whether ``a`` passes as PSD and as PD, within ``default_tol(a)`` unless ``tol`` is given."""
+    """Whether ``a`` passes as PSD and as PD, within ``scaled_tol(a.norm_bound)`` unless ``tol`` is given."""
     m = min_eig(a)
-    t = default_tol(a) if tol is None else tol
+    t = scaled_tol(a.norm_bound) if tol is None else tol
     return passes(m, "psd", t), passes(m, "pd", t)
 
 
@@ -261,7 +260,7 @@ class TestDefiniteness:
         # n * max|entry| overflows: the default must not become inf, which
         # would pass every matrix as PSD.
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            default_tol(SymMatrix(np.diag([1e308, -1e308])))
+            scaled_tol(SymMatrix(np.diag([1e308, -1e308])).norm_bound)
         assert scaled_tol(2.0) == 1e-10 * 3.0
         with pytest.raises(ValueError, match="finite and nonnegative"):
             check_tol(float("nan"))
