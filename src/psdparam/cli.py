@@ -22,9 +22,9 @@ from importlib import resources
 from typing import Optional, get_args
 
 from . import definiteness as df
-from .cubic import ALIASES, certify_convexity, hessian, parse as parse_poly
+from .cubic import ALIASES, certify_convexity, parse as parse_poly
 from .intervals import Interval
-from .parametric import ParameterBox, family_tol, problem_from_json
+from .parametric import ParameterBox, problem_from_json
 from .symlinalg import SymMatrix
 
 EXIT_PROVED = 0
@@ -64,14 +64,6 @@ def certificate_to_jsonable(cert) -> Optional[dict]:
     return doc
 
 
-def _finite_family_tol(family) -> float:
-    """The family's default tolerance; InputError when its members overflow over the box."""
-    try:
-        return family_tol(family)
-    except ValueError as exc:
-        raise InputError("member matrices overflow double precision over the parameter box") from exc
-
-
 def cmd_check(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -82,7 +74,6 @@ def cmd_check(args) -> int:
         problem = problem_from_json(text)
     except ValueError as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
-    auto_tol = _finite_family_tol(problem)
 
     goal = args.goal.replace("-", "_")
     timings: dict = {}
@@ -102,7 +93,7 @@ def cmd_check(args) -> int:
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     extra = {"goal": args.goal, "input": args.file}
-    return _emit(verdict, timings, args.tol if args.tol is not None else auto_tol, extra, f"{args.goal}: ")
+    return _emit(verdict, timings, extra, f"{args.goal}: ")
 
 
 _BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
@@ -149,15 +140,13 @@ def cmd_convex(args) -> int:
     if poly.n < 1:
         raise InputError("polynomial has no variables; nothing to certify")
     box = _parse_box_flags(args.box or [], poly.n)
-    try:
-        family = hessian(poly, box)
-    except ValueError as exc:
-        raise InputError(f"cannot form the Hessian: {exc}") from exc
-    auto_tol = _finite_family_tol(family)
 
     timings: dict = {}
     t0 = time.perf_counter()
-    result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget, timings=timings)
+    try:
+        result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget, timings=timings)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     timings["total"] = (time.perf_counter() - t0) * 1e3
 
     extra = {
@@ -168,17 +157,17 @@ def cmd_convex(args) -> int:
             "hertz_min_eig": result.relaxation_min_eig,
         },
     }
-    return _emit(result.verdict, timings, args.tol if args.tol is not None else auto_tol, extra, "convexity: ")
+    return _emit(result.verdict, timings, extra, "convexity: ")
 
 
-def _emit(verdict: df.Verdict, timings: dict, tol: float, extra: dict, label: str) -> int:
+def _emit(verdict: df.Verdict, timings: dict, extra: dict, label: str) -> int:
     """Print the report as one JSON line and the summary to stderr; return the exit code."""
     report = {
         "status": verdict.status.value,
         "method": verdict.method,
         "certificate": certificate_to_jsonable(verdict.certificate),
         "timings_ms": timings,
-        "tolerances": {"definiteness": tol, "rho_margin": df.RHO_MARGIN},
+        "tolerances": {"definiteness": verdict.tol, "rho_margin": df.RHO_MARGIN},
         "detail": verdict.detail,
         **extra,
     }

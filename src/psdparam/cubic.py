@@ -272,7 +272,10 @@ def hessian(f: CubicPolynomial, box: ParameterBox) -> ParametricSymMatrix:
     if np.any(const) or not coeffs:
         coeffs.append(const)
         params.append(Interval(1.0, 1.0))
-    return ParametricSymMatrix(coeffs, ParameterBox(params))
+    try:
+        return ParametricSymMatrix(coeffs, ParameterBox(params))
+    except ValueError as exc:
+        raise ValueError(f"cannot form the Hessian: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ can be re-checked independently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
@@ -30,6 +30,7 @@ import numpy as np
 from .intervals import IntervalMatrix
 from .parametric import (
     ParametricSymMatrix,
+    coefficient_signs,
     evaluate,
     family_tol,
     precondition_relax,
@@ -126,6 +127,7 @@ class Verdict:
     method: str
     certificate: Optional[Certificate] = None
     detail: str = ""
+    tol: Optional[float] = None  # the tolerance ``decide`` resolved and every stage compared with
 
     @property
     def proved(self) -> bool:
@@ -202,30 +204,20 @@ def strong_pd(
 # splitting-based one-shot conditions
 
 
-def _split_parts(a: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """PSD parts (plus, minus) with a = plus - minus, from a's spectrum a = q diag(w) q^T.
-
-    A semidefinite matrix (within ``tol``) is its own part; otherwise
-    the parts are ``psd_parts(w, q)``.
-    """
-    if passes(w[0], "psd", tol):
-        return a, np.zeros_like(a)
-    if passes(-w[-1], "psd", tol):
-        return np.zeros_like(a), -a
-    return psd_parts(w, q)
-
-
 def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray, tol: float) -> SymMatrix:
     """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the splits A_k = plus_k - minus_k.
 
     With the box's (inf, sup) this underestimates every member; with
-    (sup, inf) it overestimates every member.  The splits come from the
-    coefficient spectra the family computed when it was built.
+    (sup, inf) it overestimates every member.  A semidefinite coefficient
+    (``coefficient_signs``) is its own part; the others split by the
+    spectra the family computed when it was built.
     """
     acc = np.zeros((p.n, p.n))
     eigvals, eigvecs = p.coefficient_spectra()
-    for coeff, x_plus, x_minus, w, q in zip(p.coeffs, plus_at, minus_at, eigvals, eigvecs):
-        plus, minus = _split_parts(coeff.array, w, q, tol)
+    signs = coefficient_signs(p, tol)
+    for coeff, sign, x_plus, x_minus, w, q in zip(p.coeffs, signs, plus_at, minus_at, eigvals, eigvecs):
+        a, zero = coeff.array, np.zeros_like(coeff.array)
+        plus, minus = (a, zero) if sign > 0 else (zero, -a) if sign < 0 else psd_parts(w, q)
         acc += plus * x_plus - minus * x_minus
     return SymMatrix(acc)
 
@@ -472,10 +464,11 @@ def decide(
     ``method="auto"`` walks the whole cascade; a stage name runs that
     stage alone.  The returned verdict's ``method`` names the stage that
     decided (or the last one run, when none did); stage wall times in
-    milliseconds are added to ``timings`` when a dict is supplied.
+    milliseconds are added to ``timings`` when a dict is supplied; its
+    ``tol`` is ``tol`` as given or else ``family_tol(p)``, resolved here.
     Raises ValueError when the goal or the stage is unknown, when the
     stage does not apply to the goal, for a negative vertex budget, or
-    for a bad ``tol`` (default ``family_tol(p)``, resolved once here).
+    for a bad or overflowing ``tol``.
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
@@ -499,4 +492,4 @@ def decide(
             timings[stage.name] = timings.get(stage.name, 0.0) + (time.perf_counter() - t0) * 1e3
         if not verdict.unknown:
             break
-    return verdict
+    return replace(verdict, tol=tol)

@@ -76,13 +76,19 @@ class ParametricSymMatrix:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "box", box)
         stack = np.stack([c.array for c in cs])
+        scales = [max(abs(iv.inf), abs(iv.sup)) for iv in box.intervals]
+        # |A(q)_ij| <= sum_k scales_k * |A_k|_ij over the box, so finite members follow.
+        with np.errstate(over="ignore"):
+            bound = np.array(scales) @ np.abs(stack).reshape(len(cs), -1)
+        if not np.isfinite(bound).all():
+            raise ValueError("member matrices overflow double precision over the parameter box")
         eigvals, eigvecs = eig_stack(stack)
         for a in (stack, eigvals, eigvecs):
             a.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
         # Bound on ||A(q)|| over the box, summed once here for ``family_tol``; inf or NaN when it overflows.
-        reach = sum(max(abs(iv.inf), abs(iv.sup)) * c.norm_bound for iv, c in zip(box.intervals, cs))
+        reach = sum(s * c.norm_bound for s, c in zip(scales, cs))
         object.__setattr__(self, "_reach", reach)
 
     @property
@@ -110,9 +116,18 @@ def family_tol(p: ParametricSymMatrix) -> float:
 
     ``scaled_tol(bound)``, where the bound dominates ||A(p)|| over the box;
     the family sums the bound once, when it is built.  ValueError when the
-    tolerance overflows.
+    tolerance overflows, which finite members alone do not rule out.
     """
-    return scaled_tol(p._reach)
+    try:
+        return scaled_tol(p._reach)
+    except ValueError as exc:
+        raise ValueError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
+
+
+def coefficient_signs(p: ParametricSymMatrix, tol: float) -> np.ndarray:
+    """Per coefficient, +1 when its spectrum passes as PSD within ``tol``, else -1 when NSD, else 0."""
+    eigvals = p.coefficient_spectra()[0]
+    return np.where(passes(eigvals[:, 0], "psd", tol), 1, np.where(passes(-eigvals[:, -1], "psd", tol), -1, 0))
 
 
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
@@ -202,24 +217,16 @@ class VertexEnumeration(Sequence):
 def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumeration:
     """Reduced vertex set sufficient for deciding strong PSD and strong PD alike.
 
-    ``tol`` is the semidefiniteness tolerance used by the coefficient
-    classification (``family_tol(p)`` when omitted, as in the vertex
-    stage), applied to the eigenvalues the family computed once when it
-    was built.
+    The coefficients are classified by ``coefficient_signs`` under
+    ``tol``, ``family_tol(p)`` when omitted.
     """
-    if tol is None:
-        tol = family_tol(p)
-    lows = p.box.inf()
-    highs = p.box.sup()
-    base = p.box.mid()
-    eigvals = p.coefficient_spectra()[0]
-    free: list[int] = []
-    for k, iv in enumerate(p.box.intervals):
-        if iv.is_degenerate:
-            base[k] = iv.inf
-        elif passes(eigvals[k, 0], "psd", tol):  # PSD coefficient
-            base[k] = iv.inf
-        elif passes(-eigvals[k, -1], "psd", tol):  # NSD coefficient
+    signs = coefficient_signs(p, family_tol(p) if tol is None else tol).tolist()
+    lows, highs = p.box.inf(), p.box.sup()
+    base, free = lows.copy(), []
+    for k, (iv, sign) in enumerate(zip(p.box.intervals, signs)):
+        if iv.is_degenerate or sign > 0:  # stays at the lower endpoint
+            continue
+        if sign < 0:
             base[k] = iv.sup
         else:
             free.append(k)
@@ -243,7 +250,10 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     Expects {"n", "K", "coefficients", "parameters"}, n and K integers;
     coefficients must be symmetric within 1e-12 times their largest entry.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
+    try:
+        doc = json.loads(text) if isinstance(text, str) else text
+    except RecursionError as exc:
+        raise ValueError("problem document nests too deeply") from exc
     try:
         n, k = doc["n"], doc["K"]
         raw_coeffs = list(doc["coefficients"])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_CUBIC
+from psdparam import cubic, parametric
 from psdparam import definiteness as df
 from psdparam.cli import (
     EXIT_DISPROVED,
@@ -26,7 +27,7 @@ from psdparam.cli import (
     main,
     report_schema,
 )
-from psdparam.symlinalg import SymMatrix
+from psdparam.symlinalg import SymMatrix, scaled_tol
 
 SPLIT_DOC = (
     '{"n":2,"K":2,"coefficients":[[[1.5,0],[0,1.1]],[[-1,1],[1,1]]],'
@@ -42,6 +43,10 @@ OVERFLOW_DOC = (
     '{"n":2,"K":2,"coefficients":[[[1e308,0],[0,1e308]],[[1e308,1e308],[1e308,-1e308]]],'
     '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
 )
+
+# diag(1e308, -1e308) on [1, 1]: finite members, but n * max|entry| and so
+# the default tolerance overflow.
+BIG_INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1e308,0],[0,-1e308]]],"parameters":[{"inf":1,"sup":1}]}'
 
 # diag(p, -p) on p in [1, 2]: no member is even PSD, whatever the goal.
 INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1,0],[0,-1]]],"parameters":[{"inf":1,"sup":2}]}'
@@ -187,13 +192,60 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(bad), "--goal", "strong-pd")
         assert code == EXIT_INPUT_ERROR and "asymmetric" in err
 
-    @pytest.mark.parametrize("goal", ["strong-psd", "strong-pd", "weak-psd", "weak-pd"])
-    def test_overflowing_family_is_input_error(self, capsys, tmp_path, goal):
+    @pytest.mark.parametrize(
+        "goal, tol_flags",
+        [pytest.param(goal, flags, id=goal + suffix)
+         for suffix, flags in (("", []), ("-tol0", ["--tol", "0"]))
+         for goal in ("strong-psd", "strong-pd", "weak-psd", "weak-pd")],
+    )
+    def test_overflowing_family_is_input_error(self, capsys, tmp_path, goal, tol_flags):
+        # The members overflow, so no tolerance can help; "--tol 0" once
+        # reached the cascade in the library, which disproved with min_eig NaN.
         path = tmp_path / "overflow.json"
         path.write_text(OVERFLOW_DOC)
-        code, report, err = run_cli(capsys, "check", str(path), "--goal", goal)
+        code, report, err = run_cli(capsys, "check", str(path), "--goal", goal, *tol_flags)
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
+
+    def test_finite_members_decide_under_an_explicit_tolerance(self, capsys, tmp_path):
+        # Only the default tolerance overflows here; "--tol 0" was once
+        # rejected as "member matrices overflow" all the same.
+        path = tmp_path / "big.json"
+        path.write_text(BIG_INDEFINITE_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-psd", "--tol", "0")
+        assert code == EXIT_DISPROVED and report["method"] == "vertex"
+        assert report["certificate"]["min_eig"] == -1e308
+        assert report["tolerances"]["definiteness"] == 0.0
+        assert_schema_valid(report)
+
+    def test_overflowing_default_tolerance_asks_for_tol(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(BIG_INDEFINITE_DOC)
+        result = run_cli(capsys, "check", str(path), "--goal", "strong-psd")
+        assert_input_error(result, "default tolerance overflows")
+        assert "--tol" in result[2]
+
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path):
+        # 200 000 nested "[" once raised RecursionError: a traceback and exit 1.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed problem file")
+
+    def test_explicit_tolerance_skips_the_default(self, capsys, monkeypatch, split_file):
+        # Every family_tol call, through whichever imported name, sums
+        # through parametric.scaled_tol.
+        calls = []
+
+        def counted(bound):
+            calls.append(bound)
+            return scaled_tol(bound)
+
+        monkeypatch.setattr(parametric, "scaled_tol", counted)
+        code, report, _ = run_cli(capsys, "check", split_file, "--goal", "strong-pd", "--tol", "0")
+        assert code == EXIT_PROVED and report["tolerances"]["definiteness"] == 0.0
+        assert calls == []
+        run_cli(capsys, "check", split_file, "--goal", "strong-pd")
+        assert len(calls) == 1
 
     def test_exit_matches_status(self, capsys, split_file):
         for goal, expected in (("strong-pd", EXIT_PROVED), ("weak-pd", EXIT_PROVED)):
@@ -444,6 +496,20 @@ class TestConvex:
         )
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
+
+    def test_hessian_formed_once(self, capsys, monkeypatch):
+        # The command once formed the Hessian itself, for its tolerance,
+        # and certify_convexity formed it again.
+        calls = []
+        real = cubic.hessian_coefficients
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(cubic, "hessian_coefficients", counted)
+        code, _, _ = run_cli(capsys, "convex", DEMO_CUBIC, *DEMO_BOX_FLAGS)
+        assert code == EXIT_PROVED and len(calls) == 1
 
     def test_hessian_past_the_largest_double_is_input_error(self, capsys):
         result = run_cli(capsys, "convex", "--box", "x1=0:1e308", "--", "1e308 x1^3")

@@ -637,8 +637,11 @@ class TestDecide:
         monkeypatch.setattr(definiteness, "family_tol", counted)
         p = diag_sign_family() if goal in definiteness.STRONG_GOALS else regularity_favorable()
         timings: dict = {}
-        decide(p, goal, vertex_budget=0, timings=timings)
+        verdict = decide(p, goal, vertex_budget=0, timings=timings)
         assert len(timings) >= 2 and len(calls) == 1
+        assert verdict.tol == family_tol(p)
+        # An explicit tolerance comes back as given and resolves nothing.
+        assert decide(p, goal, tol=0.05, vertex_budget=0).tol == 0.05 and len(calls) == 1
 
     @pytest.mark.parametrize(
         "tol, goal",

@@ -36,6 +36,8 @@ from psdparam import (
     vertices,
 )
 from psdparam.oracle import full_vertex_check
+from psdparam.parametric import coefficient_signs
+from test_cli import OVERFLOW_DOC
 
 EX2_M_INF = np.array([[0.2222, -0.4075], [-0.5556, 0.8148]])
 EX2_M_SUP = np.array([[1.7778, 0.4075], [0.5556, 1.1852]])
@@ -57,6 +59,19 @@ class TestModel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ParametricSymMatrix([np.eye(2), np.eye(3)], ParameterBox([Interval(0, 1)] * 2))
+
+    def test_overflowing_members_rejected(self):
+        # Every entry is finite, but 1e308 * 2 on the box [1, 2] is not.
+        with pytest.raises(ValueError, match="member matrices overflow"):
+            problem_from_json(OVERFLOW_DOC)
+
+    def test_overflowing_norm_bound_alone_is_accepted(self):
+        # n * max|entry| overflows, and with it the default tolerance; the
+        # members do not.
+        p = ParametricSymMatrix([np.diag([1e308, -1e308])], ParameterBox([Interval(1.0, 1.0)]))
+        assert np.array_equal(evaluate(p, [1.0]).array, np.diag([1e308, -1e308]))
+        with pytest.raises(ValueError, match="default tolerance overflows.*finite and nonnegative"):
+            family_tol(p)
 
     def test_subnormal_box_contains_its_midpoint(self):
         # Its midpoint was once 0.0, outside the degenerate first interval.
@@ -190,6 +205,12 @@ class TestVertices:
                         expected = {iv.inf, iv.sup}
                     assert set(rows[:, k].tolist()) == expected
 
+    def test_coefficient_signs(self):
+        coeffs = [np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([1.0, -1e-12])]
+        p = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5))
+        assert coefficient_signs(p, 0.0).tolist() == [1, -1, 0, 1, 0]
+        assert coefficient_signs(p, 1e-11).tolist() == [1, -1, 0, 1, 1]
+
     def test_default_tolerance_is_the_vertex_stage_one(self):
         # diag(10, -1e-9) on [0, 1e-3]: within the per-matrix tolerance
         # 1e-10 * (1 + 20) the coefficient passed as PSD and ``vertices``
@@ -274,6 +295,11 @@ class TestProblemJson:
         doc[key] = value
         with pytest.raises(ValueError, match="n and K must be integers"):
             problem_from_json(json.dumps(doc))
+
+    def test_deep_nesting_raises_value_error(self):
+        # 200 000 nested "[" once raised RecursionError out of json.loads.
+        with pytest.raises(ValueError, match="nests too deeply"):
+            problem_from_json("[" * 200_000)
 
     def test_family_tol_scales_with_problem(self):
         p = problem_from_json(self.DOC)
