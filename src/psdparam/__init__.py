@@ -48,6 +48,7 @@ from .intervals import (
     scale,
 )
 from .parametric import (
+    FamilyOverflowError,
     ParameterBox,
     ParametricSymMatrix,
     VertexAssignment,

@@ -24,7 +24,7 @@ from typing import Optional, get_args
 from . import definiteness as df
 from .cubic import ALIASES, certify_convexity, parse as parse_poly
 from .intervals import Interval
-from .parametric import ParameterBox, problem_from_json
+from .parametric import FamilyOverflowError, ParameterBox, problem_from_json
 from .symlinalg import SymMatrix
 
 EXIT_PROVED = 0
@@ -145,7 +145,7 @@ def cmd_convex(args) -> int:
     t0 = time.perf_counter()
     try:
         result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget, timings=timings)
-    except ValueError as exc:
+    except FamilyOverflowError as exc:
         raise InputError(str(exc)) from exc
     timings["total"] = (time.perf_counter() - t0) * 1e3
 

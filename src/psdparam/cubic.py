@@ -24,7 +24,7 @@ from .definiteness import (
     passes,
 )
 from .intervals import Interval
-from .parametric import ParameterBox, ParametricSymMatrix, relax
+from .parametric import FamilyOverflowError, ParameterBox, ParametricSymMatrix, relax
 
 # Single-letter variable aliases accepted by the parser.
 ALIASES = {"x": 1, "y": 2, "z": 3}
@@ -274,8 +274,8 @@ def hessian(f: CubicPolynomial, box: ParameterBox) -> ParametricSymMatrix:
         params.append(Interval(1.0, 1.0))
     try:
         return ParametricSymMatrix(coeffs, ParameterBox(params))
-    except ValueError as exc:
-        raise ValueError(f"cannot form the Hessian: {exc}") from exc
+    except ValueError as exc:  # f's coefficients are finite: its Hessian overflowed
+        raise FamilyOverflowError(f"cannot form the Hessian: {exc}") from exc
 
 
 @dataclass(frozen=True)

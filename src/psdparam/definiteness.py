@@ -216,9 +216,13 @@ def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np
     eigvals, eigvecs = p.coefficient_spectra()
     signs = coefficient_signs(p, tol)
     for coeff, sign, x_plus, x_minus, w, q in zip(p.coeffs, signs, plus_at, minus_at, eigvals, eigvecs):
-        a, zero = coeff.array, np.zeros_like(coeff.array)
-        plus, minus = (a, zero) if sign > 0 else (zero, -a) if sign < 0 else psd_parts(w, q)
-        acc += plus * x_plus - minus * x_minus
+        if sign > 0:  # plus_k = A_k, minus_k = 0
+            acc += coeff.array * x_plus
+        elif sign < 0:  # plus_k = 0, minus_k = -A_k
+            acc += coeff.array * x_minus
+        else:
+            plus, minus = psd_parts(w, q)
+            acc += plus * x_plus - minus * x_minus
     return SymMatrix(acc)
 
 

@@ -26,9 +26,8 @@ MAX_SAMPLES = 1 << 22
 
 
 def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of A(q) for each row q of ``points``."""
+    """Smallest eigenvalue of A(q) for each row q of ``points``; eigvalsh reads the lower triangle."""
     members = np.einsum("vk,kij->vij", points, p.coefficient_stack())
-    members = 0.5 * (members + members.transpose(0, 2, 1))
     return np.linalg.eigvalsh(members)[:, 0]
 
 
@@ -85,12 +84,9 @@ def full_vertex_check(p: ParametricSymMatrix, goal: str = "psd", tol: float | No
     """Ground-truth strong definiteness: conjunction over all 2^K vertices."""
     if goal not in ("psd", "pd"):
         raise ValueError(f"goal must be 'psd' or 'pd', got {goal!r}")
-    if p.K > MAX_VERTEX_PARAMS:
-        raise ValueError(f"vertex enumeration budget exceeded: K={p.K} > {MAX_VERTEX_PARAMS}")
     if tol is None:
         tol = family_tol(p)
-    combos = np.array(list(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals])))
-    mins = _member_min_eigs(p, combos)
+    mins = _member_min_eigs(p, _sample_points(p, "vertices", 0, 0, DEFAULT_SEED))
     # Its own copy of the tolerance rule, not ``passes``, so the reference shares no code with the stages.
     if goal == "pd":
         return bool((mins > tol).all())

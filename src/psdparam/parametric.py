@@ -19,6 +19,10 @@ from .symlinalg import SymMatrix, eig_stack, invert, passes, scaled_tol
 SYMMETRY_TOL_FACTOR = 1e-12
 
 
+class FamilyOverflowError(ValueError):
+    """A family's matrices, or its default tolerance, leave double precision over its box."""
+
+
 @dataclass(frozen=True)
 class ParameterBox:
     """Axis-aligned box of parameter values, one interval per parameter."""
@@ -76,13 +80,15 @@ class ParametricSymMatrix:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "box", box)
         stack = np.stack([c.array for c in cs])
-        scales = [max(abs(iv.inf), abs(iv.sup)) for iv in box.intervals]
-        # |A(q)_ij| <= sum_k scales_k * |A_k|_ij over the box, so finite members follow.
-        with np.errstate(over="ignore"):
-            bound = np.array(scales) @ np.abs(stack).reshape(len(cs), -1)
-        if not np.isfinite(bound).all():
-            raise ValueError("member matrices overflow double precision over the parameter box")
         eigvals, eigvecs = eig_stack(stack)
+        scales = [max(abs(iv.inf), abs(iv.sup)) for iv in box.intervals]
+        # ||A_k|| = max|eig| bounds every entry of A_k and of its PSD parts, so a finite
+        # sum_k scales_k * ||A_k||, with room for rounding the sums over k and relax's
+        # outward steps, keeps the members, the split bound matrices and ``relax`` finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.array(scales) @ np.abs(eigvals).max(axis=1) * (1.0 + 8 * (n + len(cs)) * np.finfo(float).eps)
+        if not np.isfinite(bound):
+            raise FamilyOverflowError("the family's matrices overflow double precision over the parameter box")
         for a in (stack, eigvals, eigvecs):
             a.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -115,19 +121,21 @@ def family_tol(p: ParametricSymMatrix) -> float:
     """Uniform definiteness tolerance for every member matrix of the family.
 
     ``scaled_tol(bound)``, where the bound dominates ||A(p)|| over the box;
-    the family sums the bound once, when it is built.  ValueError when the
-    tolerance overflows, which finite members alone do not rule out.
+    the family sums the bound once, when it is built.  FamilyOverflowError
+    when the tolerance overflows, which finite members alone do not rule out.
     """
     try:
         return scaled_tol(p._reach)
     except ValueError as exc:
-        raise ValueError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
+        raise FamilyOverflowError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
 
 
 def coefficient_signs(p: ParametricSymMatrix, tol: float) -> np.ndarray:
     """Per coefficient, +1 when its spectrum passes as PSD within ``tol``, else -1 when NSD, else 0."""
     eigvals = p.coefficient_spectra()[0]
-    return np.where(passes(eigvals[:, 0], "psd", tol), 1, np.where(passes(-eigvals[:, -1], "psd", tol), -1, 0))
+    psd = passes(eigvals[:, 0], "psd", tol)
+    nsd = passes(-eigvals[:, -1], "psd", tol)
+    return np.where(psd, 1, np.where(nsd, -1, 0))
 
 
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
@@ -220,17 +228,11 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     The coefficients are classified by ``coefficient_signs`` under
     ``tol``, ``family_tol(p)`` when omitted.
     """
-    signs = coefficient_signs(p, family_tol(p) if tol is None else tol).tolist()
-    lows, highs = p.box.inf(), p.box.sup()
-    base, free = lows.copy(), []
-    for k, (iv, sign) in enumerate(zip(p.box.intervals, signs)):
-        if iv.is_degenerate or sign > 0:  # stays at the lower endpoint
-            continue
-        if sign < 0:
-            base[k] = iv.sup
-        else:
-            free.append(k)
-    return VertexEnumeration(base, tuple(free), lows, highs)
+    signs = coefficient_signs(p, family_tol(p) if tol is None else tol)
+    lows = p.box.inf()
+    highs = p.box.sup()
+    free = np.flatnonzero((signs == 0) & (lows < highs))
+    return VertexEnumeration(np.where(signs < 0, highs, lows), tuple(free.tolist()), lows, highs)
 
 
 def problem_to_json(p: ParametricSymMatrix) -> str:

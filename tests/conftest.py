@@ -11,6 +11,23 @@ from psdparam import Interval, ParameterBox, ParametricSymMatrix, SymMatrix
 DEMO_CUBIC = "x1^3 + 2 x1^2 x2 - x1 x2 x3 + 3 x2 x3^2 + 5 x2^2"
 DEMO_CUBIC_BOUNDS = [(2.0, 3.0), (1.0, 2.0), (0.0, 1.0)]
 
+# Problem documents past the range of doubles, shared by the CLI and model tests.
+# Finite entries whose symmetrised coefficients and bound matrices overflow.
+OVERFLOW_DOC = (
+    '{"n":2,"K":2,"coefficients":[[[1e308,0],[0,1e308]],[[1e308,1e308],[1e308,-1e308]]],'
+    '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
+)
+# diag(1e308, -1e308) on [1, 1]: finite members, but n * max|entry| and so
+# the default tolerance overflow.
+BIG_INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1e308,0],[0,-1e308]]],"parameters":[{"inf":1,"sup":1}]}'
+# diag(c, c) on [1, 1] plus [[0, c], [c, 0]] on [0, 1], c = 1.5e308: every
+# member [[c, qc], [qc, c]] is finite, but the split bound matrices sum the
+# PSD parts of both coefficients, with diagonal 1.5 c.
+SPLIT_OVERFLOW_DOC = (
+    '{"n":2,"K":2,"coefficients":[[[1.5e308,0],[0,1.5e308]],[[0,1.5e308],[1.5e308,0]]],'
+    '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1}]}'
+)
+
 
 def rank_one_cone() -> ParametricSymMatrix:
     """A(p) = ones(2x2) * p with p in [0, 1]: PSD everywhere, PD nowhere."""

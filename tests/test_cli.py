@@ -15,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import DEMO_CUBIC
+from conftest import BIG_INDEFINITE_DOC, DEMO_CUBIC, OVERFLOW_DOC, SPLIT_OVERFLOW_DOC
 from psdparam import cubic, parametric
 from psdparam import definiteness as df
 from psdparam.cli import (
@@ -37,16 +37,6 @@ REGULARITY_DOC = (
     '{"n":2,"K":3,"coefficients":[[[3.3,0.25],[0.25,3.3]],[[1,2],[2,0]],[[0,2],[2,1]]],'
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
 )
-
-# Finite entries whose symmetrised coefficients and bound matrices overflow.
-OVERFLOW_DOC = (
-    '{"n":2,"K":2,"coefficients":[[[1e308,0],[0,1e308]],[[1e308,1e308],[1e308,-1e308]]],'
-    '"parameters":[{"inf":1,"sup":2},{"inf":-1,"sup":1}]}'
-)
-
-# diag(1e308, -1e308) on [1, 1]: finite members, but n * max|entry| and so
-# the default tolerance overflow.
-BIG_INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1e308,0],[0,-1e308]]],"parameters":[{"inf":1,"sup":1}]}'
 
 # diag(p, -p) on p in [1, 2]: no member is even PSD, whatever the goal.
 INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1,0],[0,-1]]],"parameters":[{"inf":1,"sup":2}]}'
@@ -193,16 +183,24 @@ class TestCheck:
         assert code == EXIT_INPUT_ERROR and "asymmetric" in err
 
     @pytest.mark.parametrize(
-        "goal, tol_flags",
-        [pytest.param(goal, flags, id=goal + suffix)
-         for suffix, flags in (("", []), ("-tol0", ["--tol", "0"]))
+        "goal, doc, tol_flags",
+        [pytest.param(goal, doc, flags, id=goal + suffix)
+         for suffix, doc, flags in (
+             ("", OVERFLOW_DOC, []),
+             ("-tol0", OVERFLOW_DOC, ["--tol", "0"]),
+             ("-split-tol0", SPLIT_OVERFLOW_DOC, ["--tol", "0"]),
+         )
          for goal in ("strong-psd", "strong-pd", "weak-psd", "weak-pd")],
     )
-    def test_overflowing_family_is_input_error(self, capsys, tmp_path, goal, tol_flags):
-        # The members overflow, so no tolerance can help; "--tol 0" once
-        # reached the cascade in the library, which disproved with min_eig NaN.
+    def test_overflowing_family_is_input_error(self, capsys, tmp_path, goal, doc, tol_flags):
+        # No tolerance can help: OVERFLOW_DOC's members overflow, and
+        # "--tol 0" once reached the cascade in the library, which disproved
+        # with min_eig NaN. SPLIT_OVERFLOW_DOC's members are finite but its
+        # split and necessary bound matrices are not; under "--tol 0"
+        # weak-psd was once disproved with min_eig NaN or ended in a LAPACK
+        # traceback.
         path = tmp_path / "overflow.json"
-        path.write_text(OVERFLOW_DOC)
+        path.write_text(doc)
         code, report, err = run_cli(capsys, "check", str(path), "--goal", goal, *tol_flags)
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
@@ -496,6 +494,24 @@ class TestConvex:
         )
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
+
+    def test_hessian_at_the_largest_double_is_input_error(self, capsys):
+        # The Hessian entry is exactly the largest double; its interval
+        # relaxation once rounded outward to inf, with overflow warnings,
+        # and failed as "interval matrix bounds must be finite".
+        result = run_cli(capsys, "convex", "--box", "x1=0:1", "--", "8.988465674311579e307 x1^2")
+        assert_input_error(result, "cannot form the Hessian: the family's matrices overflow")
+
+    def test_library_fault_is_not_an_input_error(self, capsys, monkeypatch):
+        # Only the Hessian's range and its default tolerance are input
+        # errors; a ValueError from the diagnostics is a defect and surfaces.
+        def broken(m):
+            raise ValueError("diagnostic fault")
+
+        monkeypatch.setattr(cubic, "hertz_min_eig", broken)
+        with pytest.raises(ValueError, match="diagnostic fault"):
+            main(["convex", DEMO_CUBIC, *DEMO_BOX_FLAGS])
+        capsys.readouterr()
 
     def test_hessian_formed_once(self, capsys, monkeypatch):
         # The command once formed the Hessian itself, for its tolerance,

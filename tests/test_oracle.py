@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import DEMO_CUBIC, DEMO_CUBIC_BOUNDS, rank_one_cone, split_favorable
-from psdparam import Interval, ParameterBox, ParametricSymMatrix, hessian, parse
+from conftest import BIG_INDEFINITE_DOC, DEMO_CUBIC, DEMO_CUBIC_BOUNDS, rank_one_cone, split_favorable
+from psdparam import Interval, ParameterBox, ParametricSymMatrix, hessian, parse, problem_from_json
 from psdparam.oracle import full_vertex_check, sample_min_eig
 
 
@@ -55,6 +55,14 @@ class TestFullVertexCheck:
     def test_goal_validation(self):
         with pytest.raises(ValueError):
             full_vertex_check(rank_one_cone(), "nsd")
+
+    def test_member_near_the_largest_double(self):
+        # diag(1e308, -1e308) is a valid family; symmetrising its member as
+        # 0.5 * (A + A^T) once overflowed to inf.
+        p = problem_from_json(BIG_INDEFINITE_DOC)
+        assert not full_vertex_check(p, "psd", tol=0.0)
+        value, argmin = sample_min_eig(p, "vertices")
+        assert value == -1e308 and argmin.tolist() == [1.0]
 
     def test_agrees_with_decision_procedures(self, rng):
         from conftest import random_family

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BIG_INDEFINITE_DOC,
     DEMO_CUBIC,
     DEMO_CUBIC_BOUNDS,
+    OVERFLOW_DOC,
+    SPLIT_OVERFLOW_DOC,
     random_family,
     random_semidefinite_family,
     rank_one_cone,
@@ -36,8 +39,7 @@ from psdparam import (
     vertices,
 )
 from psdparam.oracle import full_vertex_check
-from psdparam.parametric import coefficient_signs
-from test_cli import OVERFLOW_DOC
+from psdparam.parametric import FamilyOverflowError, coefficient_signs
 
 EX2_M_INF = np.array([[0.2222, -0.4075], [-0.5556, 0.8148]])
 EX2_M_SUP = np.array([[1.7778, 0.4075], [0.5556, 1.1852]])
@@ -62,15 +64,38 @@ class TestModel:
 
     def test_overflowing_members_rejected(self):
         # Every entry is finite, but 1e308 * 2 on the box [1, 2] is not.
-        with pytest.raises(ValueError, match="member matrices overflow"):
+        with pytest.raises(FamilyOverflowError, match="matrices overflow double precision over the parameter box"):
             problem_from_json(OVERFLOW_DOC)
+
+    def test_overflowing_split_bounds_rejected(self):
+        # Every member is finite; the split bound matrices' diagonal 1.5 c is not.
+        c = 1.5e308
+        for q in (0.0, 0.5, 1.0):
+            assert np.isfinite(np.array([[c, q * c], [q * c, c]])).all()
+        with pytest.raises(FamilyOverflowError, match="matrices overflow double precision"):
+            problem_from_json(SPLIT_OVERFLOW_DOC)
+
+    def test_overflowing_coefficient_spectrum_rejected(self):
+        # Entries of 1.3e308 but eigenvalues of +-2.6e308: the member is
+        # finite, its spectrum and PSD parts are not.
+        m = np.array([[-1.0, -1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
+        with pytest.raises(FamilyOverflowError):
+            ParametricSymMatrix([1.3e308 * m], ParameterBox([Interval(1.0, 1.0)]))
+
+    def test_entry_at_the_largest_double_rejected(self):
+        # The member is finite, but relax's outward rounding would reach inf.
+        big = np.finfo(float).max
+        with pytest.raises(FamilyOverflowError):
+            ParametricSymMatrix([np.array([[big]])], ParameterBox([Interval(1.0, 1.0)]))
 
     def test_overflowing_norm_bound_alone_is_accepted(self):
         # n * max|entry| overflows, and with it the default tolerance; the
-        # members do not.
-        p = ParametricSymMatrix([np.diag([1e308, -1e308])], ParameterBox([Interval(1.0, 1.0)]))
+        # members, the split bound matrices and the relaxation do not.
+        p = problem_from_json(BIG_INDEFINITE_DOC)
         assert np.array_equal(evaluate(p, [1.0]).array, np.diag([1e308, -1e308]))
-        with pytest.raises(ValueError, match="default tolerance overflows.*finite and nonnegative"):
+        relaxed = relax(p)
+        assert np.isfinite(relaxed.inf).all() and np.isfinite(relaxed.sup).all()
+        with pytest.raises(FamilyOverflowError, match="default tolerance overflows.*finite and nonnegative"):
             family_tol(p)
 
     def test_subnormal_box_contains_its_midpoint(self):
