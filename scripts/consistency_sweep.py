@@ -8,6 +8,13 @@ too: a counterexample's smallest eigenvalue, recomputed with LAPACK at
 its point, must match the reported one within the family tolerance, and
 a vertex list must count every reduced vertex.
 
+The sufficient stages also run alone on every family: ``method="split"``
+for both strong goals and ``method="regularity"`` for strong PD.  Each
+``proved`` they return is checked against the unreduced vertex
+enumeration too, so the split bound matrix, the preconditioned
+enclosure and the Perron bracket are cross-checked even when another
+stage decides first in the cascade.
+
 Weak verdicts are re-checked with LAPACK alone.  A witness point must lie
 in the box, pass the goal, and match its reported smallest eigenvalue
 within the family tolerance.  A weak Disproved is contradicted by any
@@ -40,6 +47,8 @@ import psdparam as pp
 from psdparam.definiteness import interval_tol
 from psdparam.oracle import full_vertex_check
 
+# The sufficient stages run alone on every family, with the goals they apply to.
+ALONE = (("strong_psd", "split"), ("strong_pd", "split"), ("strong_pd", "regularity"))
 GRID_POINTS = 5
 # Member matrices formed at once while scanning the grid.
 GRID_CHUNK = 4096
@@ -136,6 +145,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     tally = collections.Counter()
+    alone = collections.Counter()
     disagreements = []
     missed = collections.Counter()
     hertz_checked = 0
@@ -147,6 +157,7 @@ def main() -> int:
             problem = hertz_problem(p)
             if problem is not None:
                 disagreements.append((i, "hertz_min_eig", problem))
+        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in ("strong_psd", "strong_pd")}
         for goal in ("strong_psd", "strong_pd"):
             verdict = pp.decide(p, goal)
             tally[(goal, verdict.status.value, verdict.method)] += 1
@@ -155,9 +166,13 @@ def main() -> int:
             problem = certificate_problem(p, verdict)
             if problem is not None:
                 disagreements.append((i, goal, problem))
-            truth = full_vertex_check(p, "pd" if goal.endswith("_pd") else "psd")
-            if truth != verdict.proved:
-                disagreements.append((i, goal, verdict.status.value, truth))
+            if truth[goal] != verdict.proved:
+                disagreements.append((i, goal, verdict.status.value, truth[goal]))
+        for goal, method in ALONE:
+            verdict = pp.decide(p, goal, method=method)
+            alone[(goal, method, verdict.status.value)] += 1
+            if verdict.proved and not truth[goal]:
+                disagreements.append((i, f"{goal} by {method} alone", "proved", truth[goal]))
         for goal in ("weak_psd", "weak_pd"):
             verdict = pp.decide(p, goal)
             tally[(goal, verdict.status.value, verdict.method)] += 1
@@ -172,6 +187,9 @@ def main() -> int:
     print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
     for (goal, status, method), count in sorted(tally.items()):
         print(f"  {goal:10s} {status:9s} by {method:10s}: {count}")
+    for goal, method in ALONE:
+        proved, unknown = (alone[(goal, method, status)] for status in ("proved", "unknown"))
+        print(f"  {goal:10s} by {method} alone: {proved} proved and checked, {unknown} unknown")
     for goal in ("weak_psd", "weak_pd"):
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
         print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")

@@ -44,7 +44,6 @@ from .symlinalg import (
     min_eig,
     min_eigs,
     passes,
-    psd_parts,
     scaled_tol,
     spectral_radius_nonneg,
 )
@@ -209,20 +208,18 @@ def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np
 
     With the box's (inf, sup) this underestimates every member; with
     (sup, inf) it overestimates every member.  A semidefinite coefficient
-    (``coefficient_signs``) is its own part; the others split by the
-    spectra the family computed when it was built.
+    (``coefficient_signs``) is its own part; the others take the PSD parts
+    the family computed when it was built.  The terms are summed in k
+    order from zero.
     """
+    plus, minus = p.coefficient_parts()
+    signs = coefficient_signs(p, tol)[:, None, None]
+    x_plus, x_minus = plus_at[:, None, None], minus_at[:, None, None]
+    own = p.coefficient_stack() * np.where(signs > 0, x_plus, x_minus)
+    terms = np.where(signs != 0, own, plus * x_plus - minus * x_minus)
     acc = np.zeros((p.n, p.n))
-    eigvals, eigvecs = p.coefficient_spectra()
-    signs = coefficient_signs(p, tol)
-    for coeff, sign, x_plus, x_minus, w, q in zip(p.coeffs, signs, plus_at, minus_at, eigvals, eigvecs):
-        if sign > 0:  # plus_k = A_k, minus_k = 0
-            acc += coeff.array * x_plus
-        elif sign < 0:  # plus_k = 0, minus_k = -A_k
-            acc += coeff.array * x_minus
-        else:
-            plus, minus = psd_parts(w, q)
-            acc += plus * x_plus - minus * x_minus
+    for term in terms:
+        acc += term
     return SymMatrix(acc)
 
 
@@ -280,6 +277,8 @@ def _strong_pd_by_regularity(p, kind: str, tol: float, *_) -> Verdict:
         _, m = precondition_relax(p)
     except SingularMatrixError as exc:
         return Verdict(Status.UNKNOWN, "regularity", detail=f"singular midpoint: {exc}")
+    except OverflowError as exc:
+        return Verdict(Status.UNKNOWN, "regularity", detail=f"preconditioned relaxation: {exc}")
     bracket = spectral_radius_nonneg(m.rad())
     cert = BeeckWitness(bracket.upper, bracket.converged)
     mid_pd = passes(mid_min, "pd", tol)

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symlinalg import symmetrize
+
 # Veltkamp splitter for binary64.
 _SPLITTER = 134217729.0  # 2**27 + 1
 # Outside this magnitude range the two-product error term may itself
-# under/overflow; there we widen unconditionally instead of trusting it.
+# under/overflow, and past it a factor's splitting overflows; there we
+# widen unconditionally instead of trusting it.
 _SAFE_LO = 1e-290
 _SAFE_HI = 1e290
 
@@ -55,7 +58,8 @@ def _two_prod(a, b):
 
 
 def _prod_unsafe(a, b, p):
-    return (np.abs(p) > _SAFE_HI) | ((np.abs(p) < _SAFE_LO) & (a != 0.0) & (b != 0.0))
+    big = (np.abs(p) > _SAFE_HI) | (np.abs(a) > _SAFE_HI) | (np.abs(b) > _SAFE_HI)
+    return big | ((np.abs(p) < _SAFE_LO) & (a != 0.0) & (b != 0.0))
 
 
 @dataclass(frozen=True)
@@ -157,41 +161,46 @@ class IntervalMatrix:
         return float(max(np.abs(self.inf).max(), np.abs(self.sup).max()))
 
     def symmetric_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint and radius of the symmetric view.
+        """Midpoint and radius of the symmetric view, read-only and exactly symmetrized by ``symmetrize``.
 
         Permitted only when both are symmetric within 1e-12 times the
         largest entry magnitude; raises AsymmetricMatrixError otherwise.
-        The returned arrays are exactly symmetrized: entries that differ
-        from their transpose become 0.5 * x_ij + 0.5 * x_ji, which cannot
-        overflow.
         """
         if self.rows != self.cols:
             raise AsymmetricMatrixError(f"matrix is {self.rows}x{self.cols}, not square")
         tol = 1e-12 * self.max_abs()
-        mid = self.mid()
-        rad = self.rad()
-        skew = max(np.abs(mid - mid.T).max(), np.abs(rad - rad.T).max()) if self.rows else 0.0
-        if skew > tol:
-            raise AsymmetricMatrixError(f"midpoint/radius asymmetry {skew:g} exceeds tolerance {tol:g}")
-        return tuple(np.where(x == x.T, x, 0.5 * x + 0.5 * x.T) for x in (mid, rad))
+        (mid, rad), skew = symmetrize(np.stack([self.mid(), self.rad()]))
+        if skew.max() > tol:
+            raise AsymmetricMatrixError(f"midpoint/radius asymmetry {skew.max():g} exceeds tolerance {tol:g}")
+        return mid, rad
 
     def __repr__(self) -> str:
         return f"IntervalMatrix({self.rows}x{self.cols})"
 
 
-def zeros(rows: int, cols: int) -> IntervalMatrix:
-    return IntervalMatrix(np.zeros((rows, cols)), np.zeros((rows, cols)))
+def _sum_bounds(a_lo, a_hi, b_lo, b_hi):
+    """Outward-rounded bounds of [a_lo, a_hi] + [b_lo, b_hi], entrywise."""
+    lo, e_lo = _two_sum(a_lo, b_lo)
+    hi, e_hi = _two_sum(a_hi, b_hi)
+    return np.where(e_lo < 0, np.nextafter(lo, -_INF), lo), np.where(e_hi > 0, np.nextafter(hi, _INF), hi)
+
+
+def _scaled_bounds(a, p_lo, p_hi):
+    """Outward-rounded bounds of [a, a] * [p_lo, p_hi], entrywise over broadcasting arrays."""
+    lo, hi = [], []
+    for end in (p_lo, p_hi):
+        p, e = _two_prod(a, end)
+        unsafe = _prod_unsafe(a, end, p)
+        lo.append(np.where(unsafe | (e < 0), np.nextafter(p, -_INF), p))
+        hi.append(np.where(unsafe | (e > 0), np.nextafter(p, _INF), p))
+    return np.minimum(*lo), np.maximum(*hi)
 
 
 def im_add(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     """Entrywise interval sum of two conformable interval matrices."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    lo, e_lo = _two_sum(a.inf, b.inf)
-    hi, e_hi = _two_sum(a.sup, b.sup)
-    lo = np.where(e_lo < 0, np.nextafter(lo, -_INF), lo)
-    hi = np.where(e_hi > 0, np.nextafter(hi, _INF), hi)
-    return IntervalMatrix(lo, hi)
+    return IntervalMatrix(*_sum_bounds(a.inf, a.sup, b.inf, b.sup))
 
 
 def scale(a, p: Interval) -> IntervalMatrix:
@@ -199,15 +208,24 @@ def scale(a, p: Interval) -> IntervalMatrix:
     a = np.asarray(getattr(a, "array", a), dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D real matrix")
-    p1, e1 = _two_prod(a, p.inf)
-    p2, e2 = _two_prod(a, p.sup)
-    u1 = _prod_unsafe(a, p.inf, p1)
-    u2 = _prod_unsafe(a, p.sup, p2)
-    lo1 = np.where(u1 | (e1 < 0), np.nextafter(p1, -_INF), p1)
-    lo2 = np.where(u2 | (e2 < 0), np.nextafter(p2, -_INF), p2)
-    hi1 = np.where(u1 | (e1 > 0), np.nextafter(p1, _INF), p1)
-    hi2 = np.where(u2 | (e2 > 0), np.nextafter(p2, _INF), p2)
-    return IntervalMatrix(np.minimum(lo1, lo2), np.maximum(hi1, hi2))
+    return IntervalMatrix(*_scaled_bounds(a, p.inf, p.sup))
+
+
+def scaled_sum(stack: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> IntervalMatrix:
+    """Enclosure of sum_k stack[k] * [lo[k], hi[k]] for a real (K, m, n) stack.
+
+    The K products are rounded outward at once and summed in k order from
+    zero, bit for bit the chain ``im_add(..., scale(stack[k], ...))``.
+    OverflowError, with no floating-point warning, when a bound overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_lo, p_hi = _scaled_bounds(stack, lo[:, None, None], hi[:, None, None])
+        acc = (np.zeros(stack.shape[1:]),) * 2
+        for term in zip(p_lo, p_hi):
+            acc = _sum_bounds(*acc, *term)
+    if not np.isfinite(acc).all():
+        raise OverflowError("interval bounds overflow double precision")
+    return IntervalMatrix(*acc)
 
 
 def contains(a: IntervalMatrix, m) -> bool:

@@ -1,8 +1,10 @@
 """The linear parametric matrix model A(p) = sum_k A_k p_k over a parameter box.
 
-Covers point evaluation, interval relaxation, midpoint preconditioning,
-and enumeration of the reduced set of parameter-box vertices that decides
-strong definiteness.
+A family holds its coefficients as one checked, symmetrized, read-only
+(K, n, n) stack, with their spectra and PSD parts computed once.  Covers
+point evaluation, the interval relaxation and its midpoint-preconditioned
+form (each one outward-rounded ``scaled_sum``, added in k order), and the
+reduced set of parameter-box vertices that decides strong definiteness.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import Interval, IntervalMatrix, im_add, scale, zeros
-from .symlinalg import SymMatrix, eig_stack, invert, passes, scaled_tol
+from .intervals import Interval, IntervalMatrix, scaled_sum
+from .symlinalg import SymMatrix, eig_stack, invert, passes, psd_parts, scaled_tol, symmetrize
 
 SYMMETRY_TOL_FACTOR = 1e-12
 
@@ -63,47 +65,51 @@ class ParameterBox:
 
 @dataclass(frozen=True, eq=False)
 class ParametricSymMatrix:
-    """Symmetric coefficient matrices paired with a parameter box."""
+    """Coefficient matrices, checked and symmetrized as one read-only (K, n, n) stack, and a parameter box."""
 
-    coeffs: tuple[SymMatrix, ...]
     box: ParameterBox
 
     def __init__(self, coeffs, box: ParameterBox):
-        cs = tuple(c if isinstance(c, SymMatrix) else SymMatrix(c) for c in coeffs)
-        if not cs:
-            raise ValueError("need at least one coefficient matrix")
-        n = cs[0].n
-        if any(c.n != n for c in cs):
-            raise ValueError("coefficient matrices must share one dimension")
-        if len(cs) != box.K:
-            raise ValueError(f"{len(cs)} coefficient matrices but box has {box.K} parameters")
-        object.__setattr__(self, "coeffs", cs)
+        try:
+            raw = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
+        if len(raw) != box.K:
+            raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
+        stack, _ = symmetrize(raw)
+        k, n = stack.shape[:2]
         object.__setattr__(self, "box", box)
-        stack = np.stack([c.array for c in cs])
         eigvals, eigvecs = eig_stack(stack)
-        scales = [max(abs(iv.inf), abs(iv.sup)) for iv in box.intervals]
+        scales = np.maximum(np.abs(box.inf()), np.abs(box.sup()))
         # ||A_k|| = max|eig| bounds every entry of A_k and of its PSD parts, so a finite
         # sum_k scales_k * ||A_k||, with room for rounding the sums over k and relax's
         # outward steps, keeps the members, the split bound matrices and ``relax`` finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.array(scales) @ np.abs(eigvals).max(axis=1) * (1.0 + 8 * (n + len(cs)) * np.finfo(float).eps)
+            bound = scales @ np.abs(eigvals).max(axis=1) * (1.0 + 8 * (n + k) * np.finfo(float).eps)
         if not np.isfinite(bound):
             raise FamilyOverflowError("the family's matrices overflow double precision over the parameter box")
-        for a in (stack, eigvals, eigvecs):
+        parts = psd_parts(eigvals, eigvecs)
+        for a in (eigvals, eigvecs, *parts):
             a.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
+        object.__setattr__(self, "_parts", parts)
         # Bound on ||A(q)|| over the box, summed once here for ``family_tol``; inf or NaN when it overflows.
-        reach = sum(s * c.norm_bound for s, c in zip(scales, cs))
+        reach = sum(s * (n * m) for s, m in zip(scales.tolist(), np.abs(stack).max(axis=(1, 2), initial=0.0).tolist()))
         object.__setattr__(self, "_reach", reach)
 
     @property
     def n(self) -> int:
-        return self.coeffs[0].n
+        return self._stack.shape[1]
 
     @property
     def K(self) -> int:
-        return len(self.coeffs)
+        return self._stack.shape[0]
+
+    @property
+    def coeffs(self) -> tuple[SymMatrix, ...]:
+        """The coefficients as SymMatrix views of the stack."""
+        return tuple(map(SymMatrix.view, self._stack))
 
     def coefficient_stack(self) -> np.ndarray:
         """Read-only (K, n, n) array of the coefficient matrices."""
@@ -112,6 +118,10 @@ class ParametricSymMatrix:
     def coefficient_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only eigenvalues (K, n), ascending, and eigenvectors (K, n, n) of the coefficients."""
         return self._spectra
+
+    def coefficient_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (K, n, n) stacks of the PSD parts (plus, minus) of the coefficients, by ``psd_parts``."""
+        return self._parts
 
     def __repr__(self) -> str:
         return f"ParametricSymMatrix(n={self.n}, K={self.K})"
@@ -149,30 +159,26 @@ def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
 
 
 def relax(p: ParametricSymMatrix) -> IntervalMatrix:
-    """Interval evaluation of the family: encloses {A(q) : q in box}.
+    """Interval evaluation of the family, ``scaled_sum`` over the box: encloses {A(q) : q in box}.
 
     Drops the dependency structure, so it generally overestimates the
     true matrix set.
     """
-    acc = zeros(p.n, p.n)
-    for c, iv in zip(p.coeffs, p.box.intervals):
-        acc = im_add(acc, scale(c.array, iv))
-    return acc
+    return scaled_sum(p.coefficient_stack(), p.box.inf(), p.box.sup())
 
 
 def precondition_relax(p: ParametricSymMatrix) -> tuple[np.ndarray, IntervalMatrix]:
     """Midpoint-preconditioned relaxation.
 
-    Returns the preconditioner C = A(mid)^-1 and the interval matrix
-    sum_k (C A_k) p_k.  The real products C A_k are not symmetrized.
+    Returns the preconditioner C = A(mid)^-1 and the ``scaled_sum``
+    sum_k (C A_k) p_k; the real products C A_k are not symmetrized.
     Raises SingularMatrixError when the midpoint matrix is singular to
-    working precision.
+    working precision, and OverflowError, without a warning, when the
+    products or their enclosure overflow.
     """
     c = invert(evaluate(p, p.box.mid(), check=False))
-    acc = zeros(p.n, p.n)
-    for coeff, iv in zip(p.coeffs, p.box.intervals):
-        acc = im_add(acc, scale(c @ coeff.array, iv))
-    return c, acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c, scaled_sum(c @ p.coefficient_stack(), p.box.inf(), p.box.sup())
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,7 @@ def problem_to_json(p: ParametricSymMatrix) -> str:
         {
             "n": p.n,
             "K": p.K,
-            "coefficients": [c.array.tolist() for c in p.coeffs],
+            "coefficients": p.coefficient_stack().tolist(),
             "parameters": [{"inf": iv.inf, "sup": iv.sup} for iv in p.box.intervals],
         }
     )
@@ -269,17 +275,17 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     coeffs = []
     for idx, raw in enumerate(raw_coeffs):
         try:
-            m = np.asarray(raw, dtype=float)
+            coeffs.append(np.asarray(raw, dtype=float))
         except (OverflowError, TypeError) as exc:
             raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
-        if m.shape != (n, n):
-            raise ValueError(f"coefficient {idx} has shape {m.shape}, expected ({n}, {n})")
-        sym = SymMatrix(m)
-        if sym.asymmetry > SYMMETRY_TOL_FACTOR * max(sym.max_abs, 1e-300):
-            raise ValueError(f"coefficient {idx} is asymmetric by {sym.asymmetry:g}")
-        coeffs.append(sym)
+        if coeffs[-1].shape != (n, n):
+            raise ValueError(f"coefficient {idx} has shape {coeffs[-1].shape}, expected ({n}, {n})")
+    stack, skew = symmetrize(np.array(coeffs).reshape(k, n, n))
+    bad = np.flatnonzero(skew > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
+    if len(bad):
+        raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
     try:
         box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
-    return ParametricSymMatrix(coeffs, box)
+    return ParametricSymMatrix(stack, box)

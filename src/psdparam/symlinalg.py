@@ -6,8 +6,9 @@ two positive semidefinite parts, inversion, the determinant and the
 batched solves over stacks of matrices.  An eigenvalue-only cyclic
 Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
 convexity diagnostic ``definiteness.hertz_min_eig`` (its docstring says
-why).  Also a bracketed Perron root, and the tolerances with the one
-rule every definiteness decision compares against (``passes``).
+why).  Also the one symmetrization rule (``symmetrize``, on stacks), a
+bracketed Perron root started at LAPACK's Perron vector, and the
+tolerances with the one rule every decision compares against (``passes``).
 """
 
 from __future__ import annotations
@@ -26,32 +27,46 @@ class SingularMatrixError(ArithmeticError):
     """Matrix is singular to working precision."""
 
 
+def symmetrize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only symmetrized copy of a (K, n, n) stack and each matrix's largest |A - A^T| entry.
+
+    Entries that differ from their transpose become 0.5 * a_ij + 0.5 * a_ji,
+    which cannot overflow; others are kept.  ValueError for a non-square or
+    non-finite matrix.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    lower, upper = 0.5 * stack, 0.5 * stack.swapaxes(1, 2)
+    skew = 2.0 * np.abs(lower - upper).max(axis=(1, 2), initial=0.0)
+    sym = np.where(stack == stack.swapaxes(1, 2), stack, lower + upper)
+    sym.setflags(write=False)
+    return sym, skew
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Real symmetric matrix; the constructor symmetrizes its input.
+    """Real symmetric matrix; the constructor symmetrizes its input by ``symmetrize``.
 
-    Entries that differ from their transpose are replaced by the average
-    0.5 * a_ij + 0.5 * a_ji, which cannot overflow; symmetric entries are
-    kept bit for bit.  ``asymmetry`` records the largest |A - A^T| entry
-    seen before symmetrization so callers can enforce their own skew
-    budget.
+    ``asymmetry`` records the largest |A - A^T| entry seen before
+    symmetrization so callers can enforce their own skew budget.
     """
 
     array: np.ndarray
     asymmetry: float = 0.0
 
     def __init__(self, array):
-        a = np.array(array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        lower, upper = 0.5 * a, 0.5 * a.T
-        skew = 2.0 * float(np.abs(lower - upper).max()) if a.size else 0.0
-        a = np.where(a == a.T, a, lower + upper)
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "asymmetry", skew)
+        stack, skew = symmetrize(np.array(array, dtype=float)[None])
+        object.__setattr__(self, "array", stack[0])
+        object.__setattr__(self, "asymmetry", float(skew[0]))
+
+    @classmethod
+    def view(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap an array ``symmetrize`` already returned, without copying or checking it again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "array", a)
+        return m
 
     @property
     def n(self) -> int:
@@ -180,9 +195,10 @@ def psd_parts(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """PSD parts (plus, minus) of A = Q diag(w) Q^T with A = plus - minus.
 
     Nonnegative eigenvalues (zeros included) go to ``plus``; magnitudes of
-    negative ones go to ``minus``.
+    negative ones go to ``minus``.  Stacks of spectra, (..., n) and
+    (..., n, n), give stacks of parts.
     """
-    return (q * np.maximum(w, 0.0)) @ q.T, (q * np.maximum(-w, 0.0)) @ q.T
+    return tuple((q * np.maximum(sign * w, 0.0)[..., None, :]) @ q.swapaxes(-1, -2) for sign in (1.0, -1.0))
 
 
 def psd_split(a: SymMatrix) -> PsdSplit:
@@ -229,9 +245,12 @@ def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> Perr
 
     Iterates on the diagonally shifted, scaled matrix R/s + I (which keeps
     the iterate strictly positive and removes periodicity) and maps the
-    Collatz-Wielandt ratio bounds back to R.  Stops once the bracket width
-    falls below ``tol``; past ``max_iter`` the current bracket is returned
-    flagged as unconverged.
+    Collatz-Wielandt ratio bounds back to R.  Any positive start gives a
+    valid bracket: it is |v| for LAPACK's Perron vector v (of the
+    eigenvalue with the largest real part), floored at 1e-3 of its
+    largest entry, or the ones vector when ``eig`` fails or is not
+    finite.  Stops once the bracket width falls below ``tol``; past
+    ``max_iter`` the current bracket is returned flagged as unconverged.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -248,7 +267,12 @@ def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> Perr
         return PerronBracket(0.0, 0.0, True, 0)
 
     s = r / max_row_sum + np.eye(n)
-    x = np.ones(n)
+    try:
+        w, v = np.linalg.eig(r)
+        x = np.abs(v[:, np.argmax(w.real)])
+    except np.linalg.LinAlgError:
+        x = np.zeros(n)
+    x = np.maximum(x, 1e-3 * x.max()) if np.isfinite(x).all() and x.max() > 0.0 else np.ones(n)
     lower = max_diag
     upper = max_row_sum
     converged = False

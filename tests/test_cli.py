@@ -33,6 +33,11 @@ SPLIT_DOC = (
     '{"n":2,"K":2,"coefficients":[[[1.5,0],[0,1.1]],[[-1,1],[1,1]]],'
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1}]}'
 )
+# A(mid) = 1e-10 I: the preconditioned coefficient C A_1 = 1e310 I overflows.
+PRECONDITION_OVERFLOW_DOC = (
+    '{"n":2,"K":2,"coefficients":[[[1e300,0],[0,1e300]],[[1e-10,0],[0,1e-10]]],'
+    '"parameters":[{"inf":-1,"sup":1},{"inf":1,"sup":1}]}'
+)
 REGULARITY_DOC = (
     '{"n":2,"K":3,"coefficients":[[[3.3,0.25],[0.25,3.3]],[[1,2],[2,0]],[[0,2],[2,1]]],'
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
@@ -204,6 +209,24 @@ class TestCheck:
         code, report, err = run_cli(capsys, "check", str(path), "--goal", goal, *tol_flags)
         assert code == EXIT_INPUT_ERROR and report is None
         assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.parametrize(
+        "method, code, status",
+        [("auto", EXIT_DISPROVED, "disproved"), ("regularity", EXIT_UNKNOWN, "unknown")],
+    )
+    def test_overflowing_preconditioned_relaxation(self, capsys, tmp_path, method, code, status):
+        # A(mid) = 1e-10 I, so C A_1 = 1e310 I. The regularity stage once
+        # printed a RuntimeWarning and exited 64, though the vertex stage
+        # disproves the family.
+        path = tmp_path / "precondition.json"
+        path.write_text(PRECONDITION_OVERFLOW_DOC)
+        result = run_cli(capsys, "check", str(path), "--goal", "strong-pd", "--method", method)
+        assert result[0] == code and result[1]["status"] == status
+        if method == "regularity":
+            assert "overflow" in result[1]["detail"]
+        else:
+            assert result[1]["method"] == "vertex" and result[1]["certificate"]["min_eig"] < -1e299
+        assert_schema_valid(result[1])
 
     def test_finite_members_decide_under_an_explicit_tolerance(self, capsys, tmp_path):
         # Only the default tolerance overflows here; "--tol 0" was once

@@ -12,6 +12,7 @@ from conftest import (
     diag_sign_family,
     planted_pd_family,
     random_family,
+    random_semidefinite_family,
     rank_one_cone,
     regularity_favorable,
     split_favorable,
@@ -51,7 +52,8 @@ from psdparam import (
 )
 from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
-from psdparam.symlinalg import _jacobi_eigvals
+from psdparam.parametric import coefficient_signs
+from psdparam.symlinalg import _jacobi_eigvals, psd_parts
 
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
 
@@ -230,6 +232,43 @@ class TestSplitConditions:
                 assert strong_pd(p).proved
 
 
+def sequential_split_combination(p: ParametricSymMatrix, plus_at, minus_at, tol: float) -> np.ndarray:
+    """Reference split bound matrix: each coefficient split alone by ``psd_parts``, added in k order from zero, symmetrized."""
+    acc = np.zeros((p.n, p.n))
+    eigvals, eigvecs = p.coefficient_spectra()
+    signs = coefficient_signs(p, tol)
+    for a, sign, x_plus, x_minus, w, q in zip(p.coefficient_stack(), signs, plus_at, minus_at, eigvals, eigvecs):
+        if sign > 0:
+            acc += a * x_plus
+        elif sign < 0:
+            acc += a * x_minus
+        else:
+            plus, minus = psd_parts(w, q)
+            acc += plus * x_plus - minus * x_minus
+    return SymMatrix(acc).array
+
+
+class TestSplitCombinationBits:
+    @pytest.mark.parametrize("make", [random_family, random_semidefinite_family], ids=["indefinite", "semidefinite"])
+    def test_matches_per_coefficient_parts(self, rng, make):
+        for _ in range(120):
+            p = make(rng, max_n=6, max_k=6)
+            tol = family_tol(p)
+            for plus_at, minus_at in ((p.box.inf(), p.box.sup()), (p.box.sup(), p.box.inf())):
+                got = definiteness._split_combination(p, plus_at, minus_at, tol).array
+                ref = sequential_split_combination(p, plus_at, minus_at, tol)
+                assert got.tobytes() == ref.tobytes()
+
+    def test_family_parts_are_the_stacked_psd_parts(self, rng):
+        p = random_family(rng, max_n=5, max_k=5)
+        plus, minus = p.coefficient_parts()
+        for k, (w, q) in enumerate(zip(*p.coefficient_spectra())):
+            ref_plus, ref_minus = psd_parts(w, q)
+            assert plus[k].tobytes() == ref_plus.tobytes() and minus[k].tobytes() == ref_minus.tobytes()
+        with pytest.raises(ValueError):
+            plus[0, 0, 0] = 1.0
+
+
 class TestWeakNecessary:
     def test_diag_sign_never_psd(self):
         v = weak_psd_necessary(diag_sign_family())
@@ -282,6 +321,13 @@ class TestRegularityRoute:
         p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(-1.0, 1.0)]))
         v = strong_pd_regularity(p)
         assert v.unknown and "singular" in v.detail
+
+    def test_overflowing_preconditioned_relaxation_unknown(self):
+        # A(mid) = 1e-10 I, so C A_1 = 1e310 I: once a RuntimeWarning and a ValueError.
+        p = ParametricSymMatrix([1e300 * np.eye(2), 1e-10 * np.eye(2)], ParameterBox([Interval(-1.0, 1.0), Interval(1.0, 1.0)]))
+        v = strong_pd_regularity(p)
+        assert v.unknown and v.certificate is None and "overflow" in v.detail
+        assert decide(p, "strong_pd").disproved
 
     def test_regularity_proved_implies_vertex_proved(self, rng):
         for _ in range(40):

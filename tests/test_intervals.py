@@ -125,6 +125,12 @@ class TestScalarOps:
         r = scale([[2.0 ** 970]], Interval(2.0, 2.0)).entry(0, 0)
         assert r.inf < 2.0 ** 971 < r.sup
 
+    def test_huge_factor_with_a_moderate_product_widens(self):
+        # 1e301 overflows the factor's splitting, so the residual is NaN; the
+        # product 1.1e281 is inexact and was once kept as an exact point.
+        r = scale([[1e301]], Interval(1.1e-20, 1.1e-20)).entry(0, 0)
+        assert Fraction(r.inf) < Fraction(1e301) * Fraction(1.1e-20) < Fraction(r.sup)
+
     @given(finite_floats, finite_floats, finite_floats, finite_floats, st.data())
     def test_inclusion_isotonicity(self, a1, a2, b1, b2, data):
         a = make_interval(a1, a2)

@@ -21,12 +21,14 @@ from conftest import (
 )
 from psdparam import (
     Interval,
+    IntervalMatrix,
     ParameterBox,
     ParametricSymMatrix,
     SingularMatrixError,
     SymMatrix,
     contains,
     evaluate,
+    im_add,
     family_tol,
     parse,
     hessian,
@@ -36,8 +38,10 @@ from psdparam import (
     problem_from_json,
     problem_to_json,
     relax,
+    scale,
     vertices,
 )
+from psdparam import parametric
 from psdparam.oracle import full_vertex_check
 from psdparam.parametric import FamilyOverflowError, coefficient_signs
 
@@ -369,3 +373,140 @@ class TestFamilyTol:
         for _ in range(3):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 family_tol(p)
+
+
+def sequential_enclosure(stack: np.ndarray, box: ParameterBox) -> IntervalMatrix:
+    """Reference enclosure: one ``im_add(acc, scale(A_k, p_k))`` per coefficient, from zero, in k order."""
+    n = stack.shape[1]
+    acc = IntervalMatrix(np.zeros((n, n)), np.zeros((n, n)))
+    for a, iv in zip(stack, box.intervals):
+        acc = im_add(acc, scale(a, iv))
+    return acc
+
+
+def mixed_scale_family(rng: np.random.Generator, i: int) -> ParametricSymMatrix:
+    """Family ``i`` of a rotation through integer, dyadic and scaled data, some intervals degenerate."""
+    n = int(rng.integers(1, 7))
+    k = int(rng.integers(1, 8))
+    kind = i % 3
+    if kind == 0:  # integers
+        coeffs = rng.integers(-9, 10, (k, n, n)).astype(float)
+        bounds = np.sort(rng.integers(-4, 5, (k, 2)), axis=1).astype(float)
+    elif kind == 1:  # dyadic fractions
+        coeffs = rng.integers(-64, 65, (k, n, n)) / 16.0
+        bounds = np.sort(rng.integers(-16, 17, (k, 2)), axis=1) / 8.0
+    else:  # each coefficient scaled by 10^s, s in [-5, 5]
+        coeffs = rng.uniform(-1.0, 1.0, (k, n, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (k, 1, 1))
+        bounds = np.sort(rng.uniform(-2.0, 2.0, (k, 2)), axis=1)
+    degenerate = rng.random(k) < 0.3
+    bounds[degenerate, 1] = bounds[degenerate, 0]
+    return ParametricSymMatrix(coeffs + coeffs.swapaxes(1, 2), ParameterBox.from_bounds(bounds.tolist()))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackEnclosure:
+    FAMILIES = 240
+
+    def test_relax_matches_the_sequential_loop(self, rng):
+        for i in range(self.FAMILIES):
+            p = mixed_scale_family(rng, i)
+            got, ref = relax(p), sequential_enclosure(p.coefficient_stack(), p.box)
+            assert same_bits(got.inf, ref.inf) and same_bits(got.sup, ref.sup), i
+
+    def test_precondition_relax_matches_the_sequential_loop(self, rng):
+        checked = 0
+        for i in range(self.FAMILIES):
+            p = mixed_scale_family(rng, i)
+            try:
+                c, got = precondition_relax(p)
+            except SingularMatrixError:
+                continue
+            ref = sequential_enclosure(np.array([c @ a for a in p.coefficient_stack()]), p.box)
+            assert same_bits(got.inf, ref.inf) and same_bits(got.sup, ref.sup), i
+            checked += 1
+        assert checked >= 200
+
+    def test_precondition_relax_overflow_raises_without_warning(self):
+        # A(mid) = 1e-10 I, so C A_1 = 1e310 I.
+        p = ParametricSymMatrix([1e300 * np.eye(2), 1e-10 * np.eye(2)], ParameterBox.from_bounds([(-1, 1), (1, 1)]))
+        with pytest.raises(OverflowError, match="overflow"):
+            precondition_relax(p)
+
+    @pytest.mark.parametrize("build", [relax, lambda p: precondition_relax(p)[1]], ids=["relax", "precondition_relax"])
+    def test_one_interval_matrix_per_enclosure(self, monkeypatch, build):
+        p = regularity_favorable()
+        made = []
+        post_init = IntervalMatrix.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(IntervalMatrix, "__post_init__", counted)
+        build(p)
+        assert len(made) == 1
+
+
+class TestStackConstruction:
+    DOC = (
+        '{"n":2,"K":3,"coefficients":[[[1,0],[0,1]],[[0,1],[1,0]],[[2,0],[0,2]]],'
+        '"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
+    )
+
+    @pytest.mark.parametrize("source", ["json", "arrays"])
+    def test_one_eig_stack_call_and_no_per_coefficient_sym_matrix(self, monkeypatch, source):
+        calls = []
+        eig_stack = parametric.eig_stack
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return eig_stack(stack)
+
+        def refuse(self, array):
+            raise AssertionError("SymMatrix.__init__ called while building a family")
+
+        monkeypatch.setattr(parametric, "eig_stack", counted)
+        monkeypatch.setattr(SymMatrix, "__init__", refuse)
+        if source == "json":
+            p = problem_from_json(self.DOC)
+        else:
+            p = ParametricSymMatrix([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.eye(2)], ParameterBox.from_bounds([(0, 1)] * 3))
+        assert calls == [(3, 2, 2)]
+        assert [c.array.tolist() for c in p.coeffs] == p.coefficient_stack().tolist()
+
+    def test_coeffs_are_read_only_views_of_the_stack(self):
+        p = problem_from_json(self.DOC)
+        for k, c in enumerate(p.coeffs):
+            assert isinstance(c, SymMatrix) and c.n == 2 and c.asymmetry == 0.0
+            assert np.shares_memory(c.array, p.coefficient_stack()[k])
+            with pytest.raises(ValueError):
+                c.array[0, 0] = 5.0
+
+    def test_stack_is_symmetrized_like_sym_matrix(self):
+        # The average 0.5 a_ij + 0.5 a_ji, as SymMatrix forms it.
+        raw = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
+        p = ParametricSymMatrix([raw], ParameterBox.from_bounds([(0, 1)]))
+        assert np.array_equal(p.coefficient_stack()[0], SymMatrix(raw).array)
+        assert np.array_equal(p.coefficient_stack()[0], p.coefficient_stack()[0].T)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({1: [[0, 1, 2], [1, 0, 2]]}, "coefficient 1 has shape (2, 3), expected (2, 2)"),
+            ({2: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "coefficient 2 has shape (3, 3), expected (2, 2)"),
+            ({1: [[0, 1], [0.5, 0]], 2: [[2, 3], [0, 2]]}, "coefficient 1 is asymmetric by 0.5"),
+            ({2: [[float("inf"), 0], [0, 1]]}, "matrix entries must be finite"),
+        ],
+        ids=["wrong-shape", "mixed-dimensions", "first-asymmetric", "non-finite"],
+    )
+    def test_problem_from_json_messages(self, edits, message):
+        # The messages of the per-coefficient checks the stack replaced.
+        doc = json.loads(self.DOC)
+        for k, m in edits.items():
+            doc["coefficients"][k] = m
+        with pytest.raises(ValueError) as info:
+            problem_from_json(json.dumps(doc))
+        assert str(info.value) == message

@@ -21,7 +21,7 @@ from psdparam import (
     psd_split,
     spectral_radius_nonneg,
 )
-from psdparam.symlinalg import _jacobi_eigvals, check_tol, scaled_tol
+from psdparam.symlinalg import PerronBracket, _jacobi_eigvals, check_tol, scaled_tol
 
 EX2_INDEFINITE = np.array([[-1.0, 1.0], [1.0, 1.0]])
 EX2_SPLIT_SUM = np.array([[0.2929, 0.5], [0.5, 0.8929]])
@@ -342,6 +342,25 @@ class TestInvert:
             assert determinant(a) == pytest.approx(float(np.linalg.det(a.array)), rel=1e-9, abs=1e-12)
 
 
+def ones_start_bracket(r, tol: float = 1e-9, max_iter: int = 10_000) -> PerronBracket:
+    """Reference: the same bracketed iteration from the ones vector."""
+    n = r.shape[0]
+    max_row_sum = float(r.sum(axis=1).max())
+    s = r / max_row_sum + np.eye(n)
+    x = np.ones(n)
+    lower, upper, converged = float(r.diagonal().max()), max_row_sum, False
+    for it in range(1, max_iter + 1):
+        y = s @ x
+        ratios = y / x
+        lower = max(lower, (float(ratios.min()) - 1.0) * max_row_sum)
+        upper = min(upper, (float(ratios.max()) - 1.0) * max_row_sum)
+        if upper - lower < tol:
+            converged = True
+            break
+        x = y / y.max()
+    return PerronBracket(upper, min(lower, upper), converged, it)
+
+
 class TestSpectralRadius:
     def test_swap_matrix(self):
         b = spectral_radius_nonneg([[0.0, 1.0], [1.0, 0.0]])
@@ -364,6 +383,49 @@ class TestSpectralRadius:
         assert not b.converged
         assert 0.0 <= b.upper < 1.0
         assert b.iterations == 200
+
+    def test_bracket_contains_the_spectral_radius(self, rng):
+        # Irreducible, sparse (often reducible), block-triangular (reducible), zero and 1x1 matrices.
+        cases = [np.zeros((3, 3)), np.array([[0.0]]), np.array([[2.5]]), np.array([[0.0, 1.0], [0.0, 0.0]])]
+        for i in range(120):
+            n = int(rng.integers(1, 8))
+            r = rng.uniform(0.0, 3.0, (n, n))
+            if i % 3 == 1:
+                r[rng.random((n, n)) < 0.6] = 0.0
+            elif i % 3 == 2:
+                r[: n // 2, n // 2 :] = 0.0
+            cases.append(r)
+        for r in cases:
+            b = spectral_radius_nonneg(r, max_iter=300)
+            rho = float(np.abs(np.linalg.eigvals(r)).max())
+            slack = 1e-9 * (1.0 + rho)
+            assert b.lower - slack <= rho <= b.upper + slack
+
+    def test_eig_failure_falls_back_to_the_ones_start(self, rng, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("eig failed")
+
+        matrices = [rng.uniform(0.0, 3.0, (n, n)) for n in (1, 2, 4, 7)] + [np.array([[0.0, 1.0], [1.0, 0.0]])]
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        for r in matrices:
+            assert spectral_radius_nonneg(r) == ones_start_bracket(r)
+
+    def test_non_finite_eig_falls_back_to_the_ones_start(self, rng, monkeypatch):
+        def nan_eig(a):
+            n = a.shape[0]
+            return np.full(n, np.nan), np.full((n, n), np.nan)
+
+        r = rng.uniform(0.0, 3.0, (4, 4))
+        monkeypatch.setattr(np.linalg, "eig", nan_eig)
+        assert spectral_radius_nonneg(r) == ones_start_bracket(r)
+
+    def test_positive_matrix_converges_in_a_few_steps(self, rng):
+        # The ones start took about 40 steps on these.
+        for n in (2, 4, 6, 10):
+            r = rng.uniform(0.1, 1.0, (n, n))
+            b = spectral_radius_nonneg(r)
+            assert b.converged and b.iterations <= 3
+            assert b.upper == pytest.approx(float(np.abs(np.linalg.eigvals(r)).max()), abs=1e-9)
 
     def test_perron_frobenius_bounds(self, rng):
         for _ in range(50):
