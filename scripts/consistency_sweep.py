@@ -29,6 +29,12 @@ matrix with the package's Jacobi kernel, is re-checked against the
 smallest LAPACK eigenvalue over all 2^(n-1) sign matrices
 Mid - diag(z) Rad diag(z), z_0 = +1, within the interval tolerance.
 
+Near-singular-midpoint families (``near_singular_family``) come from a
+separate random stream, so the random families stay the same for a
+seed.  Each has a member that is singular, and ``method="regularity"``
+runs on it against the unreduced vertex enumeration: a ``proved`` there
+means the Beeck bound missed rounding in the preconditioned products.
+
 Reports which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
@@ -65,6 +71,13 @@ def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.Parame
         a, b = np.sort(rng.uniform(-1.0, 2.0, 2))
         ivs.append(pp.Interval(float(a), float(b)))
     return pp.ParametricSymMatrix(coeffs, pp.ParameterBox(ivs))
+
+
+def near_singular_family(rng: np.random.Generator, eps: float) -> pp.ParametricSymMatrix:
+    """Q diag(eps, 1, 2) Q^T on [1, 1] plus -eps u u^T on [-1, 1], u = Q[:, 0]: singular at the upper corner."""
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    centre = q @ np.diag([eps, 1.0, 2.0]) @ q.T
+    return pp.ParametricSymMatrix([centre, -eps * np.outer(q[:, 0], q[:, 0])], pp.ParameterBox.from_bounds([(1, 1), (-1, 1)]))
 
 
 def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
@@ -141,6 +154,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0x5EED)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--max-k", type=int, default=4)
+    parser.add_argument("--near-singular", type=int, default=40, help="near-singular-midpoint families, eps 1e-6 and 1e-9 in turn")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -148,6 +162,7 @@ def main() -> int:
     alone = collections.Counter()
     disagreements = []
     missed = collections.Counter()
+    near_singular = collections.Counter()
     hertz_checked = 0
     t0 = time.perf_counter()
     for i in range(args.count):
@@ -182,6 +197,13 @@ def main() -> int:
             problem = weak_problem(p, goal, verdict)
             if problem is not None:
                 disagreements.append((i, goal, problem))
+    near_rng = np.random.default_rng([args.seed, 1])
+    for i in range(args.near_singular):
+        p = near_singular_family(near_rng, (1e-6, 1e-9)[i % 2])
+        verdict = pp.decide(p, "strong_pd", method="regularity")
+        near_singular[verdict.status.value] += 1
+        if verdict.proved and not full_vertex_check(p, "pd"):
+            disagreements.append((f"near-singular {i}", "strong_pd by regularity alone", "proved", False))
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
@@ -190,6 +212,10 @@ def main() -> int:
     for goal, method in ALONE:
         proved, unknown = (alone[(goal, method, status)] for status in ("proved", "unknown"))
         print(f"  {goal:10s} by {method} alone: {proved} proved and checked, {unknown} unknown")
+    print(
+        f"  strong_pd  by regularity alone on {args.near_singular} near-singular families: "
+        f"{near_singular['proved']} proved, {near_singular['unknown']} unknown"
+    )
     for goal in ("weak_psd", "weak_pd"):
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
         print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")

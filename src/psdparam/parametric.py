@@ -65,18 +65,21 @@ class ParameterBox:
 
 @dataclass(frozen=True, eq=False)
 class ParametricSymMatrix:
-    """Coefficient matrices, checked and symmetrized as one read-only (K, n, n) stack, and a parameter box."""
+    """Coefficient matrices, checked (skew at most ``max_skew`` times max |entry|) and symmetrized as one read-only (K, n, n) stack, and a box."""
 
     box: ParameterBox
 
-    def __init__(self, coeffs, box: ParameterBox):
+    def __init__(self, coeffs, box: ParameterBox, *, max_skew: float = np.inf):
         try:
             raw = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
         except ValueError as exc:
             raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
         if len(raw) != box.K:
             raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
-        stack, _ = symmetrize(raw)
+        stack, skew = symmetrize(raw)
+        bad = np.flatnonzero(skew > max_skew * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
+        if len(bad):
+            raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
         k, n = stack.shape[:2]
         object.__setattr__(self, "box", box)
         eigvals, eigvecs = eig_stack(stack)
@@ -174,7 +177,7 @@ def precondition_relax(p: ParametricSymMatrix) -> tuple[np.ndarray, IntervalMatr
     sum_k (C A_k) p_k; the real products C A_k are not symmetrized.
     Raises SingularMatrixError when the midpoint matrix is singular to
     working precision, and OverflowError, without a warning, when the
-    products or their enclosure overflow.
+    products or their enclosure overflow.  The regularity stage no longer calls it.
     """
     c = invert(evaluate(p, p.box.mid(), check=False))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,11 +201,11 @@ class VertexEnumeration(Sequence):
     consecutive vertices.
     """
 
-    def __init__(self, base: np.ndarray, free: tuple[int, ...], lows: np.ndarray, highs: np.ndarray):
+    def __init__(self, base: np.ndarray, free: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         self._base = base
         self._free = free
-        self._lows = lows
-        self._highs = highs
+        self._shifts = np.arange(len(free))
+        self._ends = lows[free], highs[free]
 
     @property
     def free_count(self) -> int:
@@ -220,11 +223,9 @@ class VertexEnumeration(Sequence):
     def points(self, start: int, stop: int) -> np.ndarray:
         """Vertices ``start`` to ``stop - 1`` in Gray-code order, one row each."""
         i = np.arange(start, stop, dtype=np.int64)
-        gray = i ^ (i >> 1)
-        free = np.array(self._free, dtype=np.intp)
-        bits = (gray[:, None] >> np.arange(len(free))) & 1
+        bits = ((i ^ (i >> 1))[:, None] >> self._shifts) & 1
         rows = np.tile(self._base, (len(i), 1))
-        rows[:, free] = np.where(bits == 1, self._highs[free], self._lows[free])
+        rows[:, self._free] = np.where(bits == 1, self._ends[1], self._ends[0])
         return rows
 
 
@@ -238,7 +239,7 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     lows = p.box.inf()
     highs = p.box.sup()
     free = np.flatnonzero((signs == 0) & (lows < highs))
-    return VertexEnumeration(np.where(signs < 0, highs, lows), tuple(free.tolist()), lows, highs)
+    return VertexEnumeration(np.where(signs < 0, highs, lows), free, lows, highs)
 
 
 def problem_to_json(p: ParametricSymMatrix) -> str:
@@ -272,20 +273,20 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         raise ValueError(f"n and K must be integers, got n={n!r} and K={k!r}")
     if len(raw_coeffs) != k or len(raw_params) != k:
         raise ValueError(f"declared K={k} but found {len(raw_coeffs)} coefficients and {len(raw_params)} parameters")
-    coeffs = []
-    for idx, raw in enumerate(raw_coeffs):
-        try:
-            coeffs.append(np.asarray(raw, dtype=float))
-        except (OverflowError, TypeError) as exc:
-            raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
-        if coeffs[-1].shape != (n, n):
-            raise ValueError(f"coefficient {idx} has shape {coeffs[-1].shape}, expected ({n}, {n})")
-    stack, skew = symmetrize(np.array(coeffs).reshape(k, n, n))
-    bad = np.flatnonzero(skew > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
-    if len(bad):
-        raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
+    try:
+        stack = np.array(raw_coeffs, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        stack = None
+    if stack is None or stack.shape != (k, n, n):
+        for idx, raw in enumerate(raw_coeffs):  # name the first coefficient at fault (K = 0 fails at the box)
+            try:
+                shape = np.asarray(raw, dtype=float).shape
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
+            if shape != (n, n):
+                raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
     try:
         box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
-    return ParametricSymMatrix(stack, box)
+    return ParametricSymMatrix(stack, box, max_skew=SYMMETRY_TOL_FACTOR)

@@ -207,13 +207,13 @@ def psd_split(a: SymMatrix) -> PsdSplit:
     return PsdSplit(SymMatrix(plus), SymMatrix(minus))
 
 
-def invert(a: SymMatrix) -> np.ndarray:
-    """Inverse Q diag(1/w) Q^T from the LAPACK spectral decomposition.
+def invert(a: SymMatrix, spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Inverse Q diag(1/w) Q^T from the LAPACK spectral decomposition, or from ``spectrum`` = (w, Q) of A.
 
     Raises SingularMatrixError when the smallest eigenvalue magnitude is
     below 1e-12 * ||A||: midpoint preconditioning is then unavailable.
     """
-    vals, q = eig_sym(a)
+    vals, q = eig_sym(a) if spectrum is None else spectrum
     floor = 1e-12 * max(a.norm_bound, np.finfo(float).tiny)
     smallest = float(np.abs(vals).min(initial=np.inf))
     if smallest < floor:

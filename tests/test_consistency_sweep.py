@@ -29,5 +29,6 @@ def test_small_sweep_agrees_on_all_goals():
     assert "proved    by witness" in out and "disproved by necessary" in out
     assert "missed witness" in out
     assert "strong_pd  by split alone:" in out and "strong_pd  by regularity alone:" in out
+    assert "by regularity alone on 40 near-singular families: 0 proved, 40 unknown" in out
     assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,29 +54,30 @@ from psdparam import (
 from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
 from psdparam.parametric import coefficient_signs
-from psdparam.symlinalg import _jacobi_eigvals, psd_parts
+from psdparam.symlinalg import _jacobi_eigvals, invert, psd_parts
 
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
 
 
-def planted_vertex_family(rng, j: int, shift: float) -> ParametricSymMatrix:
-    """shift * I on a degenerate parameter plus indefinite coefficients on [-1, 1].
+def planted_vertex_family(rng, j: int, shift: float, free: int = PLANTED_FREE, n: int = 3) -> ParametricSymMatrix:
+    """shift * I on a degenerate parameter plus ``free`` indefinite n x n coefficients on [-1, 1].
 
-    Gray vertex ``j`` alone puts -PLANTED_FREE on the (0, 0) entry; every
-    other vertex puts at least 2 more there, and the remaining 2x2 block
-    stays within +-0.6.  So with shift 4 only vertex ``j`` fails, with
-    shift 2.5 it and its Gray neighbours fail, and with shift 6 every
-    vertex passes and ``j`` is the worst.
+    Gray vertex ``j`` alone puts -free on the (0, 0) entry; every other
+    vertex puts at least 2 more there, and the rest stays within +-0.6
+    (n = 3; about +-0.1 n for larger n).  So with the default five free
+    coefficients and shift 4 only vertex ``j`` fails, with shift 2.5 it
+    and its Gray neighbours fail, and with shift 6 every vertex passes
+    and ``j`` is the worst.
     """
     gray = j ^ (j >> 1)
-    e = np.eye(3)
+    e = np.eye(n)
     twist = 0.1 * (np.outer(e[1], e[1]) - np.outer(e[2], e[2]))
     coeffs = [e]
-    for bit in range(PLANTED_FREE):
+    for bit in range(free):
         sign = 1.0 if (gray >> bit) & 1 else -1.0
-        noise = rng.uniform(-0.01, 0.01, (3, 3))
+        noise = rng.uniform(-0.01, 0.01, (n, n))
         coeffs.append(-sign * np.outer(e[0], e[0]) + twist + noise + noise.T)
-    box = ParameterBox([Interval(shift, shift)] + [Interval(-1.0, 1.0)] * PLANTED_FREE)
+    box = ParameterBox([Interval(shift, shift)] + [Interval(-1.0, 1.0)] * free)
     return ParametricSymMatrix(coeffs, box)
 
 
@@ -144,6 +146,11 @@ class TestStrongVertex:
 
 
 class TestBatchedVertexRoute:
+    @pytest.fixture(autouse=True)
+    def one_row_first_block(self, monkeypatch):
+        # Blocks of 1, 2, 4, ... rows, so the planted vertices sit at block boundaries.
+        monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
+
     def assert_matches_sequential(self, p, goal):
         op = strong_pd if goal == "pd" else strong_psd
         v = op(p)
@@ -201,6 +208,27 @@ class TestBatchedVertexRoute:
         monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", 1)
         for j, shift in ((15, 4.0), (31, 2.5), (7, 6.0)):
             self.assert_matches_sequential(planted_vertex_family(rng, j, shift), "psd")
+
+
+class TestVertexBlockSchedule:
+    @pytest.mark.parametrize(
+        "j, shift", [(0, 9.0), (3, 7.0), (200, 7.0)], ids=["proved", "early-disproved", "late-disproved"]
+    )
+    def test_verdict_does_not_depend_on_the_blocks(self, rng, monkeypatch, j, shift):
+        # n = 10 and 2^8 vertices: the default blocks hold 5, 10, 20, ... rows.
+        p = planted_vertex_family(rng, j, shift, free=8, n=10)
+        first, cap = definiteness.FIRST_VERTEX_BLOCK_BYTES, definiteness.VERTEX_CHUNK_BYTES
+        verdicts = []
+        for first_bytes, cap_bytes in ((1, cap), (first, cap), (1 << 40, 1 << 40)):
+            monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", first_bytes)
+            monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", cap_bytes)
+            verdicts.append(decide(p, "strong_pd", method="vertex"))
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        v = verdicts[0]
+        if j == 0:
+            assert v.proved and v.certificate.worst_vertex == vertices(p)[0].values
+        else:
+            assert v.disproved and v.certificate.p == vertices(p)[j].values
 
 
 class TestSplitConditions:
@@ -329,11 +357,82 @@ class TestRegularityRoute:
         assert v.unknown and v.certificate is None and "overflow" in v.detail
         assert decide(p, "strong_pd").disproved
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_singular_member_not_proved(self, seed):
+        # Q diag(1e-9, 1, 2) Q^T on [1, 1] plus -1e-9 u u^T on [-1, 1] is
+        # singular at p = (1, 1).  Taking C A(mid) = I once proved 20 of
+        # these 40 seeds, seed 5 with rho 0.99999988.
+        p = near_singular_family(np.random.default_rng(seed), 1e-9)
+        v = strong_pd_regularity(p)
+        assert v.unknown
+        cascade = decide(p, "strong_pd")
+        assert cascade.disproved and cascade.method == "vertex"
+        if seed == 5:
+            assert cascade.certificate.p == (1.0, 1.0) and abs(cascade.certificate.min_eig) < 1e-15
+
     def test_regularity_proved_implies_vertex_proved(self, rng):
         for _ in range(40):
             p = random_family(rng)
             if strong_pd_regularity(p).proved:
                 assert strong_pd(p).proved
+
+
+def near_singular_family(rng, eps: float) -> ParametricSymMatrix:
+    """Q diag(eps, 1, 2) Q^T on [1, 1] plus -eps u u^T on [-1, 1], u = Q[:, 0]: singular at the upper corner."""
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    centre = q @ np.diag([eps, 1.0, 2.0]) @ q.T
+    return ParametricSymMatrix([centre, -eps * np.outer(q[:, 0], q[:, 0])], ParameterBox.from_bounds([(1, 1), (-1, 1)]))
+
+
+def exact_residual(p: ParametricSymMatrix, c: np.ndarray, q) -> np.ndarray:
+    """|I - C A(q)| entrywise in exact rational arithmetic, for the float matrix C."""
+    n = p.n
+    a = [[sum(Fraction(x) * Fraction(ak[i, j]) for x, ak in zip(q, p.coefficient_stack())) for j in range(n)] for i in range(n)]
+    return np.array(
+        [[abs((i == j) - sum(Fraction(c[i, l]) * a[l][j] for l in range(n))) for j in range(n)] for i in range(n)]
+    )
+
+
+class TestBeeckBound:
+    """``_beeck_bound`` against |I - C A(q)| in exact arithmetic at every vertex, which is where it peaks."""
+
+    def families(self, rng):
+        for _ in range(25):
+            yield random_family(rng, max_n=3, max_k=3)
+        for eps in (1e-6, 1e-9, 1e-12):
+            yield near_singular_family(rng, eps)
+        for _ in range(10):
+            # A constant term on [1, 1] puts A(mid)'s smallest eigenvalue at 1e-10 of its spectrum's spread.
+            p = random_family(rng, max_n=3, max_k=2)
+            w = np.linalg.eigvalsh(evaluate(p, p.box.mid()).array)
+            shift = -(w[0] - 1e-10 * (1.0 + w[-1] - w[0])) * np.eye(p.n)
+            yield ParametricSymMatrix([*p.coefficient_stack(), shift], ParameterBox([*p.box.intervals, Interval(1.0, 1.0)]))
+        for _ in range(10):
+            # A point box: G is then |I - C A(mid)| and the rounding terms alone.
+            p = random_family(rng, max_n=3, max_k=3)
+            yield ParametricSymMatrix(p.coefficient_stack(), ParameterBox(Interval(iv.inf, iv.inf) for iv in p.box.intervals))
+        for _ in range(5):
+            # Coefficients near 1e-305 on boxes near 1e305: some products underflow.
+            p = random_family(rng, max_n=3, max_k=3)
+            box = ParameterBox(Interval(1e305 * iv.inf, 1e305 * iv.sup) for iv in p.box.intervals)
+            yield ParametricSymMatrix(1e-305 * p.coefficient_stack(), box)
+
+    def test_dominates_the_exact_residual_at_every_vertex(self, rng):
+        checked = 0
+        for p in self.families(rng):
+            try:
+                c = invert(evaluate(p, p.box.mid(), check=False))
+            except definiteness.SingularMatrixError:
+                continue
+            # The bound holds for any float C, so a perturbed one is checked as well.
+            for cc in (c, c * (1.0 + 1e-3 * rng.standard_normal(c.shape))):
+                g = definiteness._beeck_bound(p, cc)
+                assert np.isfinite(g).all()
+                for q in itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]):
+                    residual = exact_residual(p, cc, q)
+                    assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), residual.ravel())), (p, q)
+                checked += 1
+        assert checked >= 100
 
 
 class TestIntervalChecks:

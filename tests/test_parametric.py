@@ -477,6 +477,30 @@ class TestStackConstruction:
         assert calls == [(3, 2, 2)]
         assert [c.array.tolist() for c in p.coeffs] == p.coefficient_stack().tolist()
 
+    @pytest.mark.parametrize("source", ["json", "arrays"])
+    def test_one_symmetrize_pass(self, monkeypatch, source):
+        calls = []
+        symmetrize = parametric.symmetrize
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return symmetrize(stack)
+
+        monkeypatch.setattr(parametric, "symmetrize", counted)
+        if source == "json":
+            problem_from_json(self.DOC)
+        else:
+            ParametricSymMatrix([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.eye(2)], ParameterBox.from_bounds([(0, 1)] * 3))
+        assert calls == [(3, 2, 2)]
+
+    def test_max_skew_is_relative_to_each_coefficient(self):
+        raw = [np.array([[1.0, 1e-13], [0.0, 1.0]]), np.array([[1e-20, 1e-20], [0.0, 1e-20]])]
+        box = ParameterBox.from_bounds([(0, 1)] * 2)
+        ParametricSymMatrix(raw[:1], ParameterBox(box.intervals[:1]), max_skew=1e-12)
+        with pytest.raises(ValueError, match="coefficient 1 is asymmetric by 1e-20"):
+            ParametricSymMatrix(raw, box, max_skew=1e-12)
+        assert ParametricSymMatrix(raw, box).coefficient_stack()[1, 0, 1] == 5e-21
+
     def test_coeffs_are_read_only_views_of_the_stack(self):
         p = problem_from_json(self.DOC)
         for k, c in enumerate(p.coeffs):
