@@ -29,7 +29,7 @@ matrix with the package's Jacobi kernel, is re-checked against the
 smallest LAPACK eigenvalue over all 2^(n-1) sign matrices
 Mid - diag(z) Rad diag(z), z_0 = +1, within the interval tolerance.
 
-Near-singular-midpoint families (``near_singular_family``) come from a
+NEAR_SINGULAR_FAMILIES near-singular-midpoint families (``near_singular_family``) come from a
 separate random stream, so the random families stay the same for a
 seed.  Each has a member that is singular, and ``method="regularity"``
 runs on it against the unreduced vertex enumeration: a ``proved`` there
@@ -60,6 +60,8 @@ GRID_POINTS = 5
 GRID_CHUNK = 4096
 # Largest n whose 2^(n-1) sign matrices the Hertz re-check forms at once.
 HERTZ_MAX_N = 12
+# Near-singular-midpoint families per sweep, eps 1e-6 and 1e-9 in turn.
+NEAR_SINGULAR_FAMILIES = 40
 
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
@@ -154,7 +156,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0x5EED)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--max-k", type=int, default=4)
-    parser.add_argument("--near-singular", type=int, default=40, help="near-singular-midpoint families, eps 1e-6 and 1e-9 in turn")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -198,7 +199,7 @@ def main() -> int:
             if problem is not None:
                 disagreements.append((i, goal, problem))
     near_rng = np.random.default_rng([args.seed, 1])
-    for i in range(args.near_singular):
+    for i in range(NEAR_SINGULAR_FAMILIES):
         p = near_singular_family(near_rng, (1e-6, 1e-9)[i % 2])
         verdict = pp.decide(p, "strong_pd", method="regularity")
         near_singular[verdict.status.value] += 1
@@ -213,7 +214,7 @@ def main() -> int:
         proved, unknown = (alone[(goal, method, status)] for status in ("proved", "unknown"))
         print(f"  {goal:10s} by {method} alone: {proved} proved and checked, {unknown} unknown")
     print(
-        f"  strong_pd  by regularity alone on {args.near_singular} near-singular families: "
+        f"  strong_pd  by regularity alone on {NEAR_SINGULAR_FAMILIES} near-singular families: "
         f"{near_singular['proved']} proved, {near_singular['unknown']} unknown"
     )
     for goal in ("weak_psd", "weak_pd"):

@@ -277,19 +277,18 @@ def _beeck_bound(p: ParametricSymMatrix, c: np.ndarray) -> np.ndarray:
     """G >= |I - C A(q)| entrywise over the box, for any float C: a mid-rad bound after Rump (BIT 39, 1999).
 
     With P = C @ stack, m the box midpoint and r = nextafter(max(m - lo, hi - m)), G is |I - sum_k P_k m_k|
-    + sum_k |P_k| r_k + gamma_n |C| sum_k |A_k| (|m_k| + r_k) + gamma_{K+1} (I + sum_k |P_k| |m_k|) + a term for
-    products that underflow, times 1 + gamma_{n+K+6} for its own n + K + 6 roundings.  Higham's gamma_j =
-    j u / (1 - j u) is taken as (j + 1) u, exact in floats, and the last factor as 1 + (n + K + 8) u, rounded.
+    + sum_k |P_k| r_k + gamma_n |C| sum_k |A_k| (|m_k| + r_k) + gamma_{K+1} (I + sum_k |P_k| |m_k|) + an underflow
+    term (tiny factor first, so it stays finite), times 1 + gamma_{n+K+6} for its own n + K + 6 roundings.  Higham's
+    gamma_j = j u / (1 - j u) is taken as (j + 1) u, exact in floats, and the last factor as 1 + (n + K + 8) u, rounded.
     """
     stack, n, k, u, m = p.coefficient_stack(), p.n, p.K, 2.0**-53, p.box.mid()
     r = np.nextafter(np.maximum(m - p.box.inf(), p.box.sup() - m), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         prod, abs_c, reach = (c @ stack).reshape(k, n * n), np.abs(c), np.abs(m) + r
         spread, drift = (np.array([r, np.abs(m)]) @ np.abs(prod)).reshape(2, n, n)
-        g = np.abs(np.eye(n) - (m @ prod).reshape(n, n)) + (k + 2) * u * np.eye(n)
-        g += spread + (k + 2) * u * drift
+        g = np.abs(np.eye(n) - (m @ prod).reshape(n, n)) + spread + (k + 2) * u * (np.eye(n) + drift)
         g += (n + 1) * u * (abs_c @ (reach @ np.abs(stack).reshape(k, n * n)).reshape(n, n))
-        g += (1.0 + reach.sum()) * (1.0 + n * abs_c.max()) * ((n + 2 * k + 5) * 2.0**-1074)
+        g += ((n + 2 * k + 5) * 2.0**-1074) * (1.0 + reach.sum()) * (1.0 + n * abs_c.max())
         return g * (1.0 + (n + k + 8) * u)
 
 

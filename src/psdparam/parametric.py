@@ -65,11 +65,11 @@ class ParameterBox:
 
 @dataclass(frozen=True, eq=False)
 class ParametricSymMatrix:
-    """Coefficient matrices, checked (skew at most ``max_skew`` times max |entry|) and symmetrized as one read-only (K, n, n) stack, and a box."""
+    """Coefficients as one checked, symmetrized, read-only (K, n, n) stack, each one's prior skew in ``asymmetry``, and a box."""
 
     box: ParameterBox
 
-    def __init__(self, coeffs, box: ParameterBox, *, max_skew: float = np.inf):
+    def __init__(self, coeffs, box: ParameterBox):
         try:
             raw = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
         except ValueError as exc:
@@ -77,9 +77,6 @@ class ParametricSymMatrix:
         if len(raw) != box.K:
             raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
         stack, skew = symmetrize(raw)
-        bad = np.flatnonzero(skew > max_skew * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
-        if len(bad):
-            raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
         k, n = stack.shape[:2]
         object.__setattr__(self, "box", box)
         eigvals, eigvecs = eig_stack(stack)
@@ -92,8 +89,9 @@ class ParametricSymMatrix:
         if not np.isfinite(bound):
             raise FamilyOverflowError("the family's matrices overflow double precision over the parameter box")
         parts = psd_parts(eigvals, eigvecs)
-        for a in (eigvals, eigvecs, *parts):
+        for a in (skew, eigvals, eigvecs, *parts):
             a.setflags(write=False)
+        object.__setattr__(self, "asymmetry", skew)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
         object.__setattr__(self, "_parts", parts)
@@ -236,8 +234,7 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     ``tol``, ``family_tol(p)`` when omitted.
     """
     signs = coefficient_signs(p, family_tol(p) if tol is None else tol)
-    lows = p.box.inf()
-    highs = p.box.sup()
+    lows, highs = p.box.inf(), p.box.sup()
     free = np.flatnonzero((signs == 0) & (lows < highs))
     return VertexEnumeration(np.where(signs < 0, highs, lows), free, lows, highs)
 
@@ -289,4 +286,8 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
-    return ParametricSymMatrix(stack, box, max_skew=SYMMETRY_TOL_FACTOR)
+    p = ParametricSymMatrix(stack, box)
+    bad = np.flatnonzero(p.asymmetry > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(p.coefficient_stack()).max(axis=(1, 2), initial=0.0), 1e-300))
+    if len(bad):
+        raise ValueError(f"coefficient {bad[0]} is asymmetric by {p.asymmetry[bad[0]]:g}")
+    return p

@@ -434,6 +434,20 @@ class TestBeeckBound:
                 checked += 1
         assert checked >= 100
 
+    def test_tiny_coefficients_on_a_huge_box_with_an_ill_conditioned_midpoint(self, rng):
+        # A(mid) near Q diag(1e-3, 1, 2) Q^T from 1e-305 coefficients on a 1e305 box: the
+        # underflow term's large factors, about 2e305 and 3e3, overflow as a product
+        # although the term is about 1e-15, and the family is proved by regularity.
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        stack = 1e-305 * np.array([q @ np.diag([1e-3, 1.0, 2.0]) @ q.T, -1e-6 * np.outer(q[:, 0], q[:, 0])])
+        p = ParametricSymMatrix(stack, ParameterBox.from_bounds([(1e305, 1e305), (-1e305, 1e305)]))
+        c = invert(evaluate(p, p.box.mid(), check=False))
+        g = definiteness._beeck_bound(p, c)
+        assert np.isfinite(g).all()
+        for q in itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]):
+            assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), exact_residual(p, c, q).ravel()))
+        assert strong_pd_regularity(p).proved
+
 
 class TestIntervalChecks:
     def test_rank_one_relaxation_not_strongly_psd(self):

@@ -493,13 +493,17 @@ class TestStackConstruction:
             ParametricSymMatrix([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.eye(2)], ParameterBox.from_bounds([(0, 1)] * 3))
         assert calls == [(3, 2, 2)]
 
-    def test_max_skew_is_relative_to_each_coefficient(self):
-        raw = [np.array([[1.0, 1e-13], [0.0, 1.0]]), np.array([[1e-20, 1e-20], [0.0, 1e-20]])]
-        box = ParameterBox.from_bounds([(0, 1)] * 2)
-        ParametricSymMatrix(raw[:1], ParameterBox(box.intervals[:1]), max_skew=1e-12)
+    def test_asymmetry_is_recorded_and_budgeted_per_coefficient(self):
+        # The family records each coefficient's skew, as SymMatrix does; problem_from_json
+        # allows 1e-12 times each coefficient's own largest entry.
+        raw = [[[1.0, 1e-13], [0.0, 1.0]], [[1e-20, 1e-20], [0.0, 1e-20]]]
+        p = ParametricSymMatrix(np.array(raw), ParameterBox.from_bounds([(0, 1)] * 2))
+        assert p.asymmetry.tolist() == [1e-13, 1e-20] and not p.asymmetry.flags.writeable
+        assert p.coefficient_stack()[1, 0, 1] == 5e-21
+        doc = {"n": 2, "K": 1, "coefficients": raw[:1], "parameters": [{"inf": 0, "sup": 1}]}
+        assert problem_from_json(doc).asymmetry.tolist() == [1e-13]
         with pytest.raises(ValueError, match="coefficient 1 is asymmetric by 1e-20"):
-            ParametricSymMatrix(raw, box, max_skew=1e-12)
-        assert ParametricSymMatrix(raw, box).coefficient_stack()[1, 0, 1] == 5e-21
+            problem_from_json({**doc, "K": 2, "coefficients": raw, "parameters": doc["parameters"] * 2})
 
     def test_coeffs_are_read_only_views_of_the_stack(self):
         p = problem_from_json(self.DOC)
