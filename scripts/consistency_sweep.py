@@ -35,6 +35,14 @@ seed.  Each has a member that is singular, and ``method="regularity"``
 runs on it against the unreduced vertex enumeration: a ``proved`` there
 means the Beeck bound missed rounding in the preconditioned products.
 
+WIDE_BOX_FAMILIES wide-box families (``wide_box_family``) come from a third
+stream.  Each has a coefficient whose smallest eigenvalue falls short of
+zero by less than the family tolerance, on a parameter of width about
+1e6, so pinning that parameter at one endpoint misses members by far
+more than the tolerance.  All four goals run on each, with the strong
+verdicts checked against the unreduced vertex enumeration and the weak
+ones re-checked as above.
+
 Reports which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
@@ -50,7 +58,7 @@ import time
 import numpy as np
 
 import psdparam as pp
-from psdparam.definiteness import interval_tol
+from psdparam.definiteness import STRONG_GOALS, WEAK_GOALS, interval_tol
 from psdparam.oracle import full_vertex_check
 
 # The sufficient stages run alone on every family, with the goals they apply to.
@@ -62,6 +70,8 @@ GRID_CHUNK = 4096
 HERTZ_MAX_N = 12
 # Near-singular-midpoint families per sweep, eps 1e-6 and 1e-9 in turn.
 NEAR_SINGULAR_FAMILIES = 40
+# Wide-box families per sweep, each checked on all four goals.
+WIDE_BOX_FAMILIES = 40
 
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
@@ -80,6 +90,29 @@ def near_singular_family(rng: np.random.Generator, eps: float) -> pp.ParametricS
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     centre = q @ np.diag([eps, 1.0, 2.0]) @ q.T
     return pp.ParametricSymMatrix([centre, -eps * np.outer(q[:, 0], q[:, 0])], pp.ParameterBox.from_bounds([(1, 1), (-1, 1)]))
+
+
+def wide_box_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
+    """Q diag(1, ..., -s) Q^T on [0, w] plus Q diag(c, d, ..., b s w) Q^T on [1, 1], n = 2 or 3.
+
+    w is about 1e6 and s at most 1e-5, below the family tolerance of about
+    1e-4, but s w lies between 0.5 and 20.  The members are
+    Q diag(p + c, d, ..., s (b w - p)) Q^T: with c in [-w/2, w/2] and b in
+    [0, 2], a member fails at p = w when b < 1 though p = 0 may pass, and
+    some member passes when c > -min(b, 1) w though p = w may fail.
+    """
+    n = int(rng.integers(2, 4))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = float(rng.uniform(0.5e6, 2e6))
+    s = float(10.0 ** rng.uniform(-6.0, -5.0))
+    coeff = np.ones(n)
+    coeff[-1] = -s
+    constant = rng.uniform(0.1, 1.0, n)
+    constant[0] = rng.uniform(-0.5, 0.5) * w
+    constant[-1] = rng.uniform(0.0, 2.0) * s * w
+    return pp.ParametricSymMatrix(
+        [q @ np.diag(coeff) @ q.T, q @ np.diag(constant) @ q.T], pp.ParameterBox.from_bounds([(0.0, w), (1.0, 1.0)])
+    )
 
 
 def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
@@ -138,6 +171,22 @@ def weak_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> s
     return None
 
 
+def check_goal(p: pp.ParametricSymMatrix, goal: str, truth: dict) -> tuple[pp.Verdict, list]:
+    """The cascade's verdict on ``goal`` and why it fails its re-checks, if it does.
+
+    ``truth`` maps each strong goal to the unreduced vertex enumeration's answer.
+    """
+    verdict = pp.decide(p, goal)
+    if verdict.unknown:
+        return verdict, []
+    strong = goal in STRONG_GOALS
+    problem = certificate_problem(p, verdict) if strong else weak_problem(p, goal, verdict)
+    problems = [] if problem is None else [problem]
+    if strong and truth[goal] != verdict.proved:
+        problems.append((verdict.status.value, truth[goal]))
+    return verdict, problems
+
+
 def hertz_problem(p: pp.ParametricSymMatrix) -> str | None:
     """Why ``hertz_min_eig(relax(p))`` disagrees with LAPACK over all sign matrices, or None."""
     relaxed = pp.relax(p)
@@ -173,31 +222,18 @@ def main() -> int:
             problem = hertz_problem(p)
             if problem is not None:
                 disagreements.append((i, "hertz_min_eig", problem))
-        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in ("strong_psd", "strong_pd")}
-        for goal in ("strong_psd", "strong_pd"):
-            verdict = pp.decide(p, goal)
+        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
+        for goal in STRONG_GOALS + WEAK_GOALS:
+            verdict, problems = check_goal(p, goal, truth)
             tally[(goal, verdict.status.value, verdict.method)] += 1
-            if verdict.unknown:
-                continue
-            problem = certificate_problem(p, verdict)
-            if problem is not None:
-                disagreements.append((i, goal, problem))
-            if truth[goal] != verdict.proved:
-                disagreements.append((i, goal, verdict.status.value, truth[goal]))
+            disagreements += [(i, goal, problem) for problem in problems]
+            if verdict.unknown and goal in WEAK_GOALS:
+                missed[goal] += grid_passes(p, goal, pp.family_tol(p))
         for goal, method in ALONE:
             verdict = pp.decide(p, goal, method=method)
             alone[(goal, method, verdict.status.value)] += 1
             if verdict.proved and not truth[goal]:
                 disagreements.append((i, f"{goal} by {method} alone", "proved", truth[goal]))
-        for goal in ("weak_psd", "weak_pd"):
-            verdict = pp.decide(p, goal)
-            tally[(goal, verdict.status.value, verdict.method)] += 1
-            if verdict.unknown:
-                missed[goal] += grid_passes(p, goal, pp.family_tol(p))
-                continue
-            problem = weak_problem(p, goal, verdict)
-            if problem is not None:
-                disagreements.append((i, goal, problem))
     near_rng = np.random.default_rng([args.seed, 1])
     for i in range(NEAR_SINGULAR_FAMILIES):
         p = near_singular_family(near_rng, (1e-6, 1e-9)[i % 2])
@@ -205,6 +241,15 @@ def main() -> int:
         near_singular[verdict.status.value] += 1
         if verdict.proved and not full_vertex_check(p, "pd"):
             disagreements.append((f"near-singular {i}", "strong_pd by regularity alone", "proved", False))
+    wide_rng = np.random.default_rng([args.seed, 2])
+    wide = collections.Counter()
+    for i in range(WIDE_BOX_FAMILIES):
+        p = wide_box_family(wide_rng)
+        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
+        for goal in STRONG_GOALS + WEAK_GOALS:
+            verdict, problems = check_goal(p, goal, truth)
+            wide[verdict.status.value] += 1
+            disagreements += [(f"wide-box {i}", goal, problem) for problem in problems]
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
@@ -217,7 +262,11 @@ def main() -> int:
         f"  strong_pd  by regularity alone on {NEAR_SINGULAR_FAMILIES} near-singular families: "
         f"{near_singular['proved']} proved, {near_singular['unknown']} unknown"
     )
-    for goal in ("weak_psd", "weak_pd"):
+    print(
+        f"  all goals  on {WIDE_BOX_FAMILIES} wide-box families: "
+        f"{wide['proved']} proved, {wide['disproved']} disproved, {wide['unknown']} unknown"
+    )
+    for goal in WEAK_GOALS:
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
         print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")
     print(f"  hertz_min_eig re-checked against LAPACK on {hertz_checked} relaxations")

@@ -36,7 +36,6 @@ from .definiteness import (
     strong_psd_interval,
     strong_psd_split,
     weak_pd_necessary,
-    weak_pd_witness,
     weak_psd_necessary,
 )
 from .intervals import (

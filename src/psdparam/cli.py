@@ -84,7 +84,6 @@ def cmd_check(args) -> int:
             goal,
             tol=args.tol,
             vertex_budget=args.vertex_budget,
-            seed=args.seed,
             timings=timings,
             method=args.method,
         )
@@ -183,14 +182,13 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _nonnegative_int(what: str):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{what} must be a nonnegative integer, got {text}")
-        return value
-    parse.__name__ = what  # argparse names the type in "invalid <name> value"
-    return parse
+def _vertex_budget(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"vertex budget must be a nonnegative integer, got {text}")
+    return value
+
+
+_vertex_budget.__name__ = "vertex budget"  # argparse names the type in "invalid <name> value"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=None, help="definiteness tolerance (default: family-derived)")
-    common.add_argument("--vertex-budget", type=_nonnegative_int("vertex budget"), default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
-    common.add_argument("--seed", type=_nonnegative_int("seed"), default=df.DEFAULT_SEED, help="seed for the witness search")
+    common.add_argument("--vertex-budget", type=_vertex_budget, default=df.DEFAULT_VERTEX_BUDGET, help="max vertices before the vertex route gives up")
 
     check = sub.add_parser("check", parents=[common], help="decide a definiteness goal for a parametric matrix problem")
     check.add_argument("file", help="problem JSON file")

@@ -53,8 +53,8 @@ DEFAULT_VERTEX_BUDGET = 1 << 20
 # The vertex route's first block of member matrices (at least one row); blocks double up to the second.
 FIRST_VERTEX_BLOCK_BYTES = 1 << 12
 VERTEX_CHUNK_BYTES = 1 << 20
-DEFAULT_SEED = 0x5EED
 WITNESS_RESTARTS = 20
+WITNESS_SEED = 0x5EED
 RHO_MARGIN = 1e-9
 
 STRONG_GOALS = ("strong_psd", "strong_pd")
@@ -152,7 +152,7 @@ def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
 # vertex characterizations
 
 
-def _strong_by_vertices(p, kind: str, tol: float, budget: int, *_) -> Verdict:
+def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     """Scan the reduced vertices in Gray order, in blocks that double from FIRST_VERTEX_BLOCK_BYTES.
 
     Each block forms its member matrices at once and takes their smallest
@@ -225,7 +225,7 @@ def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np
     return SymMatrix(acc)
 
 
-def _strong_by_split(p, kind: str, tol: float, *_) -> Verdict:
+def _strong_by_split(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     s = _split_combination(p, p.box.inf(), p.box.sup(), tol)
     m = min_eig(s)
     status = Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN
@@ -242,7 +242,7 @@ def strong_pd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict
     return decide(p, "strong_pd", tol, method="split")
 
 
-def _weak_by_necessary(p, kind: str, tol: float, *_) -> Verdict:
+def _weak_by_necessary(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     n = _split_combination(p, p.box.sup(), p.box.inf(), tol)
     m = min_eig(n)
     status = Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED
@@ -292,7 +292,7 @@ def _beeck_bound(p: ParametricSymMatrix, c: np.ndarray) -> np.ndarray:
         return g * (1.0 + (n + k + 8) * u)
 
 
-def _strong_pd_by_regularity(p, kind: str, tol: float, *_) -> Verdict:
+def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     """A(mid) PD and rho(``_beeck_bound``) < 1, with one ``eig_sym`` of A(mid) for the PD test and for C."""
     a_mid = evaluate(p, p.box.mid(), check=False)
     spectrum = eig_sym(a_mid)
@@ -361,7 +361,8 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
     """Maximize min_eig(A(q)) over the box from each row of ``starts``.
 
     Each row runs per-coordinate ternary search, and the objective is
-    concave in q, so each line search is unimodal.  The rows run in
+    concave in q, so each line search is unimodal; thirds and midpoints are
+    formed from halves of the bracket, finite on any box.  The rows run in
     lockstep: every ternary step forms the two probe members of every
     active row and takes their smallest eigenvalues in one batched
     LAPACK call.  Each row keeps its own bracket, in Python floats, and
@@ -384,7 +385,7 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
             ab = [0.0] * (2 * rows)
             for _ in range(steps):
                 for i in range(rows):
-                    third = (hi[i] - lo[i]) / 3.0
+                    third = (0.5 * hi[i] - 0.5 * lo[i]) / 1.5
                     ab[2 * i], ab[2 * i + 1] = lo[i] + third, hi[i] - third
                 probes[:, k] = ab
                 f = _member_min_eigs(p, probes).tolist()
@@ -393,7 +394,7 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
                         lo[i] = ab[2 * i]
                     else:
                         hi[i] = ab[2 * i + 1]
-            q[active, k] = [0.5 * (lo[i] + hi[i]) for i in range(rows)]
+            q[active, k] = [0.5 * lo[i] + 0.5 * hi[i] for i in range(rows)]
             best[active] = _member_min_eigs(p, q[active])
         now = best[active]
         active = active[~(now - improved <= 1e-13 * (1.0 + np.abs(now)))]
@@ -402,48 +403,31 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
     return q, best
 
 
-def weak_pd_witness(
-    p: ParametricSymMatrix,
-    restarts: int = WITNESS_RESTARTS,
-    goal: str = "pd",
-    seed: int = DEFAULT_SEED,
-    tol: float | None = None,
-) -> Optional[np.ndarray]:
-    """Multi-start search for a parameter point whose matrix passes the goal.
+def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
+    """Multi-start search for a parameter point whose member passes ``kind``: proved by it, else Unknown.
 
-    Returns a constructive witness or None; absence of a witness proves
-    nothing.  ``goal="psd"`` relaxes the acceptance threshold to the PSD
-    tolerance.  The first start is the box midpoint and runs alone; the
-    other ``restarts - 1`` run in lockstep batches whose probe members
-    fit ``VERTEX_CHUNK_BYTES``, and the lowest-index accepted start wins.
+    The box midpoint runs alone, then ``WITNESS_RESTARTS - 1`` starts drawn with ``WITNESS_SEED`` (from
+    halves of the bounds, capped at the upper one, so in any box) run in lockstep batches that fit
+    ``VERTEX_CHUNK_BYTES``; the lowest-index accepted start wins.  Finding none proves nothing.
     """
-    if goal not in ("pd", "psd"):
-        raise ValueError(f"goal must be 'pd' or 'psd', got {goal!r}")
-    return _search_witness(p, goal, family_tol(p) if tol is None else check_tol(tol), restarts, seed)
-
-
-def _search_witness(p: ParametricSymMatrix, kind: str, tol: float, restarts: int, seed: int) -> Optional[np.ndarray]:
-    """The search of ``weak_pd_witness`` under an already resolved ``tol``."""
     q, best = _coordinate_ascent(p, p.box.mid()[None])
-    if passes(best[0], kind, tol):
-        return q[0]
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(p.box.inf(), p.box.sup(), size=(max(restarts, 1) - 1, p.K))
-    rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
-    for first in range(0, len(starts), rows):
-        q, best = _coordinate_ascent(p, starts[first : first + rows])
-        ok = passes(best, kind, tol)
-        if ok.any():
-            return q[int(np.argmax(ok))]
-    return None
-
-
-def _weak_by_witness(p, kind: str, tol: float, _budget: int, seed: int) -> Verdict:
-    witness = _search_witness(p, kind, tol, WITNESS_RESTARTS, seed)
-    if witness is None:
-        return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
+    ok = passes(best, kind, tol)
+    if not ok[0]:
+        lows, highs = p.box.inf(), p.box.sup()
+        unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
+        with np.errstate(over="ignore"):
+            starts = np.minimum(lows + (0.5 * highs - 0.5 * lows) * (2.0 * unit), highs)
+        rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
+        for first in range(0, len(starts), rows):
+            q, best = _coordinate_ascent(p, starts[first : first + rows])
+            ok = passes(best, kind, tol)
+            if ok.any():
+                break
+        else:
+            return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
+    witness = q[int(np.argmax(ok))]
     m = float(_member_min_eigs(p, witness[None])[0])
-    return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(float(v) for v in witness), m))
+    return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(witness.tolist()), m))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +437,7 @@ def _weak_by_witness(p, kind: str, tol: float, _budget: int, seed: int) -> Verdi
 class Stage(NamedTuple):
     """A decision stage, the goals it applies to, and the function that runs it.
 
-    ``run(p, kind, tol, vertex_budget, seed)`` returns a Verdict; ``kind``
+    ``run(p, kind, tol, vertex_budget)`` returns a Verdict; ``kind``
     is "psd" or "pd", the property the goal asks about, and ``decide`` has
     already resolved ``tol`` and checked ``vertex_budget``.
     """
@@ -481,11 +465,10 @@ def decide(
     goal: str,
     tol: float | None = None,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    seed: int = DEFAULT_SEED,
     timings: dict | None = None,
     method: str = "auto",
 ) -> Verdict:
-    """Run the stages of ``STAGES`` that apply to ``goal`` until one decides.
+    """Run the stages of ``STAGES`` that apply to ``goal`` until one decides; the same call gives the same verdict.
 
     ``method="auto"`` walks the whole cascade; a stage name runs that
     stage alone.  The returned verdict's ``method`` names the stage that
@@ -513,7 +496,7 @@ def decide(
     verdict = Verdict(Status.UNKNOWN, "none")
     for stage in stages:
         t0 = time.perf_counter()
-        verdict = stage.run(p, kind, tol, vertex_budget, seed)
+        verdict = stage.run(p, kind, tol, vertex_budget)
         if timings is not None:
             timings[stage.name] = timings.get(stage.name, 0.0) + (time.perf_counter() - t0) * 1e3
         if not verdict.unknown:

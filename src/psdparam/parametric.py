@@ -142,10 +142,12 @@ def family_tol(p: ParametricSymMatrix) -> float:
 
 
 def coefficient_signs(p: ParametricSymMatrix, tol: float) -> np.ndarray:
-    """Per coefficient, +1 when its spectrum passes as PSD within ``tol``, else -1 when NSD, else 0."""
+    """Per coefficient, +1 when its eigenvalues times ``max(1, sup_k - inf_k)`` pass as PSD within ``tol``, else -1 when NSD, else 0."""
     eigvals = p.coefficient_spectra()[0]
-    psd = passes(eigvals[:, 0], "psd", tol)
-    nsd = passes(-eigvals[:, -1], "psd", tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.maximum(1.0, p.box.sup() - p.box.inf())
+        psd = passes(eigvals[:, 0] * width, "psd", tol)
+        nsd = passes(-eigvals[:, -1] * width, "psd", tol)
     return np.where(psd, 1, np.where(nsd, -1, 0))
 
 

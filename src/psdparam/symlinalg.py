@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+PERRON_TOL = 1e-9  # the Perron bracket's target width
+PERRON_MAX_ITER = 10_000
+
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to converge within its cap."""
@@ -240,7 +243,7 @@ class PerronBracket:
     iterations: int
 
 
-def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> PerronBracket:
+def spectral_radius_nonneg(r) -> PerronBracket:
     """Perron root of a nonnegative matrix by bracketed power iteration.
 
     Iterates on the diagonally shifted, scaled matrix R/s + I (which keeps
@@ -249,8 +252,8 @@ def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> Perr
     valid bracket: it is |v| for LAPACK's Perron vector v (of the
     eigenvalue with the largest real part), floored at 1e-3 of its
     largest entry, or the ones vector when ``eig`` fails or is not
-    finite.  Stops once the bracket width falls below ``tol``; past
-    ``max_iter`` the current bracket is returned flagged as unconverged.
+    finite.  Stops once the bracket is narrower than ``PERRON_TOL``; past
+    ``PERRON_MAX_ITER`` steps it is returned flagged as unconverged.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -277,12 +280,12 @@ def spectral_radius_nonneg(r, tol: float = 1e-9, max_iter: int = 10_000) -> Perr
     upper = max_row_sum
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PERRON_MAX_ITER + 1):
         y = s @ x
         ratios = y / x
         lower = max(lower, (float(ratios.min()) - 1.0) * max_row_sum)
         upper = min(upper, (float(ratios.max()) - 1.0) * max_row_sum)
-        if upper - lower < tol:
+        if upper - lower < PERRON_TOL:
             converged = True
             break
         x = y / y.max()

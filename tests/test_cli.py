@@ -43,6 +43,15 @@ REGULARITY_DOC = (
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
 )
 
+# diag(1, -1e-6) on [0, 1e6] plus a constant: the first coefficient's eigenvalue
+# -1e-6 lies inside the tolerance, but moving its parameter shifts members by 1.
+WIDE_DOC = (
+    '{{"n":2,"K":2,"coefficients":[[[1,0],[0,-1e-6]],{constant}],'
+    '"parameters":[{{"inf":0,"sup":1e6}},{{"inf":1,"sup":1}}]}}'
+)
+# A(p) = p on a box whose width overflows a double, or whose sup is the largest power of ten.
+HUGE_BOX_DOC = '{{"n":1,"K":1,"coefficients":[[[1]]],"parameters":[{{"inf":{inf},"sup":1e308}}]}}'
+
 # diag(p, -p) on p in [1, 2]: no member is even PSD, whatever the goal.
 INDEFINITE_DOC = '{"n":2,"K":1,"coefficients":[[[1,0],[0,-1]]],"parameters":[{"inf":1,"sup":2}]}'
 
@@ -331,6 +340,51 @@ class TestCheck:
         assert report["method"] == "vertex"
         assert report["certificate"]["min_eig"] == pytest.approx(-9e200, rel=1e-9)
 
+    @pytest.mark.parametrize("method", ["auto", "split", "vertex"])
+    def test_wide_box_is_not_pinned_at_one_endpoint(self, capsys, tmp_path, method):
+        # diag(0.5, 0.5) + p diag(1, -1e-6): A(1e6, 1) has min_eig -0.5.
+        # The coefficient once passed as PSD within the tolerance 2e-4 and was
+        # pinned at p = 0: "proved by split", and by vertex from 1 vertex.
+        path = tmp_path / "wide.json"
+        path.write_text(WIDE_DOC.format(constant="[[0.5,0],[0,0.5]]"))
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-pd", "--method", method)
+        assert code != EXIT_PROVED
+        if method != "split":
+            assert code == EXIT_DISPROVED and report["method"] == "vertex"
+            assert report["certificate"]["p"] == [1e6, 1.0]
+            assert report["certificate"]["min_eig"] == pytest.approx(-0.5)
+
+    def test_wide_box_weak_pd_is_not_disproved(self, capsys, tmp_path):
+        # diag(-5e5, 0.9) + p diag(1, -1e-6) is PD at p = 7e5.  Pinning the
+        # coefficient at p = 1e6 once gave "disproved by necessary" (-0.1).
+        path = tmp_path / "wide.json"
+        path.write_text(WIDE_DOC.format(constant="[[-5e5,0],[0,0.9]]"))
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "weak-pd")
+        assert code == EXIT_PROVED and report["method"] == "witness"
+        p = report["certificate"]["p"][0]
+        assert 0.0 <= p <= 1e6
+        assert np.linalg.eigvalsh(np.diag([p - 5e5, 0.9 - 1e-6 * p]))[0] > report["tolerances"]["definiteness"]
+
+    @pytest.mark.parametrize("inf", ["0", "-1e308"])
+    @pytest.mark.parametrize("goal", ["weak-psd", "weak-pd"])
+    def test_huge_box_witness_is_finite_and_in_the_box(self, capsys, tmp_path, goal, inf):
+        # On [0, 1e308] the search's midpoint 0.5 (lo + hi) overflowed and
+        # "proved" with p = Infinity, which is not JSON; on [-1e308, 1e308]
+        # drawing the restarts raised OverflowError, a traceback with exit 1.
+        path = tmp_path / "huge-box.json"
+        path.write_text(HUGE_BOX_DOC.format(inf=inf))
+        code = main(["check", str(path), "--goal", goal])
+        out = capsys.readouterr().out
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert code == EXIT_PROVED and report["method"] == "witness"
+        (p,) = report["certificate"]["p"]
+        assert float(inf) <= p <= 1e308 and report["certificate"]["min_eig"] == p
+        assert_schema_valid(report)
+
     def test_tol_flag_recorded(self, capsys, split_file):
         code, report, _ = run_cli(
             capsys, "check", split_file, "--goal", "strong-pd", "--tol", "1e-6"
@@ -358,9 +412,10 @@ class TestCheck:
         assert report["tolerances"]["definiteness"] == 0.0
         assert report["certificate"]["min_eig"] == -1.0
 
-    def test_negative_seed_is_input_error(self, capsys, split_file):
-        result = run_cli(capsys, "check", split_file, "--goal", "weak-pd", "--seed", "-1")
-        assert_input_error(result, "seed must be a nonnegative integer")
+    def test_seed_flag_is_unknown(self, capsys, split_file):
+        # The witness search seeds itself with a constant; --seed is gone.
+        result = run_cli(capsys, "check", split_file, "--goal", "weak-pd", "--seed", "7")
+        assert_input_error(result, "unrecognized arguments: --seed 7")
 
     @pytest.mark.parametrize("goal", ["strong-pd", "weak-psd"])
     def test_negative_vertex_budget_is_input_error(self, capsys, tmp_path, goal):
@@ -370,7 +425,7 @@ class TestCheck:
         result = run_cli(capsys, "check", str(path), "--goal", goal, "--vertex-budget", "-5")
         assert_input_error(result, "vertex budget must be a nonnegative integer")
 
-    @pytest.mark.parametrize("flag, name", [("--vertex-budget", "vertex budget"), ("--seed", "seed")])
+    @pytest.mark.parametrize("flag, name", [("--vertex-budget", "vertex budget")])
     def test_non_integer_count_is_input_error(self, capsys, split_file, flag, name):
         result = run_cli(capsys, "check", split_file, "--goal", "strong-pd", flag, "2.5")
         assert_input_error(result, f"invalid {name} value: '2.5'")

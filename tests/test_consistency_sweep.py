@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_small_sweep_agrees_on_all_goals():
-    # The script's default seed gives 6 weak Unknowns.  Each costs the
-    # witness search all 20 restarts, which run in lockstep batches, so
-    # the run takes about 1.2 s.
+    # The script's default seed gives 6 weak Unknowns, and 4 more on the
+    # wide-box families.  Each costs the witness search all 20 restarts,
+    # which run in lockstep batches, so the run takes about 1.6 s.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
@@ -30,5 +30,6 @@ def test_small_sweep_agrees_on_all_goals():
     assert "missed witness" in out
     assert "strong_pd  by split alone:" in out and "strong_pd  by regularity alone:" in out
     assert "by regularity alone on 40 near-singular families: 0 proved, 40 unknown" in out
+    assert "all goals  on 40 wide-box families: 98 proved, 58 disproved, 4 unknown" in out
     assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

@@ -48,7 +48,6 @@ from psdparam import (
     strong_psd_split,
     vertices,
     weak_pd_necessary,
-    weak_pd_witness,
     weak_psd_necessary,
 )
 from psdparam import definiteness
@@ -549,16 +548,16 @@ class TestHertz:
             assert hertz_min_eig(a) == pytest.approx(ref, abs=1e-9)
 
 
-def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.DEFAULT_SEED):
+def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.WITNESS_SEED):
     """Reference witness search: one scalar ``min_eig(evaluate(...))`` per probe.
 
     The same seeded restarts, ternary rule, step and sweep counts and
-    stopping test as ``weak_pd_witness``, one restart after another with
+    stopping test as the witness stage, one restart after another with
     no batching.  Yields (point, value, sweeps run) for each restart.
     """
     rng = np.random.default_rng(seed)
     lows, highs = p.box.inf(), p.box.sup()
-    for trial in range(max(restarts, 1)):
+    for trial in range(restarts):
         q = p.box.mid() if trial == 0 else rng.uniform(lows, highs)
         best = min_eig(evaluate(p, q, check=False))
         for sweep in range(1, 31):
@@ -589,7 +588,7 @@ def passes(goal: str, value: float, tol: float) -> bool:
     return value > tol if goal == "pd" else value >= -tol
 
 
-def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: int = definiteness.DEFAULT_SEED):
+def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: int = definiteness.WITNESS_SEED):
     """The first restart of ``sequential_ascents`` whose value passes the goal, or None."""
     tol = family_tol(p)
     return next((q for q, best, _ in sequential_ascents(p, restarts, seed) if passes(goal, best, tol)), None)
@@ -614,10 +613,20 @@ def ridge_family(n: int, c: float) -> ParametricSymMatrix:
     return ParametricSymMatrix([SymMatrix(m) for m in a], box)
 
 
+def stage_witness(monkeypatch, p: ParametricSymMatrix, goal: str, restarts: int = definiteness.WITNESS_RESTARTS,
+                  seed: int = definiteness.WITNESS_SEED):
+    """The point of the witness stage's certificate for weak ``goal`` under ``restarts`` and ``seed``, or None."""
+    monkeypatch.setattr(definiteness, "WITNESS_RESTARTS", restarts)
+    monkeypatch.setattr(definiteness, "WITNESS_SEED", seed)
+    v = decide(p, f"weak_{goal}", method="witness")
+    assert v.method == "witness" and v.proved == isinstance(v.certificate, WitnessPoint)
+    return np.array(v.certificate.p) if v.proved else None
+
+
 class TestWitnessSearch:
-    def assert_matches_sequential(self, p, goal, restarts, seed=definiteness.DEFAULT_SEED):
+    def assert_matches_sequential(self, monkeypatch, p, goal, restarts, seed=definiteness.WITNESS_SEED):
         expected = sequential_witness(p, restarts, goal, seed)
-        got = weak_pd_witness(p, restarts=restarts, goal=goal, seed=seed)
+        got = stage_witness(monkeypatch, p, goal, restarts, seed)
         assert (got is None) == (expected is None)
         if got is None:
             return False
@@ -628,25 +637,25 @@ class TestWitnessSearch:
         return True
 
     @pytest.mark.parametrize("goal", ["pd", "psd"])
-    def test_batched_matches_sequential_on_fixtures(self, rng, goal):
+    def test_batched_matches_sequential_on_fixtures(self, monkeypatch, rng, goal):
         for p in (rank_one_cone(), diag_sign_family()):
-            self.assert_matches_sequential(p, goal, restarts=5)
+            self.assert_matches_sequential(monkeypatch, p, goal, restarts=5)
         for _ in range(5):
             p, _ = planted_pd_family(rng)
-            assert self.assert_matches_sequential(p, goal, restarts=20)
+            assert self.assert_matches_sequential(monkeypatch, p, goal, restarts=20)
 
     @pytest.mark.parametrize("goal", ["pd", "psd"])
-    def test_batched_matches_sequential_on_random_families(self, rng, goal):
+    def test_batched_matches_sequential_on_random_families(self, monkeypatch, rng, goal):
         # 2x2 members keep the scalar reference fast; the planted fixtures
         # above cover 3x3.
         found = 0
         for _ in range(30):
-            found += self.assert_matches_sequential(random_family(rng, max_n=2, max_k=4), goal, restarts=2)
+            found += self.assert_matches_sequential(monkeypatch, random_family(rng, max_n=2, max_k=4), goal, restarts=2)
         assert 0 < found < 30
 
     @pytest.mark.parametrize("restarts", [1, 2, 20])
     @pytest.mark.parametrize("goal", ["pd", "psd"])
-    def test_lowest_accepted_restart_wins(self, goal, restarts):
+    def test_lowest_accepted_restart_wins(self, monkeypatch, goal, restarts):
         p = ridge_family(2, 0.6)
         runs = list(sequential_ascents(p, restarts))
         accepted = [i for i, (_, best, _) in enumerate(runs) if passes(goal, best, family_tol(p))]
@@ -656,7 +665,7 @@ class TestWitnessSearch:
             # of sweeps, so rows leave the lockstep batch at different times.
             assert len(accepted) >= 2
             assert len({sweeps for *_, sweeps in runs[1:]}) > 1
-        assert self.assert_matches_sequential(p, goal, restarts) == bool(accepted)
+        assert self.assert_matches_sequential(monkeypatch, p, goal, restarts) == bool(accepted)
 
     def test_batches_split_by_size(self, monkeypatch):
         # At n = 60 the two probe members of a row take 57600 bytes, so a
@@ -682,20 +691,16 @@ class TestWitnessSearch:
             return ascent(p, starts)
 
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
-        assert self.assert_matches_sequential(p, "pd", restarts=20, seed=seed)
+        assert self.assert_matches_sequential(monkeypatch, p, "pd", restarts=20, seed=seed)
         assert batches == [1, rows, 19 - rows]
 
     def test_one_row_batches_match(self, rng, monkeypatch):
         # A chunk smaller than two members still gives one row per batch.
         monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", 1)
-        self.assert_matches_sequential(ridge_family(2, 0.6), "pd", restarts=20)
+        self.assert_matches_sequential(monkeypatch, ridge_family(2, 0.6), "pd", restarts=20)
         for _ in range(3):
             p, _ = planted_pd_family(rng)
-            assert self.assert_matches_sequential(p, "psd", restarts=20)
-
-    def test_unknown_goal_rejected(self):
-        with pytest.raises(ValueError):
-            weak_pd_witness(rank_one_cone(), goal="x")
+            assert self.assert_matches_sequential(monkeypatch, p, "psd", restarts=20)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_rows_equal_rows_run_alone(self, seed):
@@ -710,36 +715,39 @@ class TestWitnessSearch:
                 qi, bi = definiteness._coordinate_ascent(p, start[None])
                 assert np.array_equal(q[i], qi[0]) and best[i] == bi[0]
 
-    def test_zero_restarts_runs_one_start(self, monkeypatch):
+    def test_starts_lie_in_a_box_wider_than_the_largest_double(self, monkeypatch):
+        # hi - lo overflows on this box: drawing the restarts once raised
+        # OverflowError, and the draws past 0.9 of the width give inf
+        # unless they are capped at the upper bound.
+        p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(-1e308, 1e308)]))
         starts = []
         ascent = definiteness._coordinate_ascent
 
         def spy(p, rows):
-            starts.extend(rows.copy())
+            starts.extend(rows[:, 0].tolist())
             return ascent(p, rows)
 
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
-        p = diag_sign_family()
-        assert weak_pd_witness(p, restarts=0) is None
-        assert len(starts) == 1
-        np.testing.assert_array_equal(starts[0], p.box.mid())
+        assert decide(p, "weak_pd", tol=0.0, method="witness").unknown
+        assert len(starts) == definiteness.WITNESS_RESTARTS
+        assert all(-1e308 <= x <= 1e308 for x in starts) and max(starts) == 1e308
 
-    def test_rank_one_cone_psd_witness_found(self):
-        w = weak_pd_witness(rank_one_cone(), goal="psd")
+    def test_rank_one_cone_psd_witness_found(self, monkeypatch):
+        w = stage_witness(monkeypatch, rank_one_cone(), "psd")
         assert w is not None
         assert min_eig(evaluate(rank_one_cone(), w)) >= -family_tol(rank_one_cone())
 
-    def test_rank_one_cone_has_no_pd_witness(self):
-        assert weak_pd_witness(rank_one_cone(), restarts=5) is None
+    def test_rank_one_cone_has_no_pd_witness(self, monkeypatch):
+        assert stage_witness(monkeypatch, rank_one_cone(), "pd", restarts=5) is None
 
-    def test_diag_sign_no_witness(self):
-        assert weak_pd_witness(diag_sign_family(), restarts=5) is None
+    def test_diag_sign_no_witness(self, monkeypatch):
+        assert stage_witness(monkeypatch, diag_sign_family(), "pd", restarts=5) is None
 
-    def test_planted_instances_recovered(self, rng):
+    def test_planted_instances_recovered(self, monkeypatch, rng):
         hits = 0
         for _ in range(10):
             p, _ = planted_pd_family(rng)
-            w = weak_pd_witness(p, restarts=20)
+            w = stage_witness(monkeypatch, p, "pd", restarts=20)
             if w is not None:
                 assert min_eig(evaluate(p, w)) > family_tol(p)
                 hits += 1

@@ -226,9 +226,10 @@ class TestVertices:
                 rows = enum.points(0, len(enum))
                 for k, (iv, coeff) in enumerate(zip(p.box.intervals, p.coeffs)):
                     t = family_tol(p) if tol is None else tol
-                    if iv.is_degenerate or passes(min_eig(coeff), "psd", t):
+                    width = max(1.0, iv.sup - iv.inf)
+                    if iv.is_degenerate or passes(min_eig(coeff) * width, "psd", t):
                         expected = {iv.inf}
-                    elif passes(min_eig(SymMatrix(-coeff.array)), "psd", t):
+                    elif passes(min_eig(SymMatrix(-coeff.array)) * width, "psd", t):
                         expected = {iv.sup}
                     else:
                         expected = {iv.inf, iv.sup}
@@ -239,6 +240,19 @@ class TestVertices:
         p = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5))
         assert coefficient_signs(p, 0.0).tolist() == [1, -1, 0, 1, 0]
         assert coefficient_signs(p, 1e-11).tolist() == [1, -1, 0, 1, 1]
+
+    def test_coefficient_signs_scale_by_the_width(self):
+        # The tolerance bounds what a member may miss, so an eigenvalue counts
+        # times its parameter's width: diag(1, -1e-6) on [0, 1e6] shifts
+        # members by 1 and is indefinite under tol 2e-4, though semidefinite
+        # on [0, 1].  An overflowing width passes only a nonzero eigenvalue
+        # of the right sign.
+        coeffs = [np.diag([1.0, -1e-6]), np.diag([1e-6, -1.0]), np.eye(2), np.zeros((2, 2)), -np.eye(2)]
+        assert coefficient_signs(ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5)), 2e-4).tolist() == [1, -1, 1, 1, -1]
+        wide = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1e6)] * 5))
+        assert coefficient_signs(wide, 2e-4).tolist() == [0, 0, 1, 1, -1]
+        huge = ParametricSymMatrix([c * 1e-308 for c in coeffs], ParameterBox([Interval(-1e308, 1e308)] * 5))
+        assert coefficient_signs(huge, 0.0).tolist() == [0, 0, 1, 0, -1]
 
     def test_default_tolerance_is_the_vertex_stage_one(self):
         # diag(10, -1e-9) on [0, 1e-3]: within the per-matrix tolerance

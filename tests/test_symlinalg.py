@@ -21,6 +21,7 @@ from psdparam import (
     psd_split,
     spectral_radius_nonneg,
 )
+from psdparam import symlinalg
 from psdparam.symlinalg import PerronBracket, _jacobi_eigvals, check_tol, scaled_tol
 
 EX2_INDEFINITE = np.array([[-1.0, 1.0], [1.0, 1.0]])
@@ -342,19 +343,19 @@ class TestInvert:
             assert determinant(a) == pytest.approx(float(np.linalg.det(a.array)), rel=1e-9, abs=1e-12)
 
 
-def ones_start_bracket(r, tol: float = 1e-9, max_iter: int = 10_000) -> PerronBracket:
-    """Reference: the same bracketed iteration from the ones vector."""
+def ones_start_bracket(r) -> PerronBracket:
+    """Reference: the same bracketed iteration from the ones vector, under the same constants."""
     n = r.shape[0]
     max_row_sum = float(r.sum(axis=1).max())
     s = r / max_row_sum + np.eye(n)
     x = np.ones(n)
     lower, upper, converged = float(r.diagonal().max()), max_row_sum, False
-    for it in range(1, max_iter + 1):
+    for it in range(1, symlinalg.PERRON_MAX_ITER + 1):
         y = s @ x
         ratios = y / x
         lower = max(lower, (float(ratios.min()) - 1.0) * max_row_sum)
         upper = min(upper, (float(ratios.max()) - 1.0) * max_row_sum)
-        if upper - lower < tol:
+        if upper - lower < symlinalg.PERRON_TOL:
             converged = True
             break
         x = y / y.max()
@@ -375,16 +376,17 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius_nonneg([[0.0, -1.0], [0.0, 0.0]])
 
-    def test_nilpotent_upper_bound_still_sound(self):
+    def test_nilpotent_upper_bound_still_sound(self, monkeypatch):
         # Defective matrix: the bracket narrows slowly, so the cap trips,
         # but the flagged upper bound must stay a valid bound (true radius
         # is 0) and is still usable to conclude rho < 1.
-        b = spectral_radius_nonneg([[0.0, 1.0], [0.0, 0.0]], max_iter=200)
+        monkeypatch.setattr(symlinalg, "PERRON_MAX_ITER", 200)
+        b = spectral_radius_nonneg([[0.0, 1.0], [0.0, 0.0]])
         assert not b.converged
         assert 0.0 <= b.upper < 1.0
         assert b.iterations == 200
 
-    def test_bracket_contains_the_spectral_radius(self, rng):
+    def test_bracket_contains_the_spectral_radius(self, rng, monkeypatch):
         # Irreducible, sparse (often reducible), block-triangular (reducible), zero and 1x1 matrices.
         cases = [np.zeros((3, 3)), np.array([[0.0]]), np.array([[2.5]]), np.array([[0.0, 1.0], [0.0, 0.0]])]
         for i in range(120):
@@ -395,8 +397,9 @@ class TestSpectralRadius:
             elif i % 3 == 2:
                 r[: n // 2, n // 2 :] = 0.0
             cases.append(r)
+        monkeypatch.setattr(symlinalg, "PERRON_MAX_ITER", 300)
         for r in cases:
-            b = spectral_radius_nonneg(r, max_iter=300)
+            b = spectral_radius_nonneg(r)
             rho = float(np.abs(np.linalg.eigvals(r)).max())
             slack = 1e-9 * (1.0 + rho)
             assert b.lower - slack <= rho <= b.upper + slack
