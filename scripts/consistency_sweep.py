@@ -43,6 +43,12 @@ more than the tolerance.  All four goals run on each, with the strong
 verdicts checked against the unreduced vertex enumeration and the weak
 ones re-checked as above.
 
+PINNED_SHORTFALL_FAMILIES pinned-shortfall families (``pinned_shortfall_family``)
+come from a fourth stream.  Each has several coefficients that are semidefinite
+within the family tolerance and pinned at one endpoint, whose shortfalls add up
+past that tolerance along one shared direction.  All four goals run on each and
+are checked as the wide-box ones are.
+
 Reports which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
@@ -72,6 +78,8 @@ HERTZ_MAX_N = 12
 NEAR_SINGULAR_FAMILIES = 40
 # Wide-box families per sweep, each checked on all four goals.
 WIDE_BOX_FAMILIES = 40
+# Pinned-shortfall families per sweep, each checked on all four goals.
+PINNED_SHORTFALL_FAMILIES = 40
 
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
@@ -113,6 +121,37 @@ def wide_box_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
     return pp.ParametricSymMatrix(
         [q @ np.diag(coeff) @ q.T, q @ np.diag(constant) @ q.T], pp.ParameterBox.from_bounds([(0.0, w), (1.0, 1.0)])
     )
+
+
+def pinned_shortfall_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
+    """B_k - s_k u u^T, k < K, times a sign on [0, 1] or [-1, 0], plus d (I - u u^T) + c u u^T on [1, 1].
+
+    Each B_k is PSD with u in its null space, so every coefficient is semidefinite
+    within the family tolerance tol (s_k = f_k tol, f_k in [0.5, 0.9]) and pinned at
+    t_k = 0, yet the s_k add up past tol (K = 3 to 5).  With t_k = |q_k| in [0, 1],
+    u is an eigenvector of every member, with eigenvalue c - sum_k s_k t_k.  So with
+    c = g tol, g in [0, sum_k f_k + 2], strong PSD holds when g - sum_k f_k >= -1
+    and strong PD when g - sum_k f_k > 1; the member at t = 0 is always PSD, and PD
+    when g > 1.  The pinned vertex t = 0 alone decides none of these.
+    """
+    n = int(rng.integers(2, 4))
+    k = int(rng.integers(3, 6))
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    rest = np.eye(n) - np.outer(u, u)
+    signs = rng.choice([-1.0, 1.0], k)
+    coeffs = []
+    for sign in signs:
+        g = rng.standard_normal((n, n))
+        coeffs.append(sign * (rest @ (g @ g.T + 0.1 * np.eye(n)) @ rest))
+    coeffs.append(rng.uniform(0.5, 1.0) * rest)
+    bounds = [(0.0, 1.0) if sign > 0 else (-1.0, 0.0) for sign in signs] + [(1.0, 1.0)]
+    tol = pp.family_tol(pp.ParametricSymMatrix(coeffs, pp.ParameterBox.from_bounds(bounds)))
+    f = rng.uniform(0.5, 0.9, k)
+    for i, sign in enumerate(signs):
+        coeffs[i] = coeffs[i] - sign * f[i] * tol * np.outer(u, u)
+    coeffs[-1] = coeffs[-1] + rng.uniform(0.0, f.sum() + 2.0) * tol * np.outer(u, u)
+    return pp.ParametricSymMatrix(coeffs, pp.ParameterBox.from_bounds(bounds))
 
 
 def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
@@ -250,6 +289,15 @@ def main() -> int:
             verdict, problems = check_goal(p, goal, truth)
             wide[verdict.status.value] += 1
             disagreements += [(f"wide-box {i}", goal, problem) for problem in problems]
+    pinned_rng = np.random.default_rng([args.seed, 3])
+    pinned = collections.Counter()
+    for i in range(PINNED_SHORTFALL_FAMILIES):
+        p = pinned_shortfall_family(pinned_rng)
+        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
+        for goal in STRONG_GOALS + WEAK_GOALS:
+            verdict, problems = check_goal(p, goal, truth)
+            pinned[verdict.status.value] += 1
+            disagreements += [(f"pinned-shortfall {i}", goal, problem) for problem in problems]
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
@@ -265,6 +313,10 @@ def main() -> int:
     print(
         f"  all goals  on {WIDE_BOX_FAMILIES} wide-box families: "
         f"{wide['proved']} proved, {wide['disproved']} disproved, {wide['unknown']} unknown"
+    )
+    print(
+        f"  all goals  on {PINNED_SHORTFALL_FAMILIES} pinned-shortfall families: "
+        f"{pinned['proved']} proved, {pinned['disproved']} disproved, {pinned['unknown']} unknown"
     )
     for goal in WEAK_GOALS:
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")

@@ -1,11 +1,14 @@
 """Decision procedures for strong and weak definiteness of parametric families.
 
 Strong questions (does every member matrix satisfy the property?) are
-decided exactly by reduced vertex enumeration and approximated cheaply by
-a PSD-splitting sufficient condition and, for definiteness, a regularity
+decided by reduced vertex enumeration (exact when the coefficients it
+pins at one endpoint are semidefinite; pinning ones that are so only
+within the tolerance can leave it Unknown), and approximated cheaply by a
+PSD-splitting sufficient condition and, for definiteness, a regularity
 argument with the Beeck spectral-radius criterion.  Weak questions (does
 some member satisfy it?) get a splitting-based necessary condition and a
-heuristic witness search; a full weak decision is out of scope, so those
+heuristic witness search, which tests every start member at once before
+it climbs from any; a full weak decision is out of scope, so those
 routes may report Unknown.
 
 The stages form one table, ``STAGES``, run only by ``decide``; each
@@ -159,6 +162,8 @@ def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: i
     eigenvalues in one batched call; the scan stops at the first block with
     a failing vertex.  Whatever the block sizes, the certificate names the
     first failing vertex, or the first vertex attaining the minimum, in Gray order.
+    A failing vertex is a member, so it always disproves; a proof needs the
+    minimum less the enumeration's pinned shortfall to pass, else Unknown.
     """
     enum = vertices(p, tol=tol)
     total = len(enum)
@@ -184,6 +189,8 @@ def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: i
         if mins[i] < worst:
             worst, worst_vertex = float(mins[i]), tuple(points[i].tolist())
         start, size = stop, min(2 * size, cap)
+    if not passes(worst - enum.shortfall, kind, tol):
+        return Verdict(Status.UNKNOWN, "vertex", detail=_pinned_detail(enum.shortfall))
     return Verdict(Status.PROVED, "vertex", VertexList(total, worst_vertex, worst))
 
 
@@ -205,31 +212,42 @@ def strong_pd(
 # splitting-based one-shot conditions
 
 
-def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray, tol: float) -> SymMatrix:
-    """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the splits A_k = plus_k - minus_k.
+def _split_combination(
+    p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray, tol: float
+) -> tuple[SymMatrix, float]:
+    """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the splits A_k = plus_k - minus_k; and the pinned shortfall.
 
-    With the box's (inf, sup) this underestimates every member; with
-    (sup, inf) it overestimates every member.  A semidefinite coefficient
-    (``coefficient_signs``) is its own part; the others take the PSD parts
-    the family computed when it was built.  The terms are summed in k
-    order from zero.
+    With the box's (inf, sup) this underestimates every member, and with
+    (sup, inf) it overestimates every member, each up to the pinned
+    shortfall of ``coefficient_signs``: a semidefinite coefficient is its
+    own part, within ``tol``; the others take the PSD parts the family
+    computed when it was built.  The terms are summed in k order from zero.
     """
     plus, minus = p.coefficient_parts()
-    signs = coefficient_signs(p, tol)[:, None, None]
+    signs, shortfall = coefficient_signs(p, tol)
+    signs = signs[:, None, None]
     x_plus, x_minus = plus_at[:, None, None], minus_at[:, None, None]
     own = p.coefficient_stack() * np.where(signs > 0, x_plus, x_minus)
     terms = np.where(signs != 0, own, plus * x_plus - minus * x_minus)
     acc = np.zeros((p.n, p.n))
     for term in terms:
         acc += term
-    return SymMatrix(acc)
+    return SymMatrix(acc), shortfall
+
+
+def _pinned_detail(shortfall: float) -> str:
+    """Why a stage that passed on its pinned bound decides nothing."""
+    return f"pinned coefficients may miss members by up to {shortfall:g}"
 
 
 def _strong_by_split(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    s = _split_combination(p, p.box.inf(), p.box.sup(), tol)
+    """Proved when the lower bound matrix, less the pinned shortfall, passes; never disproves."""
+    s, shortfall = _split_combination(p, p.box.inf(), p.box.sup(), tol)
     m = min_eig(s)
-    status = Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN
-    return Verdict(status, "split", SplitWitness(s, m))
+    if passes(m - shortfall, kind, tol):
+        return Verdict(Status.PROVED, "split", SplitWitness(s, m))
+    why = _pinned_detail(shortfall) if passes(m, kind, tol) else ""
+    return Verdict(Status.UNKNOWN, "split", SplitWitness(s, m), why)
 
 
 def strong_psd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
@@ -243,10 +261,13 @@ def strong_pd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict
 
 
 def _weak_by_necessary(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    n = _split_combination(p, p.box.sup(), p.box.inf(), tol)
+    """Disproved when the upper bound matrix, plus the pinned shortfall, fails; never proves."""
+    n, shortfall = _split_combination(p, p.box.sup(), p.box.inf(), tol)
     m = min_eig(n)
-    status = Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED
-    return Verdict(status, "necessary", NecessaryFailure(n, m))
+    if not passes(m + shortfall, kind, tol):
+        return Verdict(Status.DISPROVED, "necessary", NecessaryFailure(n, m))
+    why = "" if passes(m, kind, tol) else _pinned_detail(shortfall)
+    return Verdict(Status.UNKNOWN, "necessary", NecessaryFailure(n, m), why)
 
 
 def weak_psd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
@@ -273,13 +294,14 @@ def strong_pd_regularity(p: ParametricSymMatrix, tol: float | None = None) -> Ve
     return decide(p, "strong_pd", tol, method="regularity")
 
 
-def _beeck_bound(p: ParametricSymMatrix, c: np.ndarray) -> np.ndarray:
-    """G >= |I - C A(q)| entrywise over the box, for any float C: a mid-rad bound after Rump (BIT 39, 1999).
+def _beeck_bound(p: ParametricSymMatrix, c: np.ndarray, shift: float) -> np.ndarray:
+    """G >= |I - C (A(q) - s I)| entrywise for q in the box and 0 <= s <= shift, for any float C: mid-rad, after Rump (BIT 39, 1999).
 
     With P = C @ stack, m the box midpoint and r = nextafter(max(m - lo, hi - m)), G is |I - sum_k P_k m_k|
     + sum_k |P_k| r_k + gamma_n |C| sum_k |A_k| (|m_k| + r_k) + gamma_{K+1} (I + sum_k |P_k| |m_k|) + an underflow
-    term (tiny factor first, so it stays finite), times 1 + gamma_{n+K+6} for its own n + K + 6 roundings.  Higham's
-    gamma_j = j u / (1 - j u) is taken as (j + 1) u, exact in floats, and the last factor as 1 + (n + K + 8) u, rounded.
+    term (tiny factor first, so it stays finite) + shift |C|, times 1 + gamma_{n+K+8} for its own n + K + 8 roundings.
+    Higham's gamma_j = j u / (1 - j u) is taken as (j + 1) u, exact in floats, and the last factor as
+    1 + (n + K + 10) u, rounded.
     """
     stack, n, k, u, m = p.coefficient_stack(), p.n, p.K, 2.0**-53, p.box.mid()
     r = np.nextafter(np.maximum(m - p.box.inf(), p.box.sup() - m), np.inf)
@@ -289,15 +311,20 @@ def _beeck_bound(p: ParametricSymMatrix, c: np.ndarray) -> np.ndarray:
         g = np.abs(np.eye(n) - (m @ prod).reshape(n, n)) + spread + (k + 2) * u * (np.eye(n) + drift)
         g += (n + 1) * u * (abs_c @ (reach @ np.abs(stack).reshape(k, n * n)).reshape(n, n))
         g += ((n + 2 * k + 5) * 2.0**-1074) * (1.0 + reach.sum()) * (1.0 + n * abs_c.max())
-        return g * (1.0 + (n + k + 8) * u)
+        g += shift * abs_c
+        return g * (1.0 + (n + k + 10) * u)
 
 
 def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    """A(mid) PD and rho(``_beeck_bound``) < 1, with one ``eig_sym`` of A(mid) for the PD test and for C."""
+    """A(mid) PD and rho(``_beeck_bound``) < 1, with one ``eig_sym`` of A(mid) for the PD test and for C.
+
+    The bound covers every A(q) - s I with s in [0, tol], so none is singular; A(mid) - tol I is PD, and
+    the box is connected, so every member's smallest eigenvalue exceeds tol, as the PD rule asks.
+    """
     a_mid = evaluate(p, p.box.mid(), check=False)
     spectrum = eig_sym(a_mid)
     try:
-        g = _beeck_bound(p, invert(a_mid, spectrum))
+        g = _beeck_bound(p, invert(a_mid, spectrum), tol)
     except SingularMatrixError as exc:
         return Verdict(Status.UNKNOWN, "regularity", detail=f"singular midpoint: {exc}")
     if not np.isfinite(g).all():
@@ -406,28 +433,30 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
 def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     """Multi-start search for a parameter point whose member passes ``kind``: proved by it, else Unknown.
 
-    The box midpoint runs alone, then ``WITNESS_RESTARTS - 1`` starts drawn with ``WITNESS_SEED`` (from
-    halves of the bounds, capped at the upper one, so in any box) run in lockstep batches that fit
-    ``VERTEX_CHUNK_BYTES``; the lowest-index accepted start wins.  Finding none proves nothing.
+    The starts are the box midpoint and ``WITNESS_RESTARTS - 1`` points drawn with ``WITNESS_SEED`` (from
+    halves of the bounds, capped at the upper one, so in any box).  All are tested first, in one batched
+    call, and the lowest-index start that passes is the witness, with its value from that call.  When none
+    passes, the midpoint climbs alone, then the other starts in lockstep batches that fit
+    ``VERTEX_CHUNK_BYTES``; the lowest-index accepted climb wins.  Finding none proves nothing.
     """
-    q, best = _coordinate_ascent(p, p.box.mid()[None])
-    ok = passes(best, kind, tol)
-    if not ok[0]:
-        lows, highs = p.box.inf(), p.box.sup()
-        unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
-        with np.errstate(over="ignore"):
-            starts = np.minimum(lows + (0.5 * highs - 0.5 * lows) * (2.0 * unit), highs)
-        rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
-        for first in range(0, len(starts), rows):
-            q, best = _coordinate_ascent(p, starts[first : first + rows])
-            ok = passes(best, kind, tol)
-            if ok.any():
-                break
-        else:
-            return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
-    witness = q[int(np.argmax(ok))]
-    m = float(_member_min_eigs(p, witness[None])[0])
-    return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(witness.tolist()), m))
+    lows, highs = p.box.inf(), p.box.sup()
+    unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
+    with np.errstate(over="ignore"):
+        starts = np.vstack([p.box.mid(), np.minimum(lows + (0.5 * highs - 0.5 * lows) * (2.0 * unit), highs)])
+    values = _member_min_eigs(p, starts)
+    ok = passes(values, kind, tol)
+    if ok.any():
+        i = int(np.argmax(ok))
+        return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(starts[i].tolist()), float(values[i])))
+    rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
+    for batch in [starts[:1]] + [starts[i : i + rows] for i in range(1, len(starts), rows)]:
+        q, best = _coordinate_ascent(p, batch)
+        ok = passes(best, kind, tol)
+        if ok.any():
+            witness = q[int(np.argmax(ok))]
+            m = float(_member_min_eigs(p, witness[None])[0])
+            return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(witness.tolist()), m))
+    return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
 
 
 # ---------------------------------------------------------------------------

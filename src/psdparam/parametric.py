@@ -141,14 +141,26 @@ def family_tol(p: ParametricSymMatrix) -> float:
         raise FamilyOverflowError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
 
 
-def coefficient_signs(p: ParametricSymMatrix, tol: float) -> np.ndarray:
-    """Per coefficient, +1 when its eigenvalues times ``max(1, sup_k - inf_k)`` pass as PSD within ``tol``, else -1 when NSD, else 0."""
+def coefficient_signs(p: ParametricSymMatrix, tol: float) -> tuple[np.ndarray, float]:
+    """The sign each coefficient is pinned by, and the pinned shortfall.
+
+    A coefficient's sign is +1 when its eigenvalues times ``max(1, sup_k -
+    inf_k)`` pass as PSD within ``tol``, else -1 when NSD, else 0.  Pinning
+    a +1 (-1) coefficient at its lower (upper) endpoint misses each member
+    by at most its shortfall ``max(0, -lambda_min)`` (``max(0,
+    lambda_max)``) times ``sup_k - inf_k``.  The pinned shortfall sums that
+    over the pinned coefficients; a zero shortfall adds 0 even on an
+    overflowing width.
+    """
     eigvals = p.coefficient_spectra()[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        width = np.maximum(1.0, p.box.sup() - p.box.inf())
+        span = p.box.sup() - p.box.inf()
+        width = np.maximum(1.0, span)
         psd = passes(eigvals[:, 0] * width, "psd", tol)
         nsd = passes(-eigvals[:, -1] * width, "psd", tol)
-    return np.where(psd, 1, np.where(nsd, -1, 0))
+        short = np.where(psd, -eigvals[:, 0], np.where(nsd, eigvals[:, -1], 0.0))
+        shortfall = float(np.where(short > 0.0, short * span, 0.0).sum())
+    return np.where(psd, 1, np.where(nsd, -1, 0)), shortfall
 
 
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
@@ -198,10 +210,13 @@ class VertexEnumeration(Sequence):
     endpoint, NSD ones at the upper endpoint, and degenerate intervals at
     their single value; the remaining coordinates range over both
     endpoints.  Gray-code ordering flips one coordinate between
-    consecutive vertices.
+    consecutive vertices.  ``shortfall`` is the pinned shortfall of
+    ``coefficient_signs``: every member's smallest eigenvalue is at least
+    the smallest over these vertices minus it.
     """
 
-    def __init__(self, base: np.ndarray, free: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+    def __init__(self, base: np.ndarray, free: np.ndarray, lows: np.ndarray, highs: np.ndarray, shortfall: float):
+        self.shortfall = shortfall
         self._base = base
         self._free = free
         self._shifts = np.arange(len(free))
@@ -235,10 +250,10 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     The coefficients are classified by ``coefficient_signs`` under
     ``tol``, ``family_tol(p)`` when omitted.
     """
-    signs = coefficient_signs(p, family_tol(p) if tol is None else tol)
+    signs, shortfall = coefficient_signs(p, family_tol(p) if tol is None else tol)
     lows, highs = p.box.inf(), p.box.sup()
     free = np.flatnonzero((signs == 0) & (lows < highs))
-    return VertexEnumeration(np.where(signs < 0, highs, lows), free, lows, highs)
+    return VertexEnumeration(np.where(signs < 0, highs, lows), free, lows, highs, shortfall)
 
 
 def problem_to_json(p: ParametricSymMatrix) -> str:

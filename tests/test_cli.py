@@ -49,6 +49,12 @@ WIDE_DOC = (
     '{{"n":2,"K":2,"coefficients":[[[1,0],[0,-1e-6]],{constant}],'
     '"parameters":[{{"inf":0,"sup":1e6}},{{"inf":1,"sup":1}}]}}'
 )
+# Three copies of diag(1, -9e-4) on [0, 1]: under --tol 1e-3 each passes as PSD and is pinned
+# at 0, but their shortfalls add up, and A(1, 1, 1) = diag(3, -2.7e-3) is not PSD.
+PINNED_DOC = (
+    '{"n":2,"K":3,"coefficients":[[[1,0],[0,-0.0009]],[[1,0],[0,-0.0009]],[[1,0],[0,-0.0009]]],'
+    '"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
+)
 # A(p) = p on a box whose width overflows a double, or whose sup is the largest power of ten.
 HUGE_BOX_DOC = '{{"n":1,"K":1,"coefficients":[[[1]]],"parameters":[{{"inf":{inf},"sup":1e308}}]}}'
 
@@ -364,6 +370,53 @@ class TestCheck:
         p = report["certificate"]["p"][0]
         assert 0.0 <= p <= 1e6
         assert np.linalg.eigvalsh(np.diag([p - 5e5, 0.9 - 1e-6 * p]))[0] > report["tolerances"]["definiteness"]
+
+    @pytest.mark.parametrize("method", ["auto", "split", "vertex"])
+    def test_pinned_shortfalls_add_up_for_strong_psd(self, capsys, tmp_path, method):
+        # Pinning all three coefficients at 0 once gave "proved by split", and
+        # by vertex from 1 vertex, though A(1, 1, 1) has min_eig -2.7e-3.
+        path = tmp_path / "pinned.json"
+        path.write_text(PINNED_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-psd", "--tol", "1e-3", "--method", method)
+        assert code == EXIT_UNKNOWN and report["method"] == ("vertex" if method == "auto" else method)
+        assert "up to 0.0027" in report["detail"]
+        assert_schema_valid(report)
+
+    @pytest.mark.parametrize("method", ["auto", "necessary"])
+    def test_pinned_shortfalls_add_up_for_weak_psd(self, capsys, tmp_path, method):
+        # The upper bound matrix diag(3, -2.7e-3) once gave "disproved by
+        # necessary", though A(0, 0, 0) = 0 is PSD; the witness stage proves.
+        path = tmp_path / "pinned.json"
+        path.write_text(PINNED_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "weak-psd", "--tol", "1e-3", "--method", method)
+        if method == "auto":
+            assert code == EXIT_PROVED and report["method"] == "witness"
+            p = np.array(report["certificate"]["p"])
+            assert np.linalg.eigvalsh(np.diag([p.sum(), -9e-4 * p.sum()]))[0] >= -1e-3
+        else:
+            assert code == EXIT_UNKNOWN and "up to 0.0027" in report["detail"]
+
+    @pytest.mark.parametrize("method", ["auto", "regularity"])
+    def test_regularity_keeps_members_above_the_tolerance(self, capsys, tmp_path, method):
+        # A(p) = p on [5e-4, 1] has no singular member and A(mid) passes, so the
+        # Beeck bound once gave "proved by regularity" under --tol 1e-3, though
+        # A(5e-4) is not PD by that tolerance.  The bound now covers A(q) - s I, 0 <= s <= tol.
+        path = tmp_path / "low.json"
+        path.write_text('{"n":1,"K":1,"coefficients":[[[1]]],"parameters":[{"inf":0.0005,"sup":1}]}')
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-pd", "--tol", "1e-3", "--method", method)
+        if method == "auto":
+            assert code == EXIT_DISPROVED and report["method"] == "vertex" and report["certificate"]["p"] == [0.0005]
+        else:
+            assert code == EXIT_UNKNOWN and report["certificate"]["rho"] > 1.0
+
+    def test_weak_psd_witness_at_a_passing_start(self, capsys, tmp_path):
+        # diag(p, -p) on [-1, 1] is PSD only at p = 0, the midpoint start;
+        # the ternary steps move off it, and the search once said "unknown".
+        path = tmp_path / "zero.json"
+        path.write_text('{"n":2,"K":1,"coefficients":[[[1,0],[0,-1]]],"parameters":[{"inf":-1,"sup":1}]}')
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "weak-psd", "--tol", "0")
+        assert code == EXIT_PROVED and report["method"] == "witness"
+        assert report["certificate"]["p"] == [0.0] and report["certificate"]["min_eig"] == 0.0
 
     @pytest.mark.parametrize("inf", ["0", "-1e308"])
     @pytest.mark.parametrize("goal", ["weak-psd", "weak-pd"])

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_small_sweep_agrees_on_all_goals():
     # The script's default seed gives 6 weak Unknowns, and 4 more on the
     # wide-box families.  Each costs the witness search all 20 restarts,
-    # which run in lockstep batches, so the run takes about 1.6 s.
+    # which run in lockstep batches, so the run takes about 1.4 s.  The
+    # pinned-shortfall families draw from their own stream, whatever --count.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
@@ -31,5 +32,6 @@ def test_small_sweep_agrees_on_all_goals():
     assert "strong_pd  by split alone:" in out and "strong_pd  by regularity alone:" in out
     assert "by regularity alone on 40 near-singular families: 0 proved, 40 unknown" in out
     assert "all goals  on 40 wide-box families: 98 proved, 58 disproved, 4 unknown" in out
+    assert "all goals  on 40 pinned-shortfall families: 107 proved, 16 disproved, 37 unknown" in out
     assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

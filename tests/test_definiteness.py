@@ -263,7 +263,7 @@ def sequential_split_combination(p: ParametricSymMatrix, plus_at, minus_at, tol:
     """Reference split bound matrix: each coefficient split alone by ``psd_parts``, added in k order from zero, symmetrized."""
     acc = np.zeros((p.n, p.n))
     eigvals, eigvecs = p.coefficient_spectra()
-    signs = coefficient_signs(p, tol)
+    signs, _ = coefficient_signs(p, tol)
     for a, sign, x_plus, x_minus, w, q in zip(p.coefficient_stack(), signs, plus_at, minus_at, eigvals, eigvecs):
         if sign > 0:
             acc += a * x_plus
@@ -282,7 +282,7 @@ class TestSplitCombinationBits:
             p = make(rng, max_n=6, max_k=6)
             tol = family_tol(p)
             for plus_at, minus_at in ((p.box.inf(), p.box.sup()), (p.box.sup(), p.box.inf())):
-                got = definiteness._split_combination(p, plus_at, minus_at, tol).array
+                got = definiteness._split_combination(p, plus_at, minus_at, tol)[0].array
                 ref = sequential_split_combination(p, plus_at, minus_at, tol)
                 assert got.tobytes() == ref.tobytes()
 
@@ -340,9 +340,12 @@ class TestRegularityRoute:
         p = ParametricSymMatrix(
             [np.array([[2.0, 0.5], [0.5, 1.0]])], ParameterBox([Interval(1.0, 1.0)])
         )
+        # G is the rounding terms plus tol |C|, which keeps members above the tolerance.
         v = strong_pd_regularity(p)
+        c_norm = np.abs(np.linalg.inv(p.coefficient_stack()[0])).sum(axis=1).max()
         assert v.proved
-        assert v.certificate.rho < 1e-12
+        assert v.certificate.rho < 1e-12 + family_tol(p) * c_norm
+        assert decide(p, "strong_pd", tol=0.0, method="regularity").certificate.rho < 1e-12
 
     def test_singular_midpoint_unknown(self):
         p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(-1.0, 1.0)]))
@@ -383,17 +386,20 @@ def near_singular_family(rng, eps: float) -> ParametricSymMatrix:
     return ParametricSymMatrix([centre, -eps * np.outer(q[:, 0], q[:, 0])], ParameterBox.from_bounds([(1, 1), (-1, 1)]))
 
 
-def exact_residual(p: ParametricSymMatrix, c: np.ndarray, q) -> np.ndarray:
-    """|I - C A(q)| entrywise in exact rational arithmetic, for the float matrix C."""
+def exact_residual(p: ParametricSymMatrix, c: np.ndarray, q, shift: float = 0.0) -> np.ndarray:
+    """|I - C (A(q) - shift I)| entrywise in exact rational arithmetic, for the float matrix C."""
     n = p.n
-    a = [[sum(Fraction(x) * Fraction(ak[i, j]) for x, ak in zip(q, p.coefficient_stack())) for j in range(n)] for i in range(n)]
+    a = [
+        [sum(Fraction(x) * Fraction(ak[i, j]) for x, ak in zip(q, p.coefficient_stack())) - (i == j) * Fraction(shift) for j in range(n)]
+        for i in range(n)
+    ]
     return np.array(
         [[abs((i == j) - sum(Fraction(c[i, l]) * a[l][j] for l in range(n))) for j in range(n)] for i in range(n)]
     )
 
 
 class TestBeeckBound:
-    """``_beeck_bound`` against |I - C A(q)| in exact arithmetic at every vertex, which is where it peaks."""
+    """``_beeck_bound`` against |I - C (A(q) - s I)| in exact arithmetic at every vertex and both ends of s, where it peaks."""
 
     def families(self, rng):
         for _ in range(25):
@@ -423,13 +429,14 @@ class TestBeeckBound:
                 c = invert(evaluate(p, p.box.mid(), check=False))
             except definiteness.SingularMatrixError:
                 continue
-            # The bound holds for any float C, so a perturbed one is checked as well.
-            for cc in (c, c * (1.0 + 1e-3 * rng.standard_normal(c.shape))):
-                g = definiteness._beeck_bound(p, cc)
+            # The bound holds for any float C, so a perturbed one is checked as well, with
+            # no shift and with the family tolerance, which the regularity stage passes.
+            for cc, shift in itertools.product((c, c * (1.0 + 1e-3 * rng.standard_normal(c.shape))), (0.0, family_tol(p))):
+                g = definiteness._beeck_bound(p, cc, shift)
                 assert np.isfinite(g).all()
-                for q in itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]):
-                    residual = exact_residual(p, cc, q)
-                    assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), residual.ravel())), (p, q)
+                for q, s in itertools.product(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]), {0.0, shift}):
+                    residual = exact_residual(p, cc, q, s)
+                    assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), residual.ravel())), (p, q, s)
                 checked += 1
         assert checked >= 100
 
@@ -441,7 +448,7 @@ class TestBeeckBound:
         stack = 1e-305 * np.array([q @ np.diag([1e-3, 1.0, 2.0]) @ q.T, -1e-6 * np.outer(q[:, 0], q[:, 0])])
         p = ParametricSymMatrix(stack, ParameterBox.from_bounds([(1e305, 1e305), (-1e305, 1e305)]))
         c = invert(evaluate(p, p.box.mid(), check=False))
-        g = definiteness._beeck_bound(p, c)
+        g = definiteness._beeck_bound(p, c, family_tol(p))
         assert np.isfinite(g).all()
         for q in itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]):
             assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), exact_residual(p, c, q).ravel()))
@@ -548,6 +555,13 @@ class TestHertz:
             assert hertz_min_eig(a) == pytest.approx(ref, abs=1e-9)
 
 
+def sequential_starts(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.WITNESS_SEED):
+    """The witness stage's starts, one by one: the box midpoint, then ``restarts - 1`` seeded uniform draws."""
+    rng = np.random.default_rng(seed)
+    for trial in range(restarts):
+        yield p.box.mid() if trial == 0 else rng.uniform(p.box.inf(), p.box.sup())
+
+
 def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.WITNESS_SEED):
     """Reference witness search: one scalar ``min_eig(evaluate(...))`` per probe.
 
@@ -555,10 +569,8 @@ def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = defini
     stopping test as the witness stage, one restart after another with
     no batching.  Yields (point, value, sweeps run) for each restart.
     """
-    rng = np.random.default_rng(seed)
     lows, highs = p.box.inf(), p.box.sup()
-    for trial in range(restarts):
-        q = p.box.mid() if trial == 0 else rng.uniform(lows, highs)
+    for q in sequential_starts(p, restarts, seed):
         best = min_eig(evaluate(p, q, check=False))
         for sweep in range(1, 31):
             improved = best
@@ -589,8 +601,11 @@ def passes(goal: str, value: float, tol: float) -> bool:
 
 
 def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: int = definiteness.WITNESS_SEED):
-    """The first restart of ``sequential_ascents`` whose value passes the goal, or None."""
+    """The first start that passes the goal, else the first restart of ``sequential_ascents`` whose value passes, or None."""
     tol = family_tol(p)
+    start = next((q for q in sequential_starts(p, restarts, seed) if passes(goal, min_eig(evaluate(p, q)), tol)), None)
+    if start is not None:
+        return start
     return next((q for q, best, _ in sequential_ascents(p, restarts, seed) if passes(goal, best, tol)), None)
 
 
@@ -621,6 +636,24 @@ def stage_witness(monkeypatch, p: ParametricSymMatrix, goal: str, restarts: int 
     v = decide(p, f"weak_{goal}", method="witness")
     assert v.method == "witness" and v.proved == isinstance(v.certificate, WitnessPoint)
     return np.array(v.certificate.p) if v.proved else None
+
+
+def spy_witness_stage(monkeypatch) -> tuple[list, list]:
+    """Lists that record the rows of each ``_member_min_eigs`` call and the starts of each ``_coordinate_ascent`` call."""
+    calls, climbs = [], []
+    member_min_eigs, ascent = definiteness._member_min_eigs, definiteness._coordinate_ascent
+
+    def spy_eigs(p, points):
+        calls.append(len(points))
+        return member_min_eigs(p, points)
+
+    def spy_ascent(p, starts):
+        climbs.append(len(starts))
+        return ascent(p, starts)
+
+    monkeypatch.setattr(definiteness, "_member_min_eigs", spy_eigs)
+    monkeypatch.setattr(definiteness, "_coordinate_ascent", spy_ascent)
+    return calls, climbs
 
 
 class TestWitnessSearch:
@@ -693,6 +726,27 @@ class TestWitnessSearch:
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
         assert self.assert_matches_sequential(monkeypatch, p, "pd", restarts=20, seed=seed)
         assert batches == [1, rows, 19 - rows]
+
+    def test_passing_start_skips_the_climb(self, monkeypatch):
+        # p - 0.9 on [0, 1]: the midpoint fails weak PD and some draws pass.
+        # All 20 starts go through one batched call, the first passing draw
+        # is the witness with its value from that call, and nothing climbs.
+        p = ParametricSymMatrix([np.eye(1), -0.9 * np.eye(1)], ParameterBox([Interval(0.0, 1.0), Interval(1.0, 1.0)]))
+        calls, climbs = spy_witness_stage(monkeypatch)
+        v = decide(p, "weak_pd", method="witness")
+        assert v.proved and calls == [definiteness.WITNESS_RESTARTS] and climbs == []
+        tol = family_tol(p)
+        first = next(q for q in sequential_starts(p, definiteness.WITNESS_RESTARTS) if q[0] - 0.9 > tol)
+        assert v.certificate.p == tuple(first) and v.certificate.min_eig == pytest.approx(first[0] - 0.9, abs=1e-15)
+        assert v.certificate.min_eig > tol
+
+    def test_climbs_keep_their_batches_when_no_start_passes(self, monkeypatch):
+        # No start of ridge_family(2, 0.6) passes weak PD (the best is about
+        # 0.579 - 0.6), but climbs do: the midpoint climbs alone, then the
+        # 19 draws in one batch, after one call on all 20 starts.
+        calls, climbs = spy_witness_stage(monkeypatch)
+        assert decide(ridge_family(2, 0.6), "weak_pd", method="witness").proved
+        assert calls[0] == definiteness.WITNESS_RESTARTS and climbs == [1, 19]
 
     def test_one_row_batches_match(self, rng, monkeypatch):
         # A chunk smaller than two members still gives one row per batch.

@@ -238,21 +238,26 @@ class TestVertices:
     def test_coefficient_signs(self):
         coeffs = [np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([1.0, -1e-12])]
         p = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5))
-        assert coefficient_signs(p, 0.0).tolist() == [1, -1, 0, 1, 0]
-        assert coefficient_signs(p, 1e-11).tolist() == [1, -1, 0, 1, 1]
+        signs, shortfall = coefficient_signs(p, 0.0)
+        assert signs.tolist() == [1, -1, 0, 1, 0] and shortfall == 0.0
+        signs, shortfall = coefficient_signs(p, 1e-11)
+        assert signs.tolist() == [1, -1, 0, 1, 1] and shortfall == pytest.approx(1e-12, rel=1e-3)
 
     def test_coefficient_signs_scale_by_the_width(self):
         # The tolerance bounds what a member may miss, so an eigenvalue counts
         # times its parameter's width: diag(1, -1e-6) on [0, 1e6] shifts
         # members by 1 and is indefinite under tol 2e-4, though semidefinite
         # on [0, 1].  An overflowing width passes only a nonzero eigenvalue
-        # of the right sign.
+        # of the right sign.  The pinned ones' shortfalls times their widths
+        # add up, and a pinned coefficient with none adds 0 on any width.
         coeffs = [np.diag([1.0, -1e-6]), np.diag([1e-6, -1.0]), np.eye(2), np.zeros((2, 2)), -np.eye(2)]
-        assert coefficient_signs(ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5)), 2e-4).tolist() == [1, -1, 1, 1, -1]
+        signs, shortfall = coefficient_signs(ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5)), 2e-4)
+        assert signs.tolist() == [1, -1, 1, 1, -1] and shortfall == pytest.approx(2e-6, rel=1e-9)
         wide = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1e6)] * 5))
-        assert coefficient_signs(wide, 2e-4).tolist() == [0, 0, 1, 1, -1]
+        assert coefficient_signs(wide, 2e-4)[0].tolist() == [0, 0, 1, 1, -1]
         huge = ParametricSymMatrix([c * 1e-308 for c in coeffs], ParameterBox([Interval(-1e308, 1e308)] * 5))
-        assert coefficient_signs(huge, 0.0).tolist() == [0, 0, 1, 0, -1]
+        signs, shortfall = coefficient_signs(huge, 0.0)
+        assert signs.tolist() == [0, 0, 1, 0, -1] and shortfall == 0.0
 
     def test_default_tolerance_is_the_vertex_stage_one(self):
         # diag(10, -1e-9) on [0, 1e-3]: within the per-matrix tolerance
