@@ -7,7 +7,8 @@ checkout's ``psdparam.cli.main`` over all of them, one subprocess per
 checkout with BLAS threads pinned to one.  Each ``check`` instance also
 runs once per ``--method`` that applies to its goal.  Reports are
 compared without ``timings_ms`` and ``input``.  Prints how many reports
-are bit-identical and, per JSON field, the largest relative difference
+are bit-identical, one line per report that is not (its label and the
+fields that differ) and, per JSON field, the largest relative difference
 between numbers.
 Exits 1 on any exit-code, status, method or certificate-type mismatch:
 
@@ -107,32 +108,35 @@ def key_fields(exit_code, report) -> tuple:
 def compare(labels: list, old: list, new: list) -> int:
     identical = 0
     largest: dict = {}
-    differing: set = set()
+    changed = []
     mismatches = []
     for label, (old_exit, a), (new_exit, b) in zip(labels, old, new):
-        if old_exit == new_exit and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
-            identical += 1
-        if key_fields(old_exit, a) != key_fields(new_exit, b):
-            mismatches.append(f"{label}: {key_fields(old_exit, a)} -> {key_fields(new_exit, b)}")
-            continue
+        fields = {"(exit code)"} if old_exit != new_exit else set()
         la, lb = list(leaves(a)), list(leaves(b))
         if [f for f, _ in la] != [f for f, _ in lb]:
-            differing.add(f"{label} (fields)")
-            continue
-        for (field, x), (_, y) in zip(la, lb):
-            if is_number(x) and is_number(y):
-                scale = max(abs(x), abs(y))
-                rel = abs(x - y) / scale if scale and x != y else 0.0
-                largest[field] = max(largest.get(field, 0.0), rel)
-            elif x != y:
-                differing.add(field)
+            fields.add("(field layout)")
+        else:
+            for (field, x), (_, y) in zip(la, lb):
+                if is_number(x) and is_number(y):
+                    scale = max(abs(x), abs(y))
+                    rel = abs(x - y) / scale if scale and x != y else 0.0
+                    largest[field] = max(largest.get(field, 0.0), rel)
+                if x != y:
+                    fields.add(field)
+        if old_exit == new_exit and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+            identical += 1
+        else:
+            changed.append(f"  {label}: {', '.join(sorted(fields)) or '(field layout)'}")
+        if key_fields(old_exit, a) != key_fields(new_exit, b):
+            mismatches.append(f"{label}: {key_fields(old_exit, a)} -> {key_fields(new_exit, b)}")
 
     print(f"{len(labels)} reports, {identical} bit-identical")
+    if changed:
+        print(f"{len(changed)} reports differ, in these fields:")
+        print("\n".join(changed))
     print("largest relative difference per numeric field:")
     for field in sorted(largest):
         print(f"  {field:<36} {largest[field]:.3g}")
-    if differing:
-        print(f"non-numeric differences in: {', '.join(sorted(differing))}")
     if mismatches:
         print(f"{len(mismatches)} exit-code, status, method or certificate-type mismatches:")
         for line in mismatches:

@@ -55,7 +55,6 @@ from .parametric import (
     family_tol,
     precondition_relax,
     problem_from_json,
-    problem_to_json,
     relax,
     vertices,
 )

@@ -1,15 +1,15 @@
 """Decision procedures for strong and weak definiteness of parametric families.
 
 Strong questions (does every member matrix satisfy the property?) are
-decided by reduced vertex enumeration (exact when the coefficients it
-pins at one endpoint are semidefinite; pinning ones that are so only
-within the tolerance can leave it Unknown), and approximated cheaply by a
-PSD-splitting sufficient condition and, for definiteness, a regularity
-argument with the Beeck spectral-radius criterion.  Weak questions (does
-some member satisfy it?) get a splitting-based necessary condition and a
-heuristic witness search, which tests every start member at once before
-it climbs from any; a full weak decision is out of scope, so those
-routes may report Unknown.
+decided exactly by reduced vertex enumeration within a vertex budget,
+and approximated cheaply by a PSD-splitting sufficient condition and,
+for definiteness, a regularity argument with the Beeck spectral-radius
+criterion.  Weak questions (does some member satisfy it?) get a
+splitting-based necessary condition and a heuristic witness search,
+which tests every start member at once before it climbs from any; a full
+weak decision is out of scope, so those routes may report Unknown.  The
+splitting bounds use each coefficient's PSD parts alone; only the vertex
+stage pins coefficients, and only it accounts for what pinning may miss.
 
 The stages form one table, ``STAGES``, run only by ``decide``; each
 public per-stage function is one ``decide(..., method=...)`` call.
@@ -31,13 +31,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 import numpy as np
 
 from .intervals import IntervalMatrix
-from .parametric import (
-    ParametricSymMatrix,
-    coefficient_signs,
-    evaluate,
-    family_tol,
-    vertices,
-)
+from .parametric import ParametricSymMatrix, VertexEnumeration, evaluate, family_tol, vertices
 from .symlinalg import (
     SingularMatrixError,
     SymMatrix,
@@ -155,17 +149,14 @@ def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
 # vertex characterizations
 
 
-def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    """Scan the reduced vertices in Gray order, in blocks that double from FIRST_VERTEX_BLOCK_BYTES.
+def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, tol: float, budget: int) -> Verdict:
+    """Scan ``enum`` in Gray order, in blocks that double from FIRST_VERTEX_BLOCK_BYTES; proved when every vertex passes.
 
     Each block forms its member matrices at once and takes their smallest
     eigenvalues in one batched call; the scan stops at the first block with
     a failing vertex.  Whatever the block sizes, the certificate names the
     first failing vertex, or the first vertex attaining the minimum, in Gray order.
-    A failing vertex is a member, so it always disproves; a proof needs the
-    minimum less the enumeration's pinned shortfall to pass, else Unknown.
     """
-    enum = vertices(p, tol=tol)
     total = len(enum)
     if total > budget:
         return Verdict(
@@ -189,9 +180,23 @@ def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: i
         if mins[i] < worst:
             worst, worst_vertex = float(mins[i]), tuple(points[i].tolist())
         start, size = stop, min(2 * size, cap)
-    if not passes(worst - enum.shortfall, kind, tol):
-        return Verdict(Status.UNKNOWN, "vertex", detail=_pinned_detail(enum.shortfall))
     return Verdict(Status.PROVED, "vertex", VertexList(total, worst_vertex, worst))
+
+
+def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
+    """``_scan_vertices`` over ``vertices(p, tol)``, rescanned once over its ``exact()`` set when pinning could matter.
+
+    A failing vertex is a member, so it always disproves.  A proof stands
+    when the smallest vertex value less the enumeration's pinned shortfall
+    passes.  Otherwise the rescan frees every pinned coordinate with a
+    nonzero shortfall, which leaves none, so its verdict is exact; past the
+    budget it is Unknown.
+    """
+    enum = vertices(p, tol=tol)
+    verdict = _scan_vertices(p, enum, kind, tol, budget)
+    if verdict.proved and not passes(verdict.certificate.worst_min_eig - enum.shortfall, kind, tol):
+        verdict = _scan_vertices(p, enum.exact(), kind, tol, budget)
+    return verdict
 
 
 def strong_psd(
@@ -212,42 +217,26 @@ def strong_pd(
 # splitting-based one-shot conditions
 
 
-def _split_combination(
-    p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray, tol: float
-) -> tuple[SymMatrix, float]:
-    """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the splits A_k = plus_k - minus_k; and the pinned shortfall.
+def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np.ndarray) -> SymMatrix:
+    """sum_k plus_k * plus_at[k] - minus_k * minus_at[k] over the family's PSD parts A_k = plus_k - minus_k.
 
-    With the box's (inf, sup) this underestimates every member, and with
-    (sup, inf) it overestimates every member, each up to the pinned
-    shortfall of ``coefficient_signs``: a semidefinite coefficient is its
-    own part, within ``tol``; the others take the PSD parts the family
-    computed when it was built.  The terms are summed in k order from zero.
+    For q_k in [lo_k, hi_k], plus_k lo_k - minus_k hi_k <= A_k q_k <= plus_k
+    hi_k - minus_k lo_k in the Loewner order, so with the box's (inf, sup)
+    this underestimates every member, and with (sup, inf) it overestimates
+    every member.  The terms are summed in k order from zero.
     """
     plus, minus = p.coefficient_parts()
-    signs, shortfall = coefficient_signs(p, tol)
-    signs = signs[:, None, None]
-    x_plus, x_minus = plus_at[:, None, None], minus_at[:, None, None]
-    own = p.coefficient_stack() * np.where(signs > 0, x_plus, x_minus)
-    terms = np.where(signs != 0, own, plus * x_plus - minus * x_minus)
     acc = np.zeros((p.n, p.n))
-    for term in terms:
+    for term in plus * plus_at[:, None, None] - minus * minus_at[:, None, None]:
         acc += term
-    return SymMatrix(acc), shortfall
-
-
-def _pinned_detail(shortfall: float) -> str:
-    """Why a stage that passed on its pinned bound decides nothing."""
-    return f"pinned coefficients may miss members by up to {shortfall:g}"
+    return SymMatrix(acc)
 
 
 def _strong_by_split(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    """Proved when the lower bound matrix, less the pinned shortfall, passes; never disproves."""
-    s, shortfall = _split_combination(p, p.box.inf(), p.box.sup(), tol)
+    """Proved when the lower bound matrix passes; never disproves."""
+    s = _split_combination(p, p.box.inf(), p.box.sup())
     m = min_eig(s)
-    if passes(m - shortfall, kind, tol):
-        return Verdict(Status.PROVED, "split", SplitWitness(s, m))
-    why = _pinned_detail(shortfall) if passes(m, kind, tol) else ""
-    return Verdict(Status.UNKNOWN, "split", SplitWitness(s, m), why)
+    return Verdict(Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN, "split", SplitWitness(s, m))
 
 
 def strong_psd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
@@ -261,13 +250,10 @@ def strong_pd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict
 
 
 def _weak_by_necessary(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    """Disproved when the upper bound matrix, plus the pinned shortfall, fails; never proves."""
-    n, shortfall = _split_combination(p, p.box.sup(), p.box.inf(), tol)
+    """Disproved when the upper bound matrix fails; never proves."""
+    n = _split_combination(p, p.box.sup(), p.box.inf())
     m = min_eig(n)
-    if not passes(m + shortfall, kind, tol):
-        return Verdict(Status.DISPROVED, "necessary", NecessaryFailure(n, m))
-    why = "" if passes(m, kind, tol) else _pinned_detail(shortfall)
-    return Verdict(Status.UNKNOWN, "necessary", NecessaryFailure(n, m), why)
+    return Verdict(Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED, "necessary", NecessaryFailure(n, m))
 
 
 def weak_psd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:

@@ -5,6 +5,8 @@ A family holds its coefficients as one checked, symmetrized, read-only
 point evaluation, the interval relaxation and its midpoint-preconditioned
 form (each one outward-rounded ``scaled_sum``, added in k order), and the
 reduced set of parameter-box vertices that decides strong definiteness.
+Only ``vertices`` classifies coefficients: it pins semidefinite ones at one
+endpoint and reports what that pinning may miss.
 """
 
 from __future__ import annotations
@@ -141,28 +143,6 @@ def family_tol(p: ParametricSymMatrix) -> float:
         raise FamilyOverflowError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
 
 
-def coefficient_signs(p: ParametricSymMatrix, tol: float) -> tuple[np.ndarray, float]:
-    """The sign each coefficient is pinned by, and the pinned shortfall.
-
-    A coefficient's sign is +1 when its eigenvalues times ``max(1, sup_k -
-    inf_k)`` pass as PSD within ``tol``, else -1 when NSD, else 0.  Pinning
-    a +1 (-1) coefficient at its lower (upper) endpoint misses each member
-    by at most its shortfall ``max(0, -lambda_min)`` (``max(0,
-    lambda_max)``) times ``sup_k - inf_k``.  The pinned shortfall sums that
-    over the pinned coefficients; a zero shortfall adds 0 even on an
-    overflowing width.
-    """
-    eigvals = p.coefficient_spectra()[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = p.box.sup() - p.box.inf()
-        width = np.maximum(1.0, span)
-        psd = passes(eigvals[:, 0] * width, "psd", tol)
-        nsd = passes(-eigvals[:, -1] * width, "psd", tol)
-        short = np.where(psd, -eigvals[:, 0], np.where(nsd, eigvals[:, -1], 0.0))
-        shortfall = float(np.where(short > 0.0, short * span, 0.0).sum())
-    return np.where(psd, 1, np.where(nsd, -1, 0)), shortfall
-
-
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
     """Member matrix A(point) = sum_k A_k point_k as a plain floating sum."""
     point = np.asarray(point, dtype=float)
@@ -189,7 +169,7 @@ def precondition_relax(p: ParametricSymMatrix) -> tuple[np.ndarray, IntervalMatr
     sum_k (C A_k) p_k; the real products C A_k are not symmetrized.
     Raises SingularMatrixError when the midpoint matrix is singular to
     working precision, and OverflowError, without a warning, when the
-    products or their enclosure overflow.  The regularity stage no longer calls it.
+    products or their enclosure overflow.
     """
     c = invert(evaluate(p, p.box.mid(), check=False))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,21 +186,27 @@ class VertexAssignment:
 class VertexEnumeration(Sequence):
     """Reduced vertex set of a parametric family, in Gray-code order.
 
-    Coordinates whose coefficient matrix is PSD are fixed at the lower
-    endpoint, NSD ones at the upper endpoint, and degenerate intervals at
-    their single value; the remaining coordinates range over both
-    endpoints.  Gray-code ordering flips one coordinate between
-    consecutive vertices.  ``shortfall`` is the pinned shortfall of
-    ``coefficient_signs``: every member's smallest eigenvalue is at least
-    the smallest over these vertices minus it.
+    Each coordinate is either pinned at one endpoint or free over both;
+    Gray-code ordering flips one free coordinate between consecutive
+    vertices.  ``shortfall`` bounds what the pinning misses: every member's
+    smallest eigenvalue is at least the smallest over these vertices minus
+    it.  ``exact()`` frees the coordinates that contribute to it.
     """
 
-    def __init__(self, base: np.ndarray, free: np.ndarray, lows: np.ndarray, highs: np.ndarray, shortfall: float):
-        self.shortfall = shortfall
+    def __init__(self, base: np.ndarray, free: np.ndarray, lows: np.ndarray, highs: np.ndarray, shortfalls: np.ndarray):
+        self.shortfall = float(shortfalls.sum())
+        self._shortfalls = shortfalls
         self._base = base
-        self._free = free
-        self._shifts = np.arange(len(free))
-        self._ends = lows[free], highs[free]
+        self._free = np.flatnonzero(free)
+        self._shifts = np.arange(len(self._free))
+        self._lows, self._highs = lows, highs
+        self._ends = lows[self._free], highs[self._free]
+
+    def exact(self) -> "VertexEnumeration":
+        """This set with every pinned coordinate of nonzero shortfall freed; its shortfall is 0."""
+        free = self._shortfalls > 0.0
+        free[self._free] = True
+        return VertexEnumeration(self._base, free, self._lows, self._highs, np.zeros_like(self._shortfalls))
 
     @property
     def free_count(self) -> int:
@@ -247,24 +233,26 @@ class VertexEnumeration(Sequence):
 def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumeration:
     """Reduced vertex set sufficient for deciding strong PSD and strong PD alike.
 
-    The coefficients are classified by ``coefficient_signs`` under
-    ``tol``, ``family_tol(p)`` when omitted.
+    Under ``tol`` (``family_tol(p)`` when omitted), a coefficient is pinned
+    at its lower endpoint when its eigenvalues times ``max(1, sup_k -
+    inf_k)`` pass as PSD, else at its upper endpoint when they pass as NSD;
+    degenerate intervals keep their single value and the other coordinates
+    are free.  Pinning misses each member by at most the coefficient's
+    ``max(0, -lambda_min)`` (PSD) or ``max(0, lambda_max)`` (NSD) times
+    ``sup_k - inf_k``, and ``shortfall`` sums those; a zero one adds 0 even
+    on an overflowing width.
     """
-    signs, shortfall = coefficient_signs(p, family_tol(p) if tol is None else tol)
+    tol = family_tol(p) if tol is None else tol
+    eigvals = p.coefficient_spectra()[0]
     lows, highs = p.box.inf(), p.box.sup()
-    free = np.flatnonzero((signs == 0) & (lows < highs))
-    return VertexEnumeration(np.where(signs < 0, highs, lows), free, lows, highs, shortfall)
-
-
-def problem_to_json(p: ParametricSymMatrix) -> str:
-    return json.dumps(
-        {
-            "n": p.n,
-            "K": p.K,
-            "coefficients": p.coefficient_stack().tolist(),
-            "parameters": [{"inf": iv.inf, "sup": iv.sup} for iv in p.box.intervals],
-        }
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = highs - lows
+        width = np.maximum(1.0, span)
+        psd = passes(eigvals[:, 0] * width, "psd", tol)
+        nsd = ~psd & passes(-eigvals[:, -1] * width, "psd", tol)
+        short = np.where(psd, -eigvals[:, 0], np.where(nsd, eigvals[:, -1], 0.0))
+        short = np.where(short > 0.0, short * span, 0.0)
+    return VertexEnumeration(np.where(nsd, highs, lows), ~(psd | nsd) & (lows < highs), lows, highs, short)
 
 
 def problem_from_json(text: str | dict) -> ParametricSymMatrix:

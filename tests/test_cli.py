@@ -27,6 +27,7 @@ from psdparam.cli import (
     main,
     report_schema,
 )
+from psdparam.oracle import full_vertex_check
 from psdparam.symlinalg import SymMatrix, scaled_tol
 
 SPLIT_DOC = (
@@ -54,6 +55,12 @@ WIDE_DOC = (
 PINNED_DOC = (
     '{"n":2,"K":3,"coefficients":[[[1,0],[0,-0.0009]],[[1,0],[0,-0.0009]],[[1,0],[0,-0.0009]]],'
     '"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
+)
+# diag(-9e-4, 1) and diag(1, -9e-4) on [0, 1]: both pinned at 0 under --tol 1e-3, with shortfalls
+# adding up to 1.8e-3, yet every member is PSD within the tolerance.
+PINNED_PSD_DOC = (
+    '{"n":2,"K":2,"coefficients":[[[-0.0009,0],[0,1]],[[1,0],[0,-0.0009]]],'
+    '"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1}]}'
 )
 # A(p) = p on a box whose width overflows a double, or whose sup is the largest power of ten.
 HUGE_BOX_DOC = '{{"n":1,"K":1,"coefficients":[[[1]]],"parameters":[{{"inf":{inf},"sup":1e308}}]}}'
@@ -374,18 +381,51 @@ class TestCheck:
     @pytest.mark.parametrize("method", ["auto", "split", "vertex"])
     def test_pinned_shortfalls_add_up_for_strong_psd(self, capsys, tmp_path, method):
         # Pinning all three coefficients at 0 once gave "proved by split", and
-        # by vertex from 1 vertex, though A(1, 1, 1) has min_eig -2.7e-3.
+        # by vertex from 1 vertex, though A(1, 1, 1) has min_eig -2.7e-3.  The
+        # split bound diag(0, -2.7e-3) now fails, and the vertex stage rescans
+        # with all three coordinates free: A(1, 1, 0) is the first failing vertex.
         path = tmp_path / "pinned.json"
         path.write_text(PINNED_DOC)
         code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-psd", "--tol", "1e-3", "--method", method)
-        assert code == EXIT_UNKNOWN and report["method"] == ("vertex" if method == "auto" else method)
-        assert "up to 0.0027" in report["detail"]
+        if method == "split":
+            assert code == EXIT_UNKNOWN and report["method"] == "split" and report["detail"] == ""
+            assert report["certificate"]["min_eig"] == pytest.approx(-2.7e-3)
+        else:
+            assert code == EXIT_DISPROVED and report["method"] == "vertex"
+            assert report["certificate"]["p"] == [1.0, 1.0, 0.0]
+            assert report["certificate"]["min_eig"] == pytest.approx(-1.8e-3)
+        assert_schema_valid(report)
+
+    def test_pinned_rescan_keeps_the_vertex_budget(self, capsys, tmp_path):
+        path = tmp_path / "pinned.json"
+        path.write_text(PINNED_DOC)
+        code, report, _ = run_cli(
+            capsys, "check", str(path), "--goal", "strong-psd", "--tol", "1e-3", "--vertex-budget", "4"
+        )
+        assert code == EXIT_UNKNOWN and report["method"] == "vertex"
+        assert report["detail"] == "2^3 vertices exceed budget 4"
+
+    @pytest.mark.parametrize("method", ["auto", "vertex"])
+    def test_pinned_shortfalls_that_do_not_matter_still_prove(self, capsys, tmp_path, method):
+        # Both answers were once "unknown by vertex": the pinned vertex A(0, 0) = 0
+        # less the shortfall 1.8e-3 fails.  The split bound diag(-9e-4, -9e-4)
+        # passes, and the vertex rescan checks all 4 vertices.
+        path = tmp_path / "pinned.json"
+        path.write_text(PINNED_PSD_DOC)
+        code, report, _ = run_cli(capsys, "check", str(path), "--goal", "strong-psd", "--tol", "1e-3", "--method", method)
+        assert code == EXIT_PROVED
+        if method == "auto":
+            assert report["method"] == "split"
+        else:
+            assert report["method"] == "vertex" and report["certificate"]["checked"] == 4
+            assert full_vertex_check(parametric.problem_from_json(PINNED_PSD_DOC), "psd", 1e-3)
         assert_schema_valid(report)
 
     @pytest.mark.parametrize("method", ["auto", "necessary"])
     def test_pinned_shortfalls_add_up_for_weak_psd(self, capsys, tmp_path, method):
-        # The upper bound matrix diag(3, -2.7e-3) once gave "disproved by
-        # necessary", though A(0, 0, 0) = 0 is PSD; the witness stage proves.
+        # The pinned upper bound matrix diag(3, -2.7e-3) once gave "disproved by
+        # necessary", though A(0, 0, 0) = 0 is PSD; the parts give diag(3, 0),
+        # which passes, and the witness stage proves.
         path = tmp_path / "pinned.json"
         path.write_text(PINNED_DOC)
         code, report, _ = run_cli(capsys, "check", str(path), "--goal", "weak-psd", "--tol", "1e-3", "--method", method)
@@ -394,7 +434,8 @@ class TestCheck:
             p = np.array(report["certificate"]["p"])
             assert np.linalg.eigvalsh(np.diag([p.sum(), -9e-4 * p.sum()]))[0] >= -1e-3
         else:
-            assert code == EXIT_UNKNOWN and "up to 0.0027" in report["detail"]
+            assert code == EXIT_UNKNOWN and report["detail"] == ""
+            assert report["certificate"]["matrix"] == [[3.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("method", ["auto", "regularity"])
     def test_regularity_keeps_members_above_the_tolerance(self, capsys, tmp_path, method):

@@ -32,6 +32,6 @@ def test_small_sweep_agrees_on_all_goals():
     assert "strong_pd  by split alone:" in out and "strong_pd  by regularity alone:" in out
     assert "by regularity alone on 40 near-singular families: 0 proved, 40 unknown" in out
     assert "all goals  on 40 wide-box families: 98 proved, 58 disproved, 4 unknown" in out
-    assert "all goals  on 40 pinned-shortfall families: 107 proved, 16 disproved, 37 unknown" in out
+    assert "all goals  on 40 pinned-shortfall families: 107 proved, 53 disproved, 0 unknown" in out
     assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

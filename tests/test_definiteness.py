@@ -52,7 +52,6 @@ from psdparam import (
 )
 from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
-from psdparam.parametric import coefficient_signs
 from psdparam.symlinalg import _jacobi_eigvals, invert, psd_parts
 
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
@@ -259,19 +258,12 @@ class TestSplitConditions:
                 assert strong_pd(p).proved
 
 
-def sequential_split_combination(p: ParametricSymMatrix, plus_at, minus_at, tol: float) -> np.ndarray:
+def sequential_split_combination(p: ParametricSymMatrix, plus_at, minus_at) -> np.ndarray:
     """Reference split bound matrix: each coefficient split alone by ``psd_parts``, added in k order from zero, symmetrized."""
     acc = np.zeros((p.n, p.n))
-    eigvals, eigvecs = p.coefficient_spectra()
-    signs, _ = coefficient_signs(p, tol)
-    for a, sign, x_plus, x_minus, w, q in zip(p.coefficient_stack(), signs, plus_at, minus_at, eigvals, eigvecs):
-        if sign > 0:
-            acc += a * x_plus
-        elif sign < 0:
-            acc += a * x_minus
-        else:
-            plus, minus = psd_parts(w, q)
-            acc += plus * x_plus - minus * x_minus
+    for x_plus, x_minus, w, q in zip(plus_at, minus_at, *p.coefficient_spectra()):
+        plus, minus = psd_parts(w, q)
+        acc += plus * x_plus - minus * x_minus
     return SymMatrix(acc).array
 
 
@@ -280,10 +272,9 @@ class TestSplitCombinationBits:
     def test_matches_per_coefficient_parts(self, rng, make):
         for _ in range(120):
             p = make(rng, max_n=6, max_k=6)
-            tol = family_tol(p)
             for plus_at, minus_at in ((p.box.inf(), p.box.sup()), (p.box.sup(), p.box.inf())):
-                got = definiteness._split_combination(p, plus_at, minus_at, tol)[0].array
-                ref = sequential_split_combination(p, plus_at, minus_at, tol)
+                got = definiteness._split_combination(p, plus_at, minus_at).array
+                ref = sequential_split_combination(p, plus_at, minus_at)
                 assert got.tobytes() == ref.tobytes()
 
     def test_family_parts_are_the_stacked_psd_parts(self, rng):

@@ -36,14 +36,13 @@ from psdparam import (
     passes,
     precondition_relax,
     problem_from_json,
-    problem_to_json,
     relax,
     scale,
     vertices,
 )
 from psdparam import parametric
 from psdparam.oracle import full_vertex_check
-from psdparam.parametric import FamilyOverflowError, coefficient_signs
+from psdparam.parametric import FamilyOverflowError
 
 EX2_M_INF = np.array([[0.2222, -0.4075], [-0.5556, 0.8148]])
 EX2_M_SUP = np.array([[1.7778, 0.4075], [0.5556, 1.1852]])
@@ -235,13 +234,22 @@ class TestVertices:
                         expected = {iv.inf, iv.sup}
                     assert set(rows[:, k].tolist()) == expected
 
+    @staticmethod
+    def pinning(p, tol):
+        """Per coordinate, read off ``vertices``: 1 pinned at inf, -1 pinned at sup, 0 free; and the shortfall."""
+        enum = vertices(p, tol=tol)
+        rows = enum.points(0, len(enum))
+        signs = [0 if len(set(col)) > 1 else 1 if col[0] == iv.inf else -1 for col, iv in zip(rows.T.tolist(), p.box.intervals)]
+        assert enum.free_count == signs.count(0)
+        return signs, enum.shortfall
+
     def test_coefficient_signs(self):
         coeffs = [np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([1.0, -1e-12])]
         p = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5))
-        signs, shortfall = coefficient_signs(p, 0.0)
-        assert signs.tolist() == [1, -1, 0, 1, 0] and shortfall == 0.0
-        signs, shortfall = coefficient_signs(p, 1e-11)
-        assert signs.tolist() == [1, -1, 0, 1, 1] and shortfall == pytest.approx(1e-12, rel=1e-3)
+        signs, shortfall = self.pinning(p, 0.0)
+        assert signs == [1, -1, 0, 1, 0] and shortfall == 0.0
+        signs, shortfall = self.pinning(p, 1e-11)
+        assert signs == [1, -1, 0, 1, 1] and shortfall == pytest.approx(1e-12, rel=1e-3)
 
     def test_coefficient_signs_scale_by_the_width(self):
         # The tolerance bounds what a member may miss, so an eigenvalue counts
@@ -251,13 +259,24 @@ class TestVertices:
         # of the right sign.  The pinned ones' shortfalls times their widths
         # add up, and a pinned coefficient with none adds 0 on any width.
         coeffs = [np.diag([1.0, -1e-6]), np.diag([1e-6, -1.0]), np.eye(2), np.zeros((2, 2)), -np.eye(2)]
-        signs, shortfall = coefficient_signs(ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5)), 2e-4)
-        assert signs.tolist() == [1, -1, 1, 1, -1] and shortfall == pytest.approx(2e-6, rel=1e-9)
+        signs, shortfall = self.pinning(ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 5)), 2e-4)
+        assert signs == [1, -1, 1, 1, -1] and shortfall == pytest.approx(2e-6, rel=1e-9)
         wide = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1e6)] * 5))
-        assert coefficient_signs(wide, 2e-4)[0].tolist() == [0, 0, 1, 1, -1]
+        assert self.pinning(wide, 2e-4)[0] == [0, 0, 1, 1, -1]
         huge = ParametricSymMatrix([c * 1e-308 for c in coeffs], ParameterBox([Interval(-1e308, 1e308)] * 5))
-        signs, shortfall = coefficient_signs(huge, 0.0)
-        assert signs.tolist() == [0, 0, 1, 0, -1] and shortfall == 0.0
+        signs, shortfall = self.pinning(huge, 0.0)
+        assert signs == [0, 0, 1, 0, -1] and shortfall == 0.0
+
+    def test_exact_frees_only_the_coordinates_with_a_shortfall(self):
+        # Under tol 1e-3: pinned with shortfall 9e-4, free, pinned with none, pinned NSD with 5e-4.
+        coeffs = [np.diag([1.0, -9e-4]), np.diag([1.0, -1.0]), np.eye(2), np.diag([5e-4, -1.0])]
+        p = ParametricSymMatrix(coeffs, ParameterBox([Interval(0.0, 1.0)] * 4))
+        assert self.pinning(p, 1e-3) == ([1, 0, 1, -1], pytest.approx(1.4e-3))
+        exact = vertices(p, tol=1e-3).exact()
+        rows = exact.points(0, len(exact))
+        assert exact.free_count == 3 and exact.shortfall == 0.0
+        assert [sorted(set(col)) for col in rows.T.tolist()] == [[0.0, 1.0], [0.0, 1.0], [0.0], [0.0, 1.0]]
+        assert [v.values for v in exact] == [tuple(r) for r in rows.tolist()]
 
     def test_default_tolerance_is_the_vertex_stage_one(self):
         # diag(10, -1e-9) on [0, 1e-3]: within the per-matrix tolerance
@@ -310,13 +329,6 @@ class TestProblemJson:
         assert p.n == 2 and p.K == 2
         assert p.box.intervals[1] == Interval(0.0, 1.0)
         assert np.array_equal(p.coeffs[0].array, [[1.5, 0.0], [0.0, 1.1]])
-
-    def test_roundtrip(self):
-        p = problem_from_json(self.DOC)
-        q = problem_from_json(problem_to_json(p))
-        assert q.n == p.n and q.K == p.K
-        for a, b in zip(p.coeffs, q.coeffs):
-            assert np.array_equal(a.array, b.array)
 
     def test_asymmetric_coefficient_rejected(self):
         doc = json.loads(self.DOC)

@@ -46,4 +46,7 @@ def test_changed_answers_exit_nonzero(tmp_path):
     proc = run_diff(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "42 reports, 0 bit-identical" in proc.stdout
+    # One line per differing report names it and the fields that differ.
+    line = next(x for x in proc.stdout.splitlines() if x.startswith("  strong-vertex seed 1 slot 0 ("))
+    assert line.endswith(": (exit code), (field layout)")
     assert "42 exit-code, status, method or certificate-type mismatches" in proc.stdout
