@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, ClassVar, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -47,7 +47,8 @@ from .symlinalg import (
 )
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
-# The vertex route's first block of member matrices (at least one row); blocks double up to the second.
+# The first of ``_blocks`` (at least one row), which the vertex scan and the witness climbs share;
+# blocks double up to the second.
 FIRST_VERTEX_BLOCK_BYTES = 1 << 12
 VERTEX_CHUNK_BYTES = 1 << 20
 WITNESS_RESTARTS = 20
@@ -149,8 +150,22 @@ def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
 # vertex characterizations
 
 
+def _blocks(total: int, row_bytes: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) pairs covering range(total): FIRST_VERTEX_BLOCK_BYTES of rows, doubling to VERTEX_CHUNK_BYTES.
+
+    Every block holds at least one row.  Both batched stages, the vertex
+    scan and the witness climbs, take their blocks from here.
+    """
+    first, cap = (max(1, b // row_bytes) for b in (FIRST_VERTEX_BLOCK_BYTES, VERTEX_CHUNK_BYTES))
+    start, size = 0, min(first, cap)
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, cap)
+
+
 def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, tol: float, budget: int) -> Verdict:
-    """Scan ``enum`` in Gray order, in blocks that double from FIRST_VERTEX_BLOCK_BYTES; proved when every vertex passes.
+    """Scan ``enum`` in Gray order, in the ``_blocks`` of one member matrix per row; proved when every vertex passes.
 
     Each block forms its member matrices at once and takes their smallest
     eigenvalues in one batched call; the scan stops at the first block with
@@ -164,12 +179,9 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
             "vertex",
             detail=f"2^{enum.free_count} vertices exceed budget {budget}",
         )
-    first, cap = (max(1, b // p.coefficient_stack()[0].nbytes) for b in (FIRST_VERTEX_BLOCK_BYTES, VERTEX_CHUNK_BYTES))
     worst = np.inf
     worst_vertex: tuple[float, ...] = ()
-    start, size = 0, min(first, cap)
-    while start < total:
-        stop = min(start + size, total)
+    for start, stop in _blocks(total, p.coefficient_stack()[0].nbytes):
         points = enum.points(start, stop)
         mins = _member_min_eigs(p, points)
         failed = ~passes(mins, kind, tol)
@@ -179,7 +191,6 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
         i = int(np.argmin(mins))
         if mins[i] < worst:
             worst, worst_vertex = float(mins[i]), tuple(points[i].tolist())
-        start, size = stop, min(2 * size, cap)
     return Verdict(Status.PROVED, "vertex", VertexList(total, worst_vertex, worst))
 
 
@@ -306,6 +317,8 @@ def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budg
 
     The bound covers every A(q) - s I with s in [0, tol], so none is singular; A(mid) - tol I is PD, and
     the box is connected, so every member's smallest eigenvalue exceeds tol, as the PD rule asks.
+    For G >= 0, min row sum <= rho(G) <= max row sum, so when the smallest row sum is at least 1 the
+    Perron bracket is skipped and the certificate carries the largest row sum, unconverged.
     """
     a_mid = evaluate(p, p.box.mid(), check=False)
     spectrum = eig_sym(a_mid)
@@ -315,10 +328,14 @@ def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budg
         return Verdict(Status.UNKNOWN, "regularity", detail=f"singular midpoint: {exc}")
     if not np.isfinite(g).all():
         return Verdict(Status.UNKNOWN, "regularity", detail="Beeck bound matrix overflows double precision")
-    bracket = spectral_radius_nonneg(g)
-    cert = BeeckWitness(bracket.upper, bracket.converged)
+    row_sums = g.sum(axis=1)
+    if row_sums.min() >= 1.0:
+        cert = BeeckWitness(float(row_sums.max()), False)
+    else:
+        bracket = spectral_radius_nonneg(g)
+        cert = BeeckWitness(bracket.upper, bracket.converged)
     mid_pd = passes(spectrum[0][0], "pd", tol)
-    if mid_pd and bracket.upper < 1.0 - RHO_MARGIN:
+    if mid_pd and cert.rho < 1.0 - RHO_MARGIN:
         return Verdict(Status.PROVED, "regularity", cert)
     why = "spectral radius not below one" if mid_pd else "midpoint not positive definite"
     return Verdict(Status.UNKNOWN, "regularity", cert, detail=why)
@@ -422,8 +439,8 @@ def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     The starts are the box midpoint and ``WITNESS_RESTARTS - 1`` points drawn with ``WITNESS_SEED`` (from
     halves of the bounds, capped at the upper one, so in any box).  All are tested first, in one batched
     call, and the lowest-index start that passes is the witness, with its value from that call.  When none
-    passes, the midpoint climbs alone, then the other starts in lockstep batches that fit
-    ``VERTEX_CHUNK_BYTES``; the lowest-index accepted climb wins.  Finding none proves nothing.
+    passes, the starts climb in lockstep, in the ``_blocks`` of two probe members per row, and the first
+    block with an accepted climb gives its lowest-index one.  Finding none proves nothing.
     """
     lows, highs = p.box.inf(), p.box.sup()
     unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
@@ -434,9 +451,8 @@ def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     if ok.any():
         i = int(np.argmax(ok))
         return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(starts[i].tolist()), float(values[i])))
-    rows = max(1, VERTEX_CHUNK_BYTES // (2 * p.coefficient_stack()[0].nbytes))
-    for batch in [starts[:1]] + [starts[i : i + rows] for i in range(1, len(starts), rows)]:
-        q, best = _coordinate_ascent(p, batch)
+    for start, stop in _blocks(len(starts), 2 * p.coefficient_stack()[0].nbytes):
+        q, best = _coordinate_ascent(p, starts[start:stop])
         ok = passes(best, kind, tol)
         if ok.any():
             witness = q[int(np.argmax(ok))]

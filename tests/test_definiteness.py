@@ -338,6 +338,30 @@ class TestRegularityRoute:
         assert v.certificate.rho < 1e-12 + family_tol(p) * c_norm
         assert decide(p, "strong_pd", tol=0.0, method="regularity").certificate.rho < 1e-12
 
+    def test_row_sums_at_least_one_skip_the_perron_bracket(self, monkeypatch):
+        # I + q [[0, 1], [1, 0]] on [-2, 2]: A(mid) = I, so G is about
+        # [[tol, 2], [2, tol]], and rho(G) is at least its smallest row sum,
+        # about 2 + tol, which is also the largest.
+        calls = []
+        bracket = definiteness.spectral_radius_nonneg
+
+        def spy(g):
+            calls.append(g)
+            return bracket(g)
+
+        monkeypatch.setattr(definiteness, "spectral_radius_nonneg", spy)
+        p = ParametricSymMatrix(
+            [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], ParameterBox([Interval(1.0, 1.0), Interval(-2.0, 2.0)])
+        )
+        v = strong_pd_regularity(p)
+        assert v.unknown and v.detail == "spectral radius not below one" and calls == []
+        assert v.certificate == BeeckWitness(v.certificate.rho, False)
+        assert v.certificate.rho == pytest.approx(2.0 + family_tol(p), abs=1e-12)
+        # A family whose rows do not all reach one still gets its Perron rho.
+        v = strong_pd_regularity(regularity_favorable())
+        assert v.proved and len(calls) == 1
+        assert v.certificate.rho == bracket(calls[0]).upper == pytest.approx(0.9678, abs=5e-4)
+
     def test_singular_midpoint_unknown(self):
         p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(-1.0, 1.0)]))
         v = strong_pd_regularity(p)
@@ -692,13 +716,14 @@ class TestWitnessSearch:
         assert self.assert_matches_sequential(monkeypatch, p, goal, restarts) == bool(accepted)
 
     def test_batches_split_by_size(self, monkeypatch):
-        # At n = 60 the two probe members of a row take 57600 bytes, so a
-        # batch holds 18 rows and the 19 random restarts run as 18 + 1.
-        # The seed puts the only start that reaches the threshold last, so
-        # only the second batch accepts.
+        # At n = 60 the two probe members of a row take 57600 bytes, more
+        # than the first block, so the midpoint climbs alone and the blocks
+        # double up to the 18 rows that fit VERTEX_CHUNK_BYTES: 1, 2, 4, 8
+        # and the last 5.  The seed puts the only start that reaches the
+        # threshold last, so only the last block accepts.
         n = 60
-        rows = definiteness.VERTEX_CHUNK_BYTES // (2 * n * n * 8)
-        assert rows == 18
+        assert 2 * n * n * 8 > definiteness.FIRST_VERTEX_BLOCK_BYTES
+        assert definiteness.VERTEX_CHUNK_BYTES // (2 * n * n * 8) == 18
         seed = next(
             s for s in range(1000)
             if np.argmax(np.random.default_rng(s).uniform(0.0, 1.0, (19, 3))[:, 1]) == 18
@@ -707,16 +732,9 @@ class TestWitnessSearch:
         c = 0.5 * (max(0.5, y[:18].max()) + y[18])
         assert c < y[18] - 1e-6
         p = ridge_family(n, c)
-        batches = []
-        ascent = definiteness._coordinate_ascent
-
-        def spy(p, starts):
-            batches.append(len(starts))
-            return ascent(p, starts)
-
-        monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
+        _, climbs = spy_witness_stage(monkeypatch)
         assert self.assert_matches_sequential(monkeypatch, p, "pd", restarts=20, seed=seed)
-        assert batches == [1, rows, 19 - rows]
+        assert climbs == [1, 2, 4, 8, 5]
 
     def test_passing_start_skips_the_climb(self, monkeypatch):
         # p - 0.9 on [0, 1]: the midpoint fails weak PD and some draws pass.
@@ -733,11 +751,35 @@ class TestWitnessSearch:
 
     def test_climbs_keep_their_batches_when_no_start_passes(self, monkeypatch):
         # No start of ridge_family(2, 0.6) passes weak PD (the best is about
-        # 0.579 - 0.6), but climbs do: the midpoint climbs alone, then the
-        # 19 draws in one batch, after one call on all 20 starts.
+        # 0.579 - 0.6), but climbs do.  After one call on all 20 starts, all
+        # 20 climb in one lockstep block, since the first block holds 64 rows
+        # of two 2x2 probe members.
         calls, climbs = spy_witness_stage(monkeypatch)
         assert decide(ridge_family(2, 0.6), "weak_pd", method="witness").proved
-        assert calls[0] == definiteness.WITNESS_RESTARTS and climbs == [1, 19]
+        assert calls[0] == definiteness.WITNESS_RESTARTS and climbs == [20]
+
+    def test_no_passing_start_at_n4_climbs_in_two_blocks(self, monkeypatch):
+        # Two 4x4 probe members take 256 bytes, so the first block holds 16
+        # starts and the next the other 4.  No member of ridge_family(4, 1.5)
+        # passes weak PD (its best is 1 - 1.5), so both blocks climb to the end.
+        calls, climbs = spy_witness_stage(monkeypatch)
+        assert decide(ridge_family(4, 1.5), "weak_pd", method="witness").unknown
+        assert calls[0] == definiteness.WITNESS_RESTARTS and climbs == [16, 4]
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_witness_does_not_depend_on_the_blocks(self, monkeypatch, n):
+        # Under the default bytes the 20 starts fall into blocks of [20],
+        # [16, 4] and [1, 2, 4, 8, 5] rows at n = 2, 4 and 12; with a one-row
+        # first block all into [1, 2, 4, 8, 5], and with huge blocks into [20].
+        p = ridge_family(n, 0.6)
+        first, cap = definiteness.FIRST_VERTEX_BLOCK_BYTES, definiteness.VERTEX_CHUNK_BYTES
+        verdicts = []
+        for first_bytes, cap_bytes in ((1, cap), (first, cap), (1 << 40, 1 << 40)):
+            monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", first_bytes)
+            monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", cap_bytes)
+            verdicts.append(decide(p, "weak_pd", method="witness"))
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[0].proved
 
     def test_one_row_batches_match(self, rng, monkeypatch):
         # A chunk smaller than two members still gives one row per batch.
