@@ -282,24 +282,22 @@ def main() -> int:
         near_singular[verdict.status.value] += 1
         if verdict.proved and not full_vertex_check(p, "pd"):
             disagreements.append((f"near-singular {i}", "strong_pd by regularity alone", "proved", False))
-    wide_rng = np.random.default_rng([args.seed, 2])
-    wide = collections.Counter()
-    for i in range(WIDE_BOX_FAMILIES):
-        p = wide_box_family(wide_rng)
-        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
-        for goal in STRONG_GOALS + WEAK_GOALS:
-            verdict, problems = check_goal(p, goal, truth)
-            wide[verdict.status.value] += 1
-            disagreements += [(f"wide-box {i}", goal, problem) for problem in problems]
-    pinned_rng = np.random.default_rng([args.seed, 3])
-    pinned = collections.Counter()
-    for i in range(PINNED_SHORTFALL_FAMILIES):
-        p = pinned_shortfall_family(pinned_rng)
-        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
-        for goal in STRONG_GOALS + WEAK_GOALS:
-            verdict, problems = check_goal(p, goal, truth)
-            pinned[verdict.status.value] += 1
-            disagreements += [(f"pinned-shortfall {i}", goal, problem) for problem in problems]
+    # The hard families checked on all four goals: label, count, generator and stream.
+    hard = []
+    for label, count, family, stream in (
+        ("wide-box", WIDE_BOX_FAMILIES, wide_box_family, 2),
+        ("pinned-shortfall", PINNED_SHORTFALL_FAMILIES, pinned_shortfall_family, 3),
+    ):
+        hard_rng = np.random.default_rng([args.seed, stream])
+        statuses = collections.Counter()
+        hard.append((label, count, statuses))
+        for i in range(count):
+            p = family(hard_rng)
+            truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
+            for goal in STRONG_GOALS + WEAK_GOALS:
+                verdict, problems = check_goal(p, goal, truth)
+                statuses[verdict.status.value] += 1
+                disagreements += [(f"{label} {i}", goal, problem) for problem in problems]
     elapsed = time.perf_counter() - t0
 
     print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
@@ -312,14 +310,11 @@ def main() -> int:
         f"  strong_pd  by regularity alone on {NEAR_SINGULAR_FAMILIES} near-singular families: "
         f"{near_singular['proved']} proved, {near_singular['unknown']} unknown"
     )
-    print(
-        f"  all goals  on {WIDE_BOX_FAMILIES} wide-box families: "
-        f"{wide['proved']} proved, {wide['disproved']} disproved, {wide['unknown']} unknown"
-    )
-    print(
-        f"  all goals  on {PINNED_SHORTFALL_FAMILIES} pinned-shortfall families: "
-        f"{pinned['proved']} proved, {pinned['disproved']} disproved, {pinned['unknown']} unknown"
-    )
+    for label, count, statuses in hard:
+        print(
+            f"  all goals  on {count} {label} families: "
+            f"{statuses['proved']} proved, {statuses['disproved']} disproved, {statuses['unknown']} unknown"
+        )
     for goal in WEAK_GOALS:
         unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
         print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")

@@ -5,7 +5,7 @@ matrix problem given as JSON, and ``convex`` certifies convexity of a
 cubic polynomial on a box.  The machine-readable report goes to stdout as
 one compact JSON line (schema shipped in ``schemas/run_report.schema.json``);
 a one-line human summary goes to stderr.  Exit codes: 0 proved,
-1 disproved, 2 unknown, 64 input error.
+1 disproved, 2 unknown, 64 input error or LAPACK failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import definiteness as df
 from .cubic import ALIASES, certify_convexity, parse as parse_poly
 from .intervals import Interval
 from .parametric import FamilyOverflowError, ParameterBox, problem_from_json
-from .symlinalg import SymMatrix
+from .symlinalg import ConvergenceError, SymMatrix
 
 EXIT_PROVED = 0
 EXIT_DISPROVED = 1
@@ -76,23 +76,15 @@ def cmd_check(args) -> int:
         raise InputError(f"malformed problem file: {exc}") from exc
 
     goal = args.goal.replace("-", "_")
-    timings: dict = {}
     t0 = time.perf_counter()
     try:
-        verdict = df.decide(
-            problem,
-            goal,
-            tol=args.tol,
-            vertex_budget=args.vertex_budget,
-            timings=timings,
-            method=args.method,
-        )
+        verdict = df.decide(problem, goal, tol=args.tol, vertex_budget=args.vertex_budget, method=args.method)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    timings["total"] = (time.perf_counter() - t0) * 1e3
+    total = (time.perf_counter() - t0) * 1e3
 
     extra = {"goal": args.goal, "input": args.file}
-    return _emit(verdict, timings, extra, f"{args.goal}: ")
+    return _emit(verdict, total, extra, f"{args.goal}: ")
 
 
 _BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
@@ -140,13 +132,12 @@ def cmd_convex(args) -> int:
         raise InputError("polynomial has no variables; nothing to certify")
     box = _parse_box_flags(args.box or [], poly.n)
 
-    timings: dict = {}
     t0 = time.perf_counter()
     try:
-        result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget, timings=timings)
+        result = certify_convexity(poly, box, tol=args.tol, vertex_budget=args.vertex_budget)
     except FamilyOverflowError as exc:
         raise InputError(str(exc)) from exc
-    timings["total"] = (time.perf_counter() - t0) * 1e3
+    total = (time.perf_counter() - t0) * 1e3
 
     extra = {
         "expression": args.expression,
@@ -156,16 +147,16 @@ def cmd_convex(args) -> int:
             "hertz_min_eig": result.relaxation_min_eig,
         },
     }
-    return _emit(result.verdict, timings, extra, "convexity: ")
+    return _emit(result.verdict, total, extra, "convexity: ")
 
 
-def _emit(verdict: df.Verdict, timings: dict, extra: dict, label: str) -> int:
-    """Print the report as one JSON line and the summary to stderr; return the exit code."""
+def _emit(verdict: df.Verdict, total_ms: float, extra: dict, label: str) -> int:
+    """Print the report (``timings_ms`` is ``verdict.stage_ms`` plus ``total``) and the summary; return the exit code."""
     report = {
         "status": verdict.status.value,
         "method": verdict.method,
         "certificate": certificate_to_jsonable(verdict.certificate),
-        "timings_ms": timings,
+        "timings_ms": {**dict(verdict.stage_ms), "total": total_ms},
         "tolerances": {"definiteness": verdict.tol, "rho_margin": df.RHO_MARGIN},
         "detail": verdict.detail,
         **extra,
@@ -239,7 +230,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except InputError as exc:
+    except (InputError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -301,16 +301,16 @@ def certify_convexity(
     box: ParameterBox,
     tol: float | None = None,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    timings: dict | None = None,
 ) -> ConvexityResult:
     """Certify convexity of f on the box via its parametric Hessian.
 
     Proved means the Hessian is positive semidefinite everywhere on the
-    box; Disproved exhibits a point where it is not.  ``vertex_budget``
+    box; Disproved exhibits a point where it is not.  The verdict is
+    ``decide``'s on goal strong_psd, with its stage times.  ``vertex_budget``
     bounds the diagnostics as well as the vertex stage.
     """
     family = hessian(f, box)
-    verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget, timings=timings)
+    verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget)
     if 1 << (f.n - 1) > vertex_budget:
         return ConvexityResult(verdict, None, None)
     relaxed = relax(family)

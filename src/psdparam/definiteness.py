@@ -24,7 +24,7 @@ can be re-checked independently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
@@ -122,11 +122,18 @@ Certificate = Union[
 
 @dataclass(frozen=True)
 class Verdict:
+    """A status and its certificate, stamped by ``decide`` with how it was reached.
+
+    ``method`` names the stage that decided (or ran last), ``tol`` the tolerance every stage compared with, and
+    ``stage_ms`` each stage run, in order, with its wall time in ms; times vary, so it takes no part in equality.
+    """
+
     status: Status
-    method: str
+    method: str = ""
     certificate: Optional[Certificate] = None
     detail: str = ""
-    tol: Optional[float] = None  # the tolerance ``decide`` resolved and every stage compared with
+    tol: Optional[float] = None
+    stage_ms: tuple[tuple[str, float], ...] = field(default=(), compare=False)
 
     @property
     def proved(self) -> bool:
@@ -174,11 +181,7 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
     """
     total = len(enum)
     if total > budget:
-        return Verdict(
-            Status.UNKNOWN,
-            "vertex",
-            detail=f"2^{enum.free_count} vertices exceed budget {budget}",
-        )
+        return Verdict(Status.UNKNOWN, detail=f"2^{enum.free_count} vertices exceed budget {budget}")
     worst = np.inf
     worst_vertex: tuple[float, ...] = ()
     for start, stop in _blocks(total, p.coefficient_stack()[0].nbytes):
@@ -187,11 +190,11 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
         failed = ~passes(mins, kind, tol)
         if failed.any():
             i = int(np.argmax(failed))
-            return Verdict(Status.DISPROVED, "vertex", CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
+            return Verdict(Status.DISPROVED, certificate=CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
         i = int(np.argmin(mins))
         if mins[i] < worst:
             worst, worst_vertex = float(mins[i]), tuple(points[i].tolist())
-    return Verdict(Status.PROVED, "vertex", VertexList(total, worst_vertex, worst))
+    return Verdict(Status.PROVED, certificate=VertexList(total, worst_vertex, worst))
 
 
 def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
@@ -247,7 +250,7 @@ def _strong_by_split(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     """Proved when the lower bound matrix passes; never disproves."""
     s = _split_combination(p, p.box.inf(), p.box.sup())
     m = min_eig(s)
-    return Verdict(Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN, "split", SplitWitness(s, m))
+    return Verdict(Status.PROVED if passes(m, kind, tol) else Status.UNKNOWN, certificate=SplitWitness(s, m))
 
 
 def strong_psd_split(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
@@ -264,7 +267,7 @@ def _weak_by_necessary(p: ParametricSymMatrix, kind: str, tol: float, budget: in
     """Disproved when the upper bound matrix fails; never proves."""
     n = _split_combination(p, p.box.sup(), p.box.inf())
     m = min_eig(n)
-    return Verdict(Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED, "necessary", NecessaryFailure(n, m))
+    return Verdict(Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED, certificate=NecessaryFailure(n, m))
 
 
 def weak_psd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
@@ -325,9 +328,9 @@ def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budg
     try:
         g = _beeck_bound(p, invert(a_mid, spectrum), tol)
     except SingularMatrixError as exc:
-        return Verdict(Status.UNKNOWN, "regularity", detail=f"singular midpoint: {exc}")
+        return Verdict(Status.UNKNOWN, detail=f"singular midpoint: {exc}")
     if not np.isfinite(g).all():
-        return Verdict(Status.UNKNOWN, "regularity", detail="Beeck bound matrix overflows double precision")
+        return Verdict(Status.UNKNOWN, detail="Beeck bound matrix overflows double precision")
     row_sums = g.sum(axis=1)
     if row_sums.min() >= 1.0:
         cert = BeeckWitness(float(row_sums.max()), False)
@@ -336,9 +339,9 @@ def _strong_pd_by_regularity(p: ParametricSymMatrix, kind: str, tol: float, budg
         cert = BeeckWitness(bracket.upper, bracket.converged)
     mid_pd = passes(spectrum[0][0], "pd", tol)
     if mid_pd and cert.rho < 1.0 - RHO_MARGIN:
-        return Verdict(Status.PROVED, "regularity", cert)
+        return Verdict(Status.PROVED, certificate=cert)
     why = "spectral radius not below one" if mid_pd else "midpoint not positive definite"
-    return Verdict(Status.UNKNOWN, "regularity", cert, detail=why)
+    return Verdict(Status.UNKNOWN, certificate=cert, detail=why)
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +390,25 @@ def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
 # heuristic witness search for weak definiteness
 
 
-def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int = 30, steps: int = 48):
-    """Maximize min_eig(A(q)) over the box from each row of ``starts``.
+def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, values: np.ndarray):
+    """Maximize min_eig(A(q)) over the box from each row of ``starts``, whose smallest eigenvalues are ``values``.
 
-    Each row runs per-coordinate ternary search, and the objective is
-    concave in q, so each line search is unimodal; thirds and midpoints are
-    formed from halves of the bracket, finite on any box.  The rows run in
-    lockstep: every ternary step forms the two probe members of every
-    active row and takes their smallest eigenvalues in one batched
-    LAPACK call.  Each row keeps its own bracket, in Python floats, and
-    leaves the batch once a sweep no longer improves it.  Returns the
-    final points and their values.
+    Each row runs up to 30 sweeps of per-coordinate ternary search, 48
+    steps per coordinate, and the objective is concave in q, so each line
+    search is unimodal; thirds and midpoints are formed from halves of the
+    bracket, finite on any box.  The rows run in lockstep: every ternary
+    step forms the two probe members of every active row and takes their
+    smallest eigenvalues in one batched LAPACK call.  Each row keeps its
+    own bracket, in Python floats (numpy arrays give the same bits, slower),
+    and leaves the batch once a sweep no longer improves it.  Returns the
+    final points and their values, each from the call that formed it.
     """
     lows = p.box.inf().tolist()
     highs = p.box.sup().tolist()
     q = starts.copy()
-    best = _member_min_eigs(p, q)
+    best = values.copy()
     active = np.arange(len(q))
-    for _ in range(sweeps):
+    for _ in range(30):
         improved = best[active]
         for k in range(p.K):
             if lows[k] == highs[k]:
@@ -413,7 +417,7 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, sweeps: int =
             lo, hi = [lows[k]] * rows, [highs[k]] * rows
             probes = np.repeat(q[active], 2, axis=0)
             ab = [0.0] * (2 * rows)
-            for _ in range(steps):
+            for _ in range(48):
                 for i in range(rows):
                     third = (0.5 * hi[i] - 0.5 * lo[i]) / 1.5
                     ab[2 * i], ab[2 * i + 1] = lo[i] + third, hi[i] - third
@@ -439,8 +443,9 @@ def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     The starts are the box midpoint and ``WITNESS_RESTARTS - 1`` points drawn with ``WITNESS_SEED`` (from
     halves of the bounds, capped at the upper one, so in any box).  All are tested first, in one batched
     call, and the lowest-index start that passes is the witness, with its value from that call.  When none
-    passes, the starts climb in lockstep, in the ``_blocks`` of two probe members per row, and the first
-    block with an accepted climb gives its lowest-index one.  Finding none proves nothing.
+    passes, the starts climb in lockstep from those values, in the ``_blocks`` of two probe members per row,
+    and the first block with an accepted climb gives its lowest-index one, with the value its climb ended
+    on.  Finding none proves nothing.
     """
     lows, highs = p.box.inf(), p.box.sup()
     unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
@@ -450,15 +455,14 @@ def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     ok = passes(values, kind, tol)
     if ok.any():
         i = int(np.argmax(ok))
-        return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(starts[i].tolist()), float(values[i])))
+        return Verdict(Status.PROVED, certificate=WitnessPoint(tuple(starts[i].tolist()), float(values[i])))
     for start, stop in _blocks(len(starts), 2 * p.coefficient_stack()[0].nbytes):
-        q, best = _coordinate_ascent(p, starts[start:stop])
+        q, best = _coordinate_ascent(p, starts[start:stop], values[start:stop])
         ok = passes(best, kind, tol)
         if ok.any():
-            witness = q[int(np.argmax(ok))]
-            m = float(_member_min_eigs(p, witness[None])[0])
-            return Verdict(Status.PROVED, "witness", WitnessPoint(tuple(witness.tolist()), m))
-    return Verdict(Status.UNKNOWN, "witness", detail="no witness found; weak decision incomplete")
+            i = int(np.argmax(ok))
+            return Verdict(Status.PROVED, certificate=WitnessPoint(tuple(q[i].tolist()), float(best[i])))
+    return Verdict(Status.UNKNOWN, detail="no witness found; weak decision incomplete")
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +500,18 @@ def decide(
     goal: str,
     tol: float | None = None,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    timings: dict | None = None,
     method: str = "auto",
 ) -> Verdict:
     """Run the stages of ``STAGES`` that apply to ``goal`` until one decides; the same call gives the same verdict.
 
     ``method="auto"`` walks the whole cascade; a stage name runs that
     stage alone.  The returned verdict's ``method`` names the stage that
-    decided (or the last one run, when none did); stage wall times in
-    milliseconds are added to ``timings`` when a dict is supplied; its
-    ``tol`` is ``tol`` as given or else ``family_tol(p)``, resolved here.
-    Raises ValueError when the goal or the stage is unknown, when the
-    stage does not apply to the goal, for a negative vertex budget, or
-    for a bad or overflowing ``tol``.
+    decided (or the last one run, when none did), its ``stage_ms`` lists
+    each stage run with its wall time in milliseconds, and its ``tol`` is
+    ``tol`` as given or else ``family_tol(p)``, resolved here.  Raises
+    ValueError when the goal or the stage is unknown, when the stage does
+    not apply to the goal, for a negative vertex budget, or for a bad or
+    overflowing ``tol``.
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
@@ -524,12 +527,11 @@ def decide(
             raise ValueError(f"stage {method!r} applies to {', '.join(entry.goals)} only, not {goal}")
         stages = [entry]
     tol = family_tol(p) if tol is None else check_tol(tol)
-    verdict = Verdict(Status.UNKNOWN, "none")
+    stage_ms = []
     for stage in stages:
         t0 = time.perf_counter()
         verdict = stage.run(p, kind, tol, vertex_budget)
-        if timings is not None:
-            timings[stage.name] = timings.get(stage.name, 0.0) + (time.perf_counter() - t0) * 1e3
+        stage_ms.append((stage.name, (time.perf_counter() - t0) * 1e3))
         if not verdict.unknown:
             break
-    return replace(verdict, tol=tol)
+    return replace(verdict, method=stage.name, tol=tol, stage_ms=tuple(stage_ms))

@@ -74,6 +74,15 @@ HUGE_DOC = '{"n":2,"K":1,"coefficients":[[[1e200,1e201],[1e201,1e200]]],"paramet
 DEMO_BOX_FLAGS = ["--box", "x1=2:3", "--box", "x2=1:2", "--box", "x3=0:1"]
 
 
+def fail_lapack(monkeypatch, name: str) -> None:
+    """Make ``numpy.linalg.<name>`` raise LinAlgError, as LAPACK does when it fails to converge."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+
+
 @pytest.fixture
 def split_file(tmp_path):
     path = tmp_path / "split.json"
@@ -308,6 +317,21 @@ class TestCheck:
         code, report, _ = run_cli(capsys, "check", split_file, "--goal", "strong-psd", "--method", "vertex")
         assert code == EXIT_PROVED and report["method"] == "vertex"
         assert set(report["timings_ms"]) == {"vertex", "total"}
+
+    def test_timings_are_the_verdicts_stage_times(self, capsys, monkeypatch, regularity_file):
+        verdicts = []
+        decide = df.decide
+
+        def spy(*args, **kwargs):
+            verdicts.append(decide(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(df, "decide", spy)
+        _, report, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
+        total = report["timings_ms"].pop("total")
+        assert report["timings_ms"] == dict(verdicts[0].stage_ms)
+        assert set(report["timings_ms"]) == {"split", "regularity"}
+        assert total >= sum(report["timings_ms"].values())
 
     def test_forced_method_goal_mismatch(self, capsys, split_file):
         code, _, err = run_cli(
@@ -545,6 +569,13 @@ class TestCheck:
         path.write_text('{"n":2,"K":1,"coefficients":5,"parameters":[{"inf":1,"sup":2}]}')
         assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed problem document")
 
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
+    def test_lapack_failure_is_exit_64(self, capsys, monkeypatch, split_file, name):
+        # eigh fails while the family is built, eigvalsh in the split stage;
+        # either once reached the user as a ConvergenceError traceback.
+        fail_lapack(monkeypatch, name)
+        assert_input_error(run_cli(capsys, "check", split_file, "--goal", "strong-pd"), f"LAPACK {name} failed")
+
     def test_determinism_modulo_timings(self, capsys, regularity_file):
         _, a, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
         _, b, _ = run_cli(capsys, "check", regularity_file, "--goal", "strong-pd")
@@ -684,6 +715,11 @@ class TestConvex:
         with pytest.raises(ValueError, match="diagnostic fault"):
             main(["convex", DEMO_CUBIC, *DEMO_BOX_FLAGS])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
+    def test_lapack_failure_is_exit_64(self, capsys, monkeypatch, name):
+        fail_lapack(monkeypatch, name)
+        assert_input_error(run_cli(capsys, "convex", "x1^2", "--box", "x1=0:1"), f"LAPACK {name} failed")
 
     def test_hessian_formed_once(self, capsys, monkeypatch):
         # The command once formed the Hessian itself, for its tolerance,

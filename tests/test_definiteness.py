@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 from fractions import Fraction
@@ -662,9 +663,9 @@ def spy_witness_stage(monkeypatch) -> tuple[list, list]:
         calls.append(len(points))
         return member_min_eigs(p, points)
 
-    def spy_ascent(p, starts):
+    def spy_ascent(p, starts, values):
         climbs.append(len(starts))
-        return ascent(p, starts)
+        return ascent(p, starts, values)
 
     monkeypatch.setattr(definiteness, "_member_min_eigs", spy_eigs)
     monkeypatch.setattr(definiteness, "_coordinate_ascent", spy_ascent)
@@ -758,6 +759,30 @@ class TestWitnessSearch:
         assert decide(ridge_family(2, 0.6), "weak_pd", method="witness").proved
         assert calls[0] == definiteness.WITNESS_RESTARTS and climbs == [20]
 
+    def test_each_member_is_solved_once(self, monkeypatch):
+        # The climb starts from the values of the all-starts call, so its
+        # first call is the 40 probe members of 20 rows, not the 20 starts
+        # again.  The certificate's value is the one its row's climb ended
+        # on, and no call follows the climb.
+        member_min_eigs = definiteness._member_min_eigs
+        calls, _ = spy_witness_stage(monkeypatch)
+        ascent, ended = definiteness._coordinate_ascent, []
+
+        def spy_ascent(p, starts, values):
+            q, best = ascent(p, starts, values)
+            ended.append((len(calls), q, best))
+            return q, best
+
+        monkeypatch.setattr(definiteness, "_coordinate_ascent", spy_ascent)
+        p = ridge_family(2, 0.6)
+        v = decide(p, "weak_pd", method="witness")
+        assert v.proved and calls[:2] == [definiteness.WITNESS_RESTARTS, 2 * definiteness.WITNESS_RESTARTS]
+        (after_climb, q, best), = ended
+        assert len(calls) == after_climb
+        i = next(i for i, row in enumerate(q) if tuple(row.tolist()) == v.certificate.p)
+        assert v.certificate.min_eig == best[i]
+        assert v.certificate.min_eig == float(member_min_eigs(p, np.array([v.certificate.p]))[0])
+
     def test_no_passing_start_at_n4_climbs_in_two_blocks(self, monkeypatch):
         # Two 4x4 probe members take 256 bytes, so the first block holds 16
         # starts and the next the other 4.  No member of ridge_family(4, 1.5)
@@ -797,9 +822,10 @@ class TestWitnessSearch:
         rng = np.random.default_rng(seed)
         for p in (ridge_family(2, 0.6), random_family(rng, 3, 4)):
             starts = rng.uniform(p.box.inf(), p.box.sup(), (6, p.K))
-            q, best = definiteness._coordinate_ascent(p, starts)
+            values = definiteness._member_min_eigs(p, starts)
+            q, best = definiteness._coordinate_ascent(p, starts, values)
             for i, start in enumerate(starts):
-                qi, bi = definiteness._coordinate_ascent(p, start[None])
+                qi, bi = definiteness._coordinate_ascent(p, start[None], values[i : i + 1])
                 assert np.array_equal(q[i], qi[0]) and best[i] == bi[0]
 
     def test_starts_lie_in_a_box_wider_than_the_largest_double(self, monkeypatch):
@@ -810,9 +836,9 @@ class TestWitnessSearch:
         starts = []
         ascent = definiteness._coordinate_ascent
 
-        def spy(p, rows):
+        def spy(p, rows, values):
             starts.extend(rows[:, 0].tolist())
-            return ascent(p, rows)
+            return ascent(p, rows, values)
 
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
         assert decide(p, "weak_pd", tol=0.0, method="witness").unknown
@@ -843,16 +869,14 @@ class TestWitnessSearch:
 
 class TestDecide:
     def test_split_favorable_decided_by_first_stage(self):
-        timings = {}
-        v = decide(split_favorable(), "strong_pd", timings=timings)
+        v = decide(split_favorable(), "strong_pd")
         assert v.proved and v.method == "split"
-        assert set(timings) == {"split"}
+        assert [name for name, _ in v.stage_ms] == ["split"]
 
     def test_regularity_favorable_decided_by_second_stage(self):
-        timings = {}
-        v = decide(regularity_favorable(), "strong_pd", timings=timings)
+        v = decide(regularity_favorable(), "strong_pd")
         assert v.proved and v.method == "regularity"
-        assert set(timings) == {"split", "regularity"}
+        assert [name for name, _ in v.stage_ms] == ["split", "regularity"]
 
     def test_rank_one_cone_pd_disproved_by_vertices(self):
         v = decide(rank_one_cone(), "strong_pd")
@@ -890,9 +914,8 @@ class TestDecide:
 
         monkeypatch.setattr(definiteness, "family_tol", counted)
         p = diag_sign_family() if goal in definiteness.STRONG_GOALS else regularity_favorable()
-        timings: dict = {}
-        verdict = decide(p, goal, vertex_budget=0, timings=timings)
-        assert len(timings) >= 2 and len(calls) == 1
+        verdict = decide(p, goal, vertex_budget=0)
+        assert len(verdict.stage_ms) >= 2 and len(calls) == 1
         assert verdict.tol == family_tol(p)
         # An explicit tolerance comes back as given and resolves nothing.
         assert decide(p, goal, tol=0.05, vertex_budget=0).tol == 0.05 and len(calls) == 1
@@ -925,14 +948,31 @@ class TestDecide:
         assert not decide(diag_sign_family(), goal, vertex_budget=0).proved
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
-    def test_stages_run_in_table_order(self, goal):
-        # A one-vertex budget keeps the strong cascades from deciding early
-        # on the vertex stage; every applicable stage then runs.
+    def test_stages_run_in_table_order(self, rng, goal):
+        # Under the defaults and under a zero budget, which keeps the strong
+        # cascades from deciding on the vertex stage, the verdict's stage
+        # times name the applicable stages in table order, up to and
+        # including the one the verdict names; an unknown verdict ran them all.
         applicable = [s.name for s in definiteness.STAGES if goal in s.goals]
-        timings: dict = {}
-        v = decide(diag_sign_family(), goal, vertex_budget=0, timings=timings)
-        assert list(timings) == applicable[: applicable.index(v.method) + 1]
-        assert v.method in applicable
+        for budget in (definiteness.DEFAULT_VERTEX_BUDGET, 0):
+            for p in [random_family(rng) for _ in range(10)] + [split_favorable(), diag_sign_family()]:
+                v = decide(p, goal, vertex_budget=budget)
+                names = [name for name, _ in v.stage_ms]
+                assert names == applicable[: len(names)] and names[-1] == v.method
+                assert all(ms >= 0.0 for _, ms in v.stage_ms)
+                assert not v.unknown or names == applicable
+
+    def test_verdicts_compare_without_their_times(self):
+        p = regularity_favorable()
+        a, b = decide(p, "strong_pd"), decide(p, "strong_pd")
+        assert a == b and a.method == "regularity"
+        slower = dataclasses.replace(a, stage_ms=tuple((name, ms + 1.0) for name, ms in a.stage_ms))
+        assert slower == a and slower.stage_ms != a.stage_ms
+        assert dataclasses.replace(a, method="vertex") != a
+
+    def test_method_keeps_its_position(self):
+        v = definiteness.Verdict(Status.UNKNOWN, "split", None, "why")
+        assert (v.method, v.detail, v.stage_ms) == ("split", "why", ())
 
     def test_certificates_recheck(self, rng):
         reverified = 0
@@ -989,14 +1029,22 @@ class TestRunStage:
         starts = []
         ascent = definiteness._coordinate_ascent
 
-        def spy(p, rows):
+        def spy(p, rows, values):
             starts.extend(rows.copy())
-            return ascent(p, rows)
+            return ascent(p, rows, values)
 
         monkeypatch.setattr(definiteness, "_coordinate_ascent", spy)
         monkeypatch.setattr(definiteness, "WITNESS_RESTARTS", 1)
         assert decide(diag_sign_family(), "weak_pd", method="witness").unknown
         assert len(starts) == 1
+
+    @pytest.mark.parametrize(
+        "goal, stage", [(goal, s.name) for s in definiteness.STAGES for goal in s.goals]
+    )
+    def test_one_stage_gives_one_row(self, goal, stage):
+        for p in (split_favorable(), regularity_favorable(), diag_sign_family(), rank_one_cone()):
+            v = decide(p, goal, method=stage)
+            assert v.method == stage and len(v.stage_ms) == 1 and v.stage_ms[0][0] == stage
 
     def test_vertex_budget_reaches_the_stage(self):
         v = decide(regularity_favorable(), "strong_psd", vertex_budget=1, method="vertex")
@@ -1005,13 +1053,11 @@ class TestRunStage:
     def test_only_the_named_stage_runs_and_is_timed(self):
         # The cascade would stop at split; the vertex stage alone still
         # decides, and its time is the only one recorded.
-        timings = {}
-        v = decide(split_favorable(), "strong_pd", timings=timings, method="vertex")
+        v = decide(split_favorable(), "strong_pd", method="vertex")
         assert v.proved and v.method == "vertex" and isinstance(v.certificate, VertexList)
-        assert list(timings) == ["vertex"] and timings["vertex"] >= 0
-        timings = {}
-        assert decide(split_favorable(), "strong_pd", timings=timings, method="auto").method == "split"
-        assert list(timings) == ["split"]
+        assert len(v.stage_ms) == 1 and v.stage_ms[0][0] == "vertex" and v.stage_ms[0][1] >= 0
+        v = decide(split_favorable(), "strong_pd", method="auto")
+        assert v.method == "split" and [name for name, _ in v.stage_ms] == ["split"]
 
     @pytest.mark.parametrize("stage", ["split", "vertex"])
     def test_rejects_negative_vertex_budget(self, stage):
