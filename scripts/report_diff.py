@@ -29,19 +29,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECL
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
+from psdparam.definiteness import GOALS, STAGES  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 12)
 IGNORED = ("timings_ms", "input")
-# The stages each goal can run alone through ``check --method``.
-METHODS = {
-    "strong_psd": ("split", "vertex"),
-    "strong_pd": ("split", "regularity", "vertex"),
-    "weak_psd": ("necessary", "witness"),
-    "weak_pd": ("necessary", "witness"),
-}
+# The stages each goal can run alone through ``check --method``, from this checkout's stage table.
+METHODS = {goal: tuple(s.name for s in STAGES if goal in s.goals) for goal in GOALS}
 
 # Runs in the subprocess: argv lists on stdin, one {"exit", "stdout"} per list on stdout.
 CHILD = """

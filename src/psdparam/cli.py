@@ -22,7 +22,7 @@ from importlib import resources
 from typing import Optional, get_args
 
 from . import definiteness as df
-from .cubic import ALIASES, certify_convexity, parse as parse_poly
+from .cubic import certify_convexity, parse as parse_poly, variable_index
 from .intervals import Interval
 from .parametric import FamilyOverflowError, ParameterBox, problem_from_json
 from .symlinalg import ConvergenceError, SymMatrix
@@ -97,13 +97,11 @@ def _parse_box_flags(flags, n: int) -> ParameterBox:
         if m is None:
             raise InputError(f"--box expects name=low:high, got {flag!r}")
         name, lo_s, hi_s = m.groups()
-        if re.fullmatch(r"x\d+", name):
-            idx = int(name[1:])
-        elif name in ALIASES:
-            idx = ALIASES[name]
-        else:
-            raise InputError(f"unknown variable {name!r} in --box")
-        if not 1 <= idx <= n:
+        try:
+            idx = variable_index(name)
+        except ValueError as exc:
+            raise InputError(f"--box: {exc}") from exc
+        if idx > n:
             raise InputError(f"--box variable {name!r} is outside x1..x{n}")
         if idx in assigned:
             raise InputError(f"duplicate --box for variable x{idx}")
@@ -198,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--goal",
         required=True,
-        choices=["strong-psd", "strong-pd", "weak-psd", "weak-pd"],
+        choices=[goal.replace("_", "-") for goal in df.GOALS],
     )
     check.add_argument(
         "--method",

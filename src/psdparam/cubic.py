@@ -134,17 +134,16 @@ def _tokenize(text: str):
     return tokens
 
 
-def _variable_index(name: str, pos: int) -> int:
-    if name.startswith("x") and len(name) > 1:
+def variable_index(name: str) -> int:
+    """The index of variable ``name``, ``x<digits>`` or an alias; ValueError for any other name or ``x0``."""
+    if re.fullmatch(r"x\d+", name):
         idx = int(name[1:])
         if idx < 1:
-            raise PolynomialSyntaxError(f"variable index must be >= 1, got {name!r}", pos)
+            raise ValueError(f"variable index must be >= 1, got {name!r}")
         return idx
     if name in ALIASES:
         return ALIASES[name]
-    raise PolynomialSyntaxError(
-        f"unknown variable name {name!r} (use x1, x2, ... or the aliases x, y, z)", pos
-    )
+    raise ValueError(f"unknown variable name {name!r} (use x1, x2, ... or the aliases x, y, z)")
 
 
 def parse(text: str) -> CubicPolynomial:
@@ -193,7 +192,10 @@ def parse(text: str) -> CubicPolynomial:
             if kind != "var":
                 break
             advance()
-            idx = _variable_index(value, pos)
+            try:
+                idx = variable_index(value)
+            except ValueError as exc:
+                raise PolynomialSyntaxError(str(exc), pos) from None
             exponent = 1
             if peek()[0] == "op" and peek()[1] == "^":
                 advance()

@@ -393,42 +393,31 @@ def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
 def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, values: np.ndarray):
     """Maximize min_eig(A(q)) over the box from each row of ``starts``, whose smallest eigenvalues are ``values``.
 
-    Each row runs up to 30 sweeps of per-coordinate ternary search, 48
-    steps per coordinate, and the objective is concave in q, so each line
-    search is unimodal; thirds and midpoints are formed from halves of the
-    bracket, finite on any box.  The rows run in lockstep: every ternary
-    step forms the two probe members of every active row and takes their
-    smallest eigenvalues in one batched LAPACK call.  Each row keeps its
-    own bracket, in Python floats (numpy arrays give the same bits, slower),
-    and leaves the batch once a sweep no longer improves it.  Returns the
-    final points and their values, each from the call that formed it.
+    Each row runs up to 30 sweeps of per-coordinate ternary search, 48 steps per coordinate; the objective is
+    concave in q, so each line search is unimodal.  Thirds and midpoints are formed from halves of the bracket,
+    finite on any box.  The rows run in lockstep, with their brackets in two arrays: every ternary step takes
+    the smallest eigenvalues of all active rows' probe members in one batched LAPACK call and moves every
+    bracket by one mask.  A row leaves the batch once a sweep no longer improves it.  Returns the final points
+    and their values, each from the call that formed it.
     """
-    lows = p.box.inf().tolist()
-    highs = p.box.sup().tolist()
+    lows, highs = p.box.inf(), p.box.sup()
     q = starts.copy()
     best = values.copy()
     active = np.arange(len(q))
     for _ in range(30):
         improved = best[active]
-        for k in range(p.K):
-            if lows[k] == highs[k]:
-                continue
-            rows = len(active)
-            lo, hi = [lows[k]] * rows, [highs[k]] * rows
+        for k in np.flatnonzero(lows < highs):
+            lo, hi = np.full(len(active), lows[k]), np.full(len(active), highs[k])
             probes = np.repeat(q[active], 2, axis=0)
-            ab = [0.0] * (2 * rows)
+            a, b = probes[0::2, k], probes[1::2, k]  # views: each step writes its probes in place
             for _ in range(48):
-                for i in range(rows):
-                    third = (0.5 * hi[i] - 0.5 * lo[i]) / 1.5
-                    ab[2 * i], ab[2 * i + 1] = lo[i] + third, hi[i] - third
-                probes[:, k] = ab
-                f = _member_min_eigs(p, probes).tolist()
-                for i in range(rows):
-                    if f[2 * i] < f[2 * i + 1]:
-                        lo[i] = ab[2 * i]
-                    else:
-                        hi[i] = ab[2 * i + 1]
-            q[active, k] = [0.5 * lo[i] + 0.5 * hi[i] for i in range(rows)]
+                third = (0.5 * hi - 0.5 * lo) / 1.5
+                np.add(lo, third, out=a)
+                np.subtract(hi, third, out=b)
+                f = _member_min_eigs(p, probes)
+                left = f[0::2] < f[1::2]
+                lo, hi = np.where(left, a, lo), np.where(left, hi, b)
+            q[active, k] = 0.5 * lo + 0.5 * hi
             best[active] = _member_min_eigs(p, q[active])
         now = best[active]
         active = active[~(now - improved <= 1e-13 * (1.0 + np.abs(now)))]

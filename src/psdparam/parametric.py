@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -258,8 +259,8 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
 def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     """Parse the parametric-matrix problem format.
 
-    Expects {"n", "K", "coefficients", "parameters"}, n and K integers;
-    coefficients must be symmetric within 1e-12 times their largest entry.
+    Expects {"n", "K", "coefficients", "parameters"}, n and K integers, entries and bounds numbers (not
+    booleans or strings); coefficients must be symmetric within 1e-12 times their largest entry.
     """
     try:
         doc = json.loads(text) if isinstance(text, str) else text
@@ -283,12 +284,18 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         for idx, raw in enumerate(raw_coeffs):  # name the first coefficient at fault (K = 0 fails at the box)
             try:
                 shape = np.asarray(raw, dtype=float).shape
-            except (OverflowError, TypeError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
             if shape != (n, n):
                 raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
     try:
-        box = ParameterBox(Interval(float(iv["inf"]), float(iv["sup"])) for iv in raw_params)
+        bounds = [(iv["inf"], iv["sup"]) for iv in raw_params]
+        # float() takes JSON booleans and numeric strings, so refuse them by type, in one walk over the numbers.
+        for what, rows in (("coefficient", map(chain.from_iterable, raw_coeffs)), ("parameter", bounds)):
+            for idx, values in enumerate(rows):
+                if not {bool, str}.isdisjoint(map(type, values)):
+                    raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
+        box = ParameterBox(Interval(float(lo), float(hi)) for lo, hi in bounds)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
     p = ParametricSymMatrix(stack, box)

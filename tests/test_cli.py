@@ -283,6 +283,49 @@ class TestCheck:
         path.write_text("[" * 200_000)
         assert_input_error(run_cli(capsys, "check", str(path), "--goal", "strong-pd"), "malformed problem file")
 
+    @pytest.mark.parametrize(
+        "doc, goal, message",
+        [
+            (
+                '{"n":1,"K":1,"coefficients":[[[true]]],"parameters":[{"inf":false,"sup":true}]}',
+                "strong-psd",
+                "coefficient 0 holds a boolean or a string",
+            ),
+            (
+                '{"n":1,"K":1,"coefficients":[[[" 1e0 "]]],"parameters":[{"inf":"-0","sup":" 2 "}]}',
+                "weak-pd",
+                "coefficient 0 holds a boolean or a string",
+            ),
+            (
+                '{"n":1,"K":2,"coefficients":[[[1]],[[2]]],"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":true}]}',
+                "strong-psd",
+                "parameter 1 holds a boolean or a string",
+            ),
+            (
+                '{"n":1,"K":2,"coefficients":[[[1]],[[2]]],"parameters":[{"inf":0,"sup":1},{"inf":"-0","sup":" 2 "}]}',
+                "weak-pd",
+                "parameter 1 holds a boolean or a string",
+            ),
+            (
+                '{"n":2,"K":2,"coefficients":[[[1,0],[0,1]],[[1,false],[false,1]]],"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1}]}',
+                "strong-pd",
+                "coefficient 1 holds a boolean or a string",
+            ),
+            (
+                '{"n":1,"K":1,"coefficients":[[["one"]]],"parameters":[{"inf":0,"sup":1}]}',
+                "strong-pd",
+                "coefficient 0 is not a matrix of doubles",
+            ),
+        ],
+        ids=["booleans", "strings", "boolean-bound", "string-bounds", "boolean-entry", "word-entry"],
+    )
+    def test_entries_and_bounds_must_be_numbers(self, capsys, tmp_path, doc, goal, message):
+        # float() takes true, false and numeric strings; each of the first five files was once
+        # decided ("proved by split", "proved by witness", ...).
+        path = tmp_path / "typed.json"
+        path.write_text(doc)
+        assert_input_error(run_cli(capsys, "check", str(path), "--goal", goal), f"malformed problem file: {message}")
+
     def test_explicit_tolerance_skips_the_default(self, capsys, monkeypatch, split_file):
         # Every family_tol call, through whichever imported name, sums
         # through parametric.scaled_tol.
@@ -646,6 +689,25 @@ class TestConvex:
     def test_unknown_box_variable(self, capsys):
         code, _, err = run_cli(capsys, "convex", "x1^2", "--box", "x1=0:1", "--box", "q=0:1")
         assert code == EXIT_INPUT_ERROR and "unknown variable" in err
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("x0", "--box: variable index must be >= 1, got 'x0'"),
+            ("xa", "--box: unknown variable name 'xa' (use x1, x2, ... or the aliases x, y, z)"),
+            ("q", "--box: unknown variable name 'q' (use x1, x2, ... or the aliases x, y, z)"),
+        ],
+        ids=["x0", "xa", "q"],
+    )
+    def test_box_names_follow_the_parser_rule(self, capsys, name, message):
+        # The parser's messages, after "--box: "; x0 was "outside x1..x1" and q "unknown variable 'q' in --box".
+        result = run_cli(capsys, "convex", "x1^2", "--box", "x1=0:1", "--box", f"{name}=0:1")
+        assert_input_error(result, message)
+        assert result[2].strip() == f"error: {message}"
+
+    def test_box_name_past_the_variables(self, capsys):
+        result = run_cli(capsys, "convex", "x1^2 + x2^2", "--box", "x1=0:1", "--box", "x2=0:1", "--box", "z=0:1")
+        assert_input_error(result, "--box variable 'z' is outside x1..x2")
 
     def test_bad_box_syntax(self, capsys):
         code, _, _ = run_cli(capsys, "convex", "x1^2", "--box", "x1=zero:1")

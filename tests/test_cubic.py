@@ -19,7 +19,7 @@ from psdparam import (
     parse,
     poly_value,
 )
-from psdparam.cubic import DegreeError, PolynomialSyntaxError
+from psdparam.cubic import DegreeError, PolynomialSyntaxError, variable_index
 
 DEMO_MATS = [
     np.array([[6.0, 4.0, 0.0], [4.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
@@ -88,6 +88,24 @@ class TestParse:
     def test_unknown_variable(self):
         with pytest.raises(PolynomialSyntaxError, match="unknown variable"):
             parse("3 a^2")
+
+    @pytest.mark.parametrize("name, index", [("x1", 1), ("x12", 12), ("x", 1), ("y", 2), ("z", 3)])
+    def test_variable_index(self, name, index):
+        assert variable_index(name) == index
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("x0", "variable index must be >= 1"), ("xa", "unknown variable name"), ("x1a", "unknown variable name"), ("q", "unknown variable name")],
+    )
+    def test_variable_index_refuses(self, name, message):
+        # The one name rule of the parser and of the CLI's --box; "xa" is not an index.
+        with pytest.raises(ValueError, match=message):
+            variable_index(name)
+
+    def test_zero_index_error_carries_position(self):
+        with pytest.raises(PolynomialSyntaxError, match="variable index must be >= 1, got 'x0'") as err:
+            parse("x1 + x0^2")
+        assert err.value.position == 5
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(PolynomialSyntaxError) as err:

@@ -625,6 +625,38 @@ def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: i
     return next((q for q, best, _ in sequential_ascents(p, restarts, seed) if passes(goal, best, tol)), None)
 
 
+def float_bracket_ascent(p: ParametricSymMatrix, start: np.ndarray, value: float):
+    """One start's climb with its bracket in Python floats and one probe pair per call.
+
+    The halves arithmetic, ternary rule, counts and stopping test of
+    ``_coordinate_ascent``, scalar where the stage uses arrays and masks, so
+    the stage must end on the same bits.  Returns the point and its value.
+    """
+    lows, highs = p.box.inf().tolist(), p.box.sup().tolist()
+    q, best = start.copy(), value
+    for _ in range(30):
+        improved = best
+        for k in range(p.K):
+            if lows[k] == highs[k]:
+                continue
+            lo, hi = lows[k], highs[k]
+            probes = np.repeat(q[None], 2, axis=0)
+            for _ in range(48):
+                third = (0.5 * hi - 0.5 * lo) / 1.5
+                a, b = lo + third, hi - third
+                probes[:, k] = a, b
+                fa, fb = definiteness._member_min_eigs(p, probes).tolist()
+                if fa < fb:
+                    lo = a
+                else:
+                    hi = b
+            q[k] = 0.5 * lo + 0.5 * hi
+            best = float(definiteness._member_min_eigs(p, q[None])[0])
+        if best - improved <= 1e-13 * (1.0 + abs(best)):
+            break
+    return q, best
+
+
 def ridge_family(n: int, c: float) -> ParametricSymMatrix:
     """diag(2 q1 - q2, 2 q2 - q1, 5, ..., 5) - c I on [0, 1]^2, the shift on a degenerate q3.
 
@@ -827,6 +859,21 @@ class TestWitnessSearch:
             for i, start in enumerate(starts):
                 qi, bi = definiteness._coordinate_ascent(p, start[None], values[i : i + 1])
                 assert np.array_equal(q[i], qi[0]) and best[i] == bi[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_brackets_equal_python_float_brackets(self, seed):
+        # The brackets are arrays moved by a mask; each element takes the same IEEE operations as
+        # a Python float, so every row ends on the scalar climb's bits, on a box wider than the
+        # largest double too.
+        rng = np.random.default_rng(seed)
+        wide = ParametricSymMatrix([np.diag([1.0, -1.0]), np.eye(2)], ParameterBox([Interval(-1e308, 1e308), Interval(0.0, 1.0)]))
+        for p in (ridge_family(2, 0.6), random_family(rng, 3, 4), wide):
+            starts = p.box.mid() + (0.5 * p.box.sup() - 0.5 * p.box.inf()) * rng.uniform(-1.0, 1.0, (5, p.K))
+            values = definiteness._member_min_eigs(p, starts)
+            q, best = definiteness._coordinate_ascent(p, starts, values)
+            for i, start in enumerate(starts):
+                qi, bi = float_bracket_ascent(p, start, float(values[i]))
+                assert q[i].tolist() == qi.tolist() and best[i] == bi
 
     def test_starts_lie_in_a_box_wider_than_the_largest_double(self, monkeypatch):
         # hi - lo overflows on this box: drawing the restarts once raised
