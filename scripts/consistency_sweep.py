@@ -7,7 +7,11 @@ unreduced vertex enumeration, and every vertex certificate is re-checked
 too: a counterexample's smallest eigenvalue, recomputed with LAPACK at
 its point, must match the reported one within the family tolerance, and
 a vertex list must count every reduced vertex, or every vertex of the
-set the stage rescans when the pinned shortfall could matter.
+set the stage rescans when the pinned shortfall could matter.  A vertex
+list that carries the Cholesky screen's ``shift`` is re-checked without a
+Cholesky: the shift must reach the goal's threshold plus that set's
+pinned shortfall, and every vertex of the set must pass the goal by its
+LAPACK smallest eigenvalue.
 
 The sufficient stages also run alone on every family: ``method="split"``
 for both strong goals and ``method="regularity"`` for strong PD.  Each
@@ -50,6 +54,14 @@ within the family tolerance and pinned at one endpoint, whose shortfalls add up
 past that tolerance along one shared direction.  All four goals run on each and
 are checked as the wide-box ones are.
 
+NEAR_THRESHOLD_FAMILIES near-threshold families (``near_threshold_family``) come
+from a fifth stream.  Each is c I on [1, 1] plus 2 to 5 indefinite coefficients
+on [-1, 1], n from 2 to 4, with c placing the vertex minimum at one goal's
+threshold plus -8, -2, -0.5, 0.5, 2 or 8 of the vertex stage's Cholesky screen
+margins, or plus -2, -0.5, 0.5 or 2 tolerances.  All four goals run on each and
+are checked as the wide-box ones are, so a margin too small to cover the
+screen's roundings shows up as a proof the unreduced enumeration contradicts.
+
 Reports which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
@@ -65,7 +77,7 @@ import time
 import numpy as np
 
 import psdparam as pp
-from psdparam.definiteness import STRONG_GOALS, WEAK_GOALS, interval_tol
+from psdparam.definiteness import STRONG_GOALS, WEAK_GOALS, _screen_shift, interval_tol
 from psdparam.oracle import full_vertex_check
 
 # The sufficient stages run alone on every family, with the goals they apply to.
@@ -81,6 +93,11 @@ NEAR_SINGULAR_FAMILIES = 40
 WIDE_BOX_FAMILIES = 40
 # Pinned-shortfall families per sweep, each checked on all four goals.
 PINNED_SHORTFALL_FAMILIES = 40
+# Near-threshold families per sweep, each checked on all four goals.
+NEAR_THRESHOLD_FAMILIES = 40
+# Where a near-threshold family's vertex minimum sits above the threshold: in screen margins, or in tolerances.
+MARGIN_OFFSETS = (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0)
+TOL_OFFSETS = (-2.0, -0.5, 0.5, 2.0)
 
 
 def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.ParametricSymMatrix:
@@ -155,12 +172,50 @@ def pinned_shortfall_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
     return pp.ParametricSymMatrix(coeffs, pp.ParameterBox.from_bounds(bounds))
 
 
+def near_threshold_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
+    """c I on [1, 1] plus B_k on [-1, 1], k < K, with c placing the vertex minimum next to a goal's threshold.
+
+    Each B_k = Q diag(w) Q^T has a negative and a positive eigenvalue of size 0.2 to 1 (K = 2 to 5, n = 2
+    to 4), so no coordinate is pinned and the shortfall is 0.  The members at the vertices v are
+    c I + sum_k B_k v_k, so c = threshold + offset - mu, with mu the smallest vertex eigenvalue of the
+    B_k alone, puts their minimum at threshold + offset.  The threshold is tol (PD) or -tol (PSD), drawn
+    with the offset; tol and the screen's margin are those of the family with c = -mu, and the final c
+    moves them by under 1e-8 of themselves, far less than the smallest offset.
+    """
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 6))
+    coeffs = []
+    for _ in range(k):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = rng.uniform(-1.0, 1.0, n)
+        w[0], w[-1] = -rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)
+        coeffs.append(q @ np.diag(w) @ q.T)
+    bounds = [(-1.0, 1.0)] * k + [(1.0, 1.0)]
+    rest = pp.ParametricSymMatrix(coeffs + [np.zeros((n, n))], pp.ParameterBox.from_bounds(bounds))
+    mu = float(full_vertex_min(rest))
+    draft = pp.ParametricSymMatrix(coeffs + [-mu * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
+    tol = pp.family_tol(draft)
+    kind = ("psd", "pd")[int(rng.integers(2))]
+    threshold = tol if kind == "pd" else -tol
+    # The offsets are in units of the screen's own margin, the part of its shift above the threshold.
+    margin = _screen_shift(draft, kind, tol, 0.0) - threshold
+    offsets = [f * margin for f in MARGIN_OFFSETS] + [f * tol for f in TOL_OFFSETS]
+    c = threshold + offsets[int(rng.integers(len(offsets)))] - mu
+    return pp.ParametricSymMatrix(coeffs + [c * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
+
+
+def full_vertex_min(p: pp.ParametricSymMatrix) -> float:
+    """Smallest LAPACK eigenvalue over all 2^K vertex members."""
+    points = np.array(list(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals])))
+    return member_min_eigs(p, points).min()
+
+
 def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of A(q) for each row q of ``points``, by LAPACK."""
     return np.linalg.eigvalsh(np.einsum("vk,kij->vij", points, p.coefficient_stack()))[:, 0]
 
 
-def certificate_problem(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> str | None:
+def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> str | None:
     """Why the verdict's vertex certificate fails its re-check, or None."""
     tol = pp.family_tol(p)
     cert = verdict.certificate
@@ -175,6 +230,14 @@ def certificate_problem(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> str |
         expected = (len(enum), len(enum.exact()))
         if cert.checked not in expected:
             return f"vertex list checked {cert.checked} of {' or '.join(map(str, expected))} vertices"
+        if cert.shift is not None:
+            scanned = enum if cert.checked == len(enum) else enum.exact()
+            threshold = tol if goal.endswith("_pd") else -tol
+            if not cert.shift >= threshold + scanned.shortfall:
+                return f"shift {cert.shift:.12g} below the threshold plus shortfall {threshold + scanned.shortfall:.12g}"
+            mins = member_min_eigs(p, scanned.points(0, len(scanned)))
+            if not passes(goal, mins, tol).all():
+                return f"screened vertex list, but a vertex fails the goal: LAPACK min_eig {mins.min():.12g}"
     return None
 
 
@@ -221,7 +284,7 @@ def check_goal(p: pp.ParametricSymMatrix, goal: str, truth: dict) -> tuple[pp.Ve
     if verdict.unknown:
         return verdict, []
     strong = goal in STRONG_GOALS
-    problem = certificate_problem(p, verdict) if strong else weak_problem(p, goal, verdict)
+    problem = certificate_problem(p, goal, verdict) if strong else weak_problem(p, goal, verdict)
     problems = [] if problem is None else [problem]
     if strong and truth[goal] != verdict.proved:
         problems.append((verdict.status.value, truth[goal]))
@@ -287,6 +350,7 @@ def main() -> int:
     for label, count, family, stream in (
         ("wide-box", WIDE_BOX_FAMILIES, wide_box_family, 2),
         ("pinned-shortfall", PINNED_SHORTFALL_FAMILIES, pinned_shortfall_family, 3),
+        ("near-threshold", NEAR_THRESHOLD_FAMILIES, near_threshold_family, 4),
     ):
         hard_rng = np.random.default_rng([args.seed, stream])
         statuses = collections.Counter()

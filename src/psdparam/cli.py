@@ -50,7 +50,10 @@ def report_schema() -> dict:
 
 
 def certificate_to_jsonable(cert) -> Optional[dict]:
-    """``{"type": cert.json_type, <field>: <value>, ...}``, a SymMatrix as nested lists, a tuple as a list."""
+    """``{"type": cert.json_type, <field>: <value>, ...}``, a SymMatrix as nested lists, a tuple as a list.
+
+    An optional field (one that defaults to None) is left out while it is None; any other None is null.
+    """
     if cert is None:
         return None
     if not isinstance(cert, get_args(df.Certificate)):
@@ -58,6 +61,8 @@ def certificate_to_jsonable(cert) -> Optional[dict]:
     doc = {"type": cert.json_type}
     for field in dataclasses.fields(cert):
         value = getattr(cert, field.name)
+        if value is None and field.default is None:
+            continue
         if isinstance(value, SymMatrix):
             value = value.array.tolist()
         doc[field.name] = list(value) if isinstance(value, tuple) else value

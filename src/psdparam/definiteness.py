@@ -17,12 +17,16 @@ public per-stage function is one ``decide(..., method=...)`` call.
 All verdicts follow one tolerance rule, ``passes``: a matrix counts as
 PSD when its smallest eigenvalue is >= -tol and as PD when it is > +tol,
 so "disproved PD" includes matrices whose smallest eigenvalue sits inside
-the tolerance band.  Every Proved/Disproved verdict carries a certificate that
-can be re-checked independently.
+the tolerance band.  A vertex passes when the vertex stage's Cholesky
+screen clears it, which bounds its exact smallest eigenvalue past the
+threshold, or when its computed smallest eigenvalue passes.  Every
+Proved/Disproved verdict carries a certificate that can be re-checked
+independently.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,6 +47,7 @@ from .symlinalg import (
     min_eigs,
     passes,
     scaled_tol,
+    shifted_cholesky_pivots,
     spectral_radius_nonneg,
 )
 
@@ -68,12 +73,20 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class VertexList:
-    """All reduced vertices checked; the worst one is recorded."""
+    """All ``checked`` reduced vertices pass; the worst one is recorded.
+
+    When the Cholesky screen cleared every vertex, ``shift`` is its shift s: every vertex member less
+    s I factored, so every one's exact smallest eigenvalue exceeds the goal's threshold plus the pinned
+    shortfall.  ``worst_min_eig`` is then None, and ``worst_vertex`` the first vertex with the smallest
+    Cholesky pivot.  Otherwise ``shift`` is None and the worst vertex is the first attaining the
+    smallest computed eigenvalue, ``worst_min_eig``.
+    """
 
     json_type: ClassVar[str] = "vertex_list"
     checked: int
     worst_vertex: tuple[float, ...]
-    worst_min_eig: float
+    worst_min_eig: Optional[float]
+    shift: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -171,44 +184,100 @@ def _blocks(total: int, row_bytes: int) -> Iterator[tuple[int, int]]:
         start, size = stop, min(2 * size, cap)
 
 
+def _screen_shift(p: ParametricSymMatrix, kind: str, tol: float, shortfall: float) -> Optional[float]:
+    """The Cholesky screen's shift s = t + m for one vertex scan, or None when it would not stay finite.
+
+    t is the goal's threshold (tol for PD, -tol for PSD) plus the enumeration's pinned ``shortfall``.  The
+    margin m covers three roundings, bounded in the 2-norm with R = ``p.norm_bound`` >= ||sum_k |A_k| |q_k| ||
+    over the box, u = 2^-53, Higham's gamma_j = j u / (1 - j u) and g' = gamma_{n+1} / (1 - gamma_{n+1}):
+    - forming A(v) = sum_k A_k v_k, whose error E has |E| <= gamma_K sum_k |A_k| |v_k|, so ||E|| <= gamma_K R;
+    - subtracting s from the diagonal, a diagonal D with ||D|| <= u (R + |s|);
+    - the Cholesky factorization of the computed M = A(v) + E - s I + D: when it runs to completion,
+      L L^T = M + F with |F| <= gamma_{n+1} |L| |L^T| (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, Thm 10.3), so |F| <= g' d d^T with d_i = sqrt(M_ii) (Rump, BIT 46, 2006), and
+      ||F|| <= g' tr(M) <= g' n (R + |s|).
+    L L^T is PD, so lambda_min(A(v)) > s - ||E|| - ||D|| - ||F||.  m is twice the sum of the three bounds, with
+    |t| for |s|, plus an underflow floor of 4 (n + K + 2)^2 2^-1074 (1 + R + |t|), since gradual underflow adds
+    an absolute error up to 2^-1074 to each of the O(n + K) products behind an entry.  The factor 2 covers
+    |s| <= |t| + m and the roundings of R, m and s themselves.  So every member the screen clears has its exact
+    smallest eigenvalue above t.  With the default tolerance, 1e-10 (1 + R), m is about 2.2e-6 (n^2 + n + K + 1)
+    tolerances when R >> 1: under 1e-3 of it at n = 10 for K up to 300.
+    """
+    n, k, u = p.n, p.K, 2.0**-53
+    gamma_k, gamma_n = (j * u / (1.0 - j * u) for j in (k, n + 1))
+    reach = p.norm_bound
+    t = (tol if kind == "pd" else -tol) + shortfall
+    size = reach + abs(t)
+    margin = 2.0 * (gamma_k * reach + u * size + gamma_n / (1.0 - gamma_n) * n * size)
+    shift = t + (margin + 4 * (n + k + 2) ** 2 * 2.0**-1074 * (1.0 + size))
+    # Bounds the members' diagonals less the shift away from overflow, so every screened entry is finite.
+    return shift if math.isfinite(2.0 * (reach + abs(shift))) else None
+
+
 def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, tol: float, budget: int) -> Verdict:
     """Scan ``enum`` in Gray order, in the ``_blocks`` of one member matrix per row; proved when every vertex passes.
 
-    Each block forms its member matrices at once and takes their smallest
-    eigenvalues in one batched call; the scan stops at the first block with
-    a failing vertex.  Whatever the block sizes, the certificate names the
-    first failing vertex, or the first vertex attaining the minimum, in Gray order.
+    A vertex passes when the Cholesky screen clears it or when its computed smallest eigenvalue passes.
+    The screen factors each block's members less ``_screen_shift``'s s times I in one batched Cholesky;
+    a cleared block has every member's exact smallest eigenvalue above the goal's threshold plus the
+    enumeration's shortfall, and skips the eigen-solve.  From the first block the screen does not clear,
+    each block takes its members' smallest eigenvalues in one batched call, as an unscreened scan would,
+    and the scan stops at the first block with a failing vertex; the certificate names its first failing
+    vertex in Gray order.  A proof whose every block the screen cleared is ``VertexList`` with ``shift``
+    s, no ``worst_min_eig``, and as ``worst_vertex`` the first vertex with the smallest Cholesky pivot,
+    the one the screen found nearest to failing.  Any other proof takes the cleared blocks' eigenvalues
+    too, and names the first vertex attaining the minimum with its value.  Neither depends on the block sizes.
     """
     total = len(enum)
     if total > budget:
         return Verdict(Status.UNKNOWN, detail=f"2^{enum.free_count} vertices exceed budget {budget}")
-    worst = np.inf
-    worst_vertex: tuple[float, ...] = ()
-    for start, stop in _blocks(total, p.coefficient_stack()[0].nbytes):
+    shift = _screen_shift(p, kind, tol, enum.shortfall)
+    blocks = list(_blocks(total, p.coefficient_stack()[0].nbytes))
+    pivots, minima = [], []  # per block: (smallest pivot or eigenvalue, block start, first vertex attaining it)
+    for start, stop in blocks:
         points = enum.points(start, stop)
-        mins = _member_min_eigs(p, points)
+        members = np.einsum("vk,kij->vij", points, p.coefficient_stack())
+        screened = shifted_cholesky_pivots(members, shift) if shift is not None and not minima else None
+        if screened is not None:
+            pivots.append(_first_minimum(screened, start, points))
+            continue
+        mins = min_eigs(members)
         failed = ~passes(mins, kind, tol)
         if failed.any():
             i = int(np.argmax(failed))
             return Verdict(Status.DISPROVED, certificate=CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
-        i = int(np.argmin(mins))
-        if mins[i] < worst:
-            worst, worst_vertex = float(mins[i]), tuple(points[i].tolist())
+        minima.append(_first_minimum(mins, start, points))
+    if not minima:
+        return Verdict(Status.PROVED, certificate=VertexList(total, min(pivots)[2], None, shift))
+    for start, stop in blocks[: len(pivots)]:
+        points = enum.points(start, stop)
+        minima.append(_first_minimum(_member_min_eigs(p, points), start, points))
+    worst, _, worst_vertex = min(minima)
     return Verdict(Status.PROVED, certificate=VertexList(total, worst_vertex, worst))
+
+
+def _first_minimum(values: np.ndarray, start: int, points: np.ndarray) -> tuple[float, int, tuple[float, ...]]:
+    """(smallest of ``values``, ``start``, the first row of ``points`` attaining it) for one block.
+
+    The starts differ, so ``min`` over blocks picks the smallest value and, on a tie, the earliest block.
+    """
+    i = int(np.argmin(values))
+    return float(values[i]), start, tuple(points[i].tolist())
 
 
 def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
     """``_scan_vertices`` over ``vertices(p, tol)``, rescanned once over its ``exact()`` set when pinning could matter.
 
-    A failing vertex is a member, so it always disproves.  A proof stands
-    when the smallest vertex value less the enumeration's pinned shortfall
-    passes.  Otherwise the rescan frees every pinned coordinate with a
-    nonzero shortfall, which leaves none, so its verdict is exact; past the
-    budget it is Unknown.
+    A failing vertex is a member, so it always disproves.  A proof stands when the Cholesky screen
+    cleared every vertex, since its shift covers the enumeration's pinned shortfall, or when the
+    smallest vertex value less that shortfall passes.  Otherwise the rescan frees every pinned
+    coordinate with a nonzero shortfall, which leaves none, so its verdict is exact; past the budget
+    it is Unknown.
     """
     enum = vertices(p, tol=tol)
     verdict = _scan_vertices(p, enum, kind, tol, budget)
-    if verdict.proved and not passes(verdict.certificate.worst_min_eig - enum.shortfall, kind, tol):
+    cert = verdict.certificate
+    if verdict.proved and cert.shift is None and not passes(cert.worst_min_eig - enum.shortfall, kind, tol):
         verdict = _scan_vertices(p, enum.exact(), kind, tol, budget)
     return verdict
 

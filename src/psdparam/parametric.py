@@ -68,9 +68,14 @@ class ParameterBox:
 
 @dataclass(frozen=True, eq=False)
 class ParametricSymMatrix:
-    """Coefficients as one checked, symmetrized, read-only (K, n, n) stack, each one's prior skew in ``asymmetry``, and a box."""
+    """Coefficients as one checked, symmetrized, read-only (K, n, n) stack, each one's prior skew in ``asymmetry``, and a box.
+
+    ``norm_bound``, ``sum_k max(|lo_k|, |hi_k|) * n * max|A_k|`` summed once when the family is built,
+    bounds ||A(q)|| and ||sum_k |A_k| |q_k| || over the box; it is inf or NaN when it overflows.
+    """
 
     box: ParameterBox
+    norm_bound: float
 
     def __init__(self, coeffs, box: ParameterBox):
         try:
@@ -98,9 +103,8 @@ class ParametricSymMatrix:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
         object.__setattr__(self, "_parts", parts)
-        # Bound on ||A(q)|| over the box, summed once here for ``family_tol``; inf or NaN when it overflows.
         reach = sum(s * (n * m) for s, m in zip(scales.tolist(), np.abs(stack).max(axis=(1, 2), initial=0.0).tolist()))
-        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "norm_bound", reach)
 
     @property
     def n(self) -> int:
@@ -139,7 +143,7 @@ def family_tol(p: ParametricSymMatrix) -> float:
     when the tolerance overflows, which finite members alone do not rule out.
     """
     try:
-        return scaled_tol(p._reach)
+        return scaled_tol(p.norm_bound)
     except ValueError as exc:
         raise FamilyOverflowError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
 
@@ -260,7 +264,7 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     """Parse the parametric-matrix problem format.
 
     Expects {"n", "K", "coefficients", "parameters"}, n and K integers, entries and bounds numbers (not
-    booleans or strings); coefficients must be symmetric within 1e-12 times their largest entry.
+    booleans, strings or nulls); coefficients must be symmetric within 1e-12 times their largest entry.
     """
     try:
         doc = json.loads(text) if isinstance(text, str) else text
@@ -290,10 +294,16 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
                 raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
     try:
         bounds = [(iv["inf"], iv["sup"]) for iv in raw_params]
-        # float() takes JSON booleans and numeric strings, so refuse them by type, in one walk over the numbers.
+        # float() takes JSON booleans and numeric strings, and np.array turns a null into NaN, so refuse
+        # them by type, in one walk over the numbers.  A null bound keeps the "malformed parameter entry"
+        # lead that float(None) once gave it.
         for what, rows in (("coefficient", map(chain.from_iterable, raw_coeffs)), ("parameter", bounds)):
             for idx, values in enumerate(rows):
-                if not {bool, str}.isdisjoint(map(type, values)):
+                kinds = set(map(type, values))
+                if type(None) in kinds:
+                    lead = "malformed parameter entry: " if what == "parameter" else ""
+                    raise ValueError(f"{lead}{what} {idx} holds a null, not a number")
+                if not kinds.isdisjoint((bool, str)):
                     raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
         box = ParameterBox(Interval(float(lo), float(hi)) for lo, hi in bounds)
     except (KeyError, TypeError, OverflowError) as exc:

@@ -1,10 +1,10 @@
 """Dense symmetric eigensolvers and the numeric kernels built on them.
 
 LAPACK (numpy.linalg) does the smallest eigenvalue, the spectral
-decomposition, the splitting of a symmetric matrix into a difference of
-two positive semidefinite parts, inversion, the determinant and the
-batched solves over stacks of matrices.  An eigenvalue-only cyclic
-Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
+decomposition, the shifted Cholesky screen, the splitting of a symmetric
+matrix into a difference of two positive semidefinite parts, inversion,
+the determinant and the batched solves over stacks of matrices.  An
+eigenvalue-only cyclic Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
 convexity diagnostic ``definiteness.hertz_min_eig`` (its docstring says
 why).  Also the one symmetrization rule (``symmetrize``, on stacks), a
 bracketed Perron root started at LAPACK's Perron vector, and the
@@ -192,6 +192,19 @@ def min_eigs(stack: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(stack)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
+
+
+def shifted_cholesky_pivots(stack: np.ndarray, shift: float) -> np.ndarray | None:
+    """Smallest Cholesky pivot of each A - shift I in a (m, n, n) stack, by one batched LAPACK call.
+
+    None when any factorization fails: numpy's batched Cholesky raises for
+    the whole stack.  The factorization reads the lower triangles.
+    """
+    try:
+        factors = np.linalg.cholesky(stack - shift * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return None
+    return np.diagonal(factors, axis1=1, axis2=2).min(axis=1)
 
 
 def psd_parts(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

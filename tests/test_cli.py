@@ -155,6 +155,21 @@ def test_every_certificate_type_has_a_golden_case():
     assert {type(c) for c, _ in GOLDEN_CERTIFICATES} == set(get_args(df.Certificate))
 
 
+def test_screened_vertex_list_json():
+    # A proof the Cholesky screen made carries its shift, and null for the smallest eigenvalue.
+    cert = df.VertexList(4, (1.0, -0.5), None, 1e-9)
+    expected = '{"checked":4,"shift":1e-09,"type":"vertex_list","worst_min_eig":null,"worst_vertex":[1.0,-0.5]}'
+    assert json.dumps(certificate_to_jsonable(cert), sort_keys=True, separators=(",", ":")) == expected
+
+
+def test_screened_vertex_proof_report(capsys, split_file):
+    code, report, _ = run_cli(capsys, "check", split_file, "--goal", "strong-pd", "--method", "vertex")
+    assert code == EXIT_PROVED
+    assert_schema_valid(report)
+    cert = report["certificate"]
+    assert cert["worst_min_eig"] is None and cert["shift"] > report["tolerances"]["definiteness"]
+
+
 def test_unknown_certificate_type_is_rejected():
     assert certificate_to_jsonable(None) is None
     with pytest.raises(TypeError, match="unknown certificate type"):
@@ -316,12 +331,23 @@ class TestCheck:
                 "strong-pd",
                 "coefficient 0 is not a matrix of doubles",
             ),
+            (
+                '{"n":1,"K":2,"coefficients":[[[1]],[[null]]],"parameters":[{"inf":0,"sup":1},{"inf":0,"sup":1}]}',
+                "strong-psd",
+                "coefficient 1 holds a null, not a number",
+            ),
+            (
+                '{"n":1,"K":2,"coefficients":[[[1]],[[2]]],"parameters":[{"inf":0,"sup":1},{"inf":null,"sup":1}]}',
+                "weak-psd",
+                "malformed parameter entry: parameter 1 holds a null, not a number",
+            ),
         ],
-        ids=["booleans", "strings", "boolean-bound", "string-bounds", "boolean-entry", "word-entry"],
+        ids=["booleans", "strings", "boolean-bound", "string-bounds", "boolean-entry", "word-entry", "null-entry", "null-bound"],
     )
     def test_entries_and_bounds_must_be_numbers(self, capsys, tmp_path, doc, goal, message):
         # float() takes true, false and numeric strings; each of the first five files was once
-        # decided ("proved by split", "proved by witness", ...).
+        # decided ("proved by split", "proved by witness", ...).  A null entry once became NaN and
+        # a null bound a TypeError, neither naming its coefficient or parameter.
         path = tmp_path / "typed.json"
         path.write_text(doc)
         assert_input_error(run_cli(capsys, "check", str(path), "--goal", goal), f"malformed problem file: {message}")

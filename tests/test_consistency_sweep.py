@@ -14,7 +14,8 @@ def test_small_sweep_agrees_on_all_goals():
     # The script's default seed gives 6 weak Unknowns, and 4 more on the
     # wide-box families.  Each costs the witness search all 20 restarts,
     # which run in lockstep batches, so the run takes about 1.4 s.  The
-    # pinned-shortfall families draw from their own stream, whatever --count.
+    # pinned-shortfall and near-threshold families draw from their own
+    # streams, whatever --count.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
@@ -33,5 +34,6 @@ def test_small_sweep_agrees_on_all_goals():
     assert "by regularity alone on 40 near-singular families: 0 proved, 40 unknown" in out
     assert "all goals  on 40 wide-box families: 98 proved, 58 disproved, 4 unknown" in out
     assert "all goals  on 40 pinned-shortfall families: 107 proved, 53 disproved, 0 unknown" in out
+    assert "all goals  on 40 near-threshold families: 122 proved, 38 disproved, 0 unknown" in out
     assert "hertz_min_eig re-checked against LAPACK on 15 relaxations" in out
     assert "no disagreements" in out

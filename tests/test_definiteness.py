@@ -80,9 +80,9 @@ def planted_vertex_family(rng, j: int, shift: float, free: int = PLANTED_FREE, n
     return ParametricSymMatrix(coeffs, box)
 
 
-def sequential_vertex_scan(p: ParametricSymMatrix, goal: str):
+def sequential_vertex_scan(p: ParametricSymMatrix, goal: str, tol: float | None = None):
     """The one-vertex-at-a-time scalar scan the batched route must agree with."""
-    tol = family_tol(p)
+    tol = family_tol(p) if tol is None else tol
     enum = vertices(p, tol=tol)
     worst, worst_vertex = np.inf, None
     for i in range(len(enum)):
@@ -93,6 +93,42 @@ def sequential_vertex_scan(p: ParametricSymMatrix, goal: str):
         if m <= tol if goal == "pd" else m < -tol:
             return Status.DISPROVED, v, m
     return Status.PROVED, worst_vertex, worst
+
+
+def tightest_vertex(p: ParametricSymMatrix, enum, shift: float) -> tuple[float, ...]:
+    """The first vertex of ``enum`` with the smallest Cholesky pivot of A(v) - shift I, one vertex at a time."""
+    members = np.einsum("vk,kij->vij", enum.points(0, len(enum)), p.coefficient_stack())
+    pivots = [np.diag(np.linalg.cholesky(m - shift * np.eye(p.n))).min() for m in members]
+    return enum[int(np.argmin(pivots))].values
+
+
+def unscreened(monkeypatch):
+    """Turn the vertex scan's Cholesky screen off, which leaves the eigenvalue-only scan."""
+    monkeypatch.setattr(definiteness, "shifted_cholesky_pivots", lambda stack, shift: None)
+
+
+def assert_matches_sequential(p: ParametricSymMatrix, goal: str, tol: float | None = None):
+    """The vertex stage's verdict on ``p``, checked against ``sequential_vertex_scan``."""
+    tol = family_tol(p) if tol is None else tol
+    v = decide(p, f"strong_{goal}", tol, method="vertex")
+    status, vertex, value = sequential_vertex_scan(p, goal, tol)
+    assert v.status is status
+    cert = v.certificate
+    if status is Status.DISPROVED:
+        assert isinstance(cert, CounterexampleVertex)
+        assert (cert.p, cert.min_eig) == (vertex, pytest.approx(value, abs=1e-9))
+    else:
+        enum = vertices(p, tol=tol)
+        assert isinstance(cert, VertexList) and cert.checked == len(enum)
+        if cert.shift is None:
+            assert (cert.worst_vertex, cert.worst_min_eig) == (vertex, pytest.approx(value, abs=1e-9))
+        else:
+            # Screened: the shift clears the goal's threshold plus the shortfall, and the
+            # vertex named is the first with the smallest pivot.
+            assert cert.worst_min_eig is None and value >= cert.shift - 1e-9
+            assert cert.shift > (tol if goal == "pd" else -tol) + enum.shortfall
+            assert cert.worst_vertex == tightest_vertex(p, enum, cert.shift)
+    return v
 
 
 class TestStrongVertex:
@@ -150,63 +186,126 @@ class TestBatchedVertexRoute:
         # Blocks of 1, 2, 4, ... rows, so the planted vertices sit at block boundaries.
         monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
 
-    def assert_matches_sequential(self, p, goal):
-        op = strong_pd if goal == "pd" else strong_psd
-        v = op(p)
-        status, vertex, value = sequential_vertex_scan(p, goal)
-        assert v.status is status
-        cert = v.certificate
-        if status is Status.DISPROVED:
-            assert isinstance(cert, CounterexampleVertex)
-            assert (cert.p, cert.min_eig) == (vertex, pytest.approx(value, abs=1e-9))
-        else:
-            assert isinstance(cert, VertexList) and cert.checked == len(vertices(p, tol=family_tol(p)))
-            assert (cert.worst_vertex, cert.worst_min_eig) == (vertex, pytest.approx(value, abs=1e-9))
-        return v
-
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31])
     @pytest.mark.parametrize("goal", ["psd", "pd"])
     def test_planted_first_failure(self, rng, j, goal):
         p = planted_vertex_family(rng, j, shift=4.0)
-        v = self.assert_matches_sequential(p, goal)
+        v = assert_matches_sequential(p, goal)
         assert v.disproved and v.certificate.p == vertices(p)[j].values
 
     @pytest.mark.parametrize("j", [0, 3, 15, 31])
     @pytest.mark.parametrize("shift", [2.5, 0.5])
     @pytest.mark.parametrize("goal", ["psd", "pd"])
     def test_planted_several_failures(self, rng, j, shift, goal):
-        v = self.assert_matches_sequential(planted_vertex_family(rng, j, shift), goal)
+        v = assert_matches_sequential(planted_vertex_family(rng, j, shift), goal)
         assert v.disproved
 
     def test_tied_minimum_names_first_vertex(self):
-        # A(p) = diag(p1, 10 - 0.001 p1 + p2, 10 - p2): the minimum 1 is
-        # attained exactly at Gray vertices 0 and 3, in different chunks.
-        p = ParametricSymMatrix(
-            [np.diag([1.0, -0.001, 0.0]), np.diag([0.0, 1.0, -1.0]), np.diag([0.0, 10.0, 10.0])],
-            ParameterBox([Interval(1.0, 2.0), Interval(0.0, 1.0), Interval(1.0, 1.0)]),
-        )
-        v = self.assert_matches_sequential(p, "pd")
-        assert v.certificate.worst_vertex == vertices(p)[0].values
-        assert v.certificate.worst_min_eig == 1.0
+        # A(p) = diag(p1, 10 - 0.001 p1 + p2, 10 - p2): the minimum ``low`` is
+        # attained exactly at Gray vertices 0 and 3, in different chunks, and so
+        # is the smallest Cholesky pivot.  1e-14 above tol lies inside the screen's
+        # margin, so there the scan falls back to the eigenvalues.
+        for low, tol in ((1.0, None), (1e-9 + 1e-14, 1e-9)):
+            p = ParametricSymMatrix(
+                [np.diag([1.0, -0.001, 0.0]), np.diag([0.0, 1.0, -1.0]), np.diag([0.0, 10.0, 10.0])],
+                ParameterBox([Interval(low, low + 1.0), Interval(0.0, 1.0), Interval(1.0, 1.0)]),
+            )
+            cert = assert_matches_sequential(p, "pd", tol).certificate
+            assert cert.worst_vertex == vertices(p)[0].values
+            if tol is None:
+                assert cert.shift is not None and cert.worst_min_eig is None
+            else:
+                assert cert.shift is None and cert.worst_min_eig == low
 
     @pytest.mark.parametrize("j", [0, 7, 31])
     def test_planted_proved_names_worst_vertex(self, rng, j):
+        # Screened: vertex j, the one worst by far, also has the smallest pivot.
         p = planted_vertex_family(rng, j, shift=6.0)
-        v = self.assert_matches_sequential(p, "pd")
-        assert v.proved and v.certificate.worst_vertex == vertices(p)[j].values
+        v = assert_matches_sequential(p, "pd")
+        assert v.proved and v.certificate.shift is not None and v.certificate.worst_vertex == vertices(p)[j].values
 
     def test_random_families(self, rng):
         decided = 0
         for _ in range(40):
             p = random_family(rng, max_n=4, max_k=6)
             for goal in ("psd", "pd"):
-                decided += not self.assert_matches_sequential(p, goal).unknown
+                decided += not assert_matches_sequential(p, goal).unknown
         assert decided == 80
 
     def test_one_row_chunks(self, rng, monkeypatch):
         monkeypatch.setattr(definiteness, "VERTEX_CHUNK_BYTES", 1)
         for j, shift in ((15, 4.0), (31, 2.5), (7, 6.0)):
-            self.assert_matches_sequential(planted_vertex_family(rng, j, shift), "psd")
+            assert_matches_sequential(planted_vertex_family(rng, j, shift), "psd")
+
+
+class TestCholeskyScreen:
+    def test_proof_with_margin_skips_the_eigen_solve(self, rng, monkeypatch):
+        calls = []
+        solve = definiteness.min_eigs
+        monkeypatch.setattr(definiteness, "min_eigs", lambda stack: calls.append(len(stack)) or solve(stack))
+        for goal in ("strong_psd", "strong_pd"):
+            v = decide(planted_vertex_family(rng, 7, shift=6.0), goal, method="vertex")
+            assert v.proved and v.certificate.shift is not None and v.certificate.worst_min_eig is None
+        assert calls == []
+
+    @pytest.mark.parametrize("j", [0, 7, 31])
+    def test_minimum_inside_the_margin_names_the_exact_worst_vertex(self, j):
+        # The same noise at two shifts moves every member by the same multiple of I,
+        # so the second family's minimum sits 2e-14 above tol, inside the margin.
+        tol = 1e-6
+        _, _, value = sequential_vertex_scan(planted_vertex_family(np.random.default_rng(j), j, 6.0), "pd", tol)
+        p = planted_vertex_family(np.random.default_rng(j), j, 6.0 - (value - tol - 2e-14))
+        assert definiteness._screen_shift(p, "pd", tol, 0.0) - tol > 4e-14
+        v = assert_matches_sequential(p, "pd", tol)
+        assert v.proved and v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[j].values
+        assert 0.0 < v.certificate.worst_min_eig - tol < 1e-13
+
+    @pytest.mark.parametrize("failing_call", [1, 3, 5])
+    def test_cleared_blocks_join_the_exact_worst_vertex(self, rng, monkeypatch, failing_call):
+        # Blocks of 1, 2, 4, 8 and 16 rows; the screen clears the blocks before
+        # ``failing_call`` and fails there, so the eigenvalues of the cleared
+        # blocks are taken at the end, and vertex 0, in the first block, is the worst.
+        monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
+        screen, calls = definiteness.shifted_cholesky_pivots, []
+
+        def failing(stack, shift):
+            calls.append(len(stack))
+            return None if len(calls) == failing_call else screen(stack, shift)
+
+        monkeypatch.setattr(definiteness, "shifted_cholesky_pivots", failing)
+        p = planted_vertex_family(rng, 0, shift=6.0)
+        v = assert_matches_sequential(p, "pd")
+        assert calls == [1, 2, 4, 8, 16][:failing_call]
+        assert v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[0].values
+
+    def test_singular_integer_members_at_tol_zero(self, monkeypatch):
+        # Exactly PSD and singular, so no shift clears them; what the eigenvalues
+        # then say is the answer an unscreened scan gives.
+        rng = np.random.default_rng(20)
+        members = [np.array([[13.0, 2.0, -10.0], [2.0, 8.0, 0.0], [-10.0, 0.0, 8.0]])]
+        members += [b @ b.T for b in rng.integers(-3, 4, (200, 3, 2)).astype(float)]
+        families = [ParametricSymMatrix([a], ParameterBox([Interval(1.0, 1.0)])) for a in members]
+        screened = [decide(p, goal, 0.0, method="vertex") for p in families for goal in ("strong_psd", "strong_pd")]
+        assert not any(v.proved and v.certificate.shift is not None for v in screened)
+        unscreened(monkeypatch)
+        assert screened == [decide(p, goal, 0.0, method="vertex") for p in families for goal in ("strong_psd", "strong_pd")]
+        assert screened[0].disproved and screened[1].disproved
+
+    def test_disproofs_equal_the_eigenvalue_only_scan(self, rng, monkeypatch):
+        families = [random_family(rng, max_n=4, max_k=6) for _ in range(200)]
+        goals = ("strong_psd", "strong_pd")
+        screened = [decide(p, goal, method="vertex") for p in families for goal in goals]
+        unscreened(monkeypatch)
+        reference = [decide(p, goal, method="vertex") for p in families for goal in goals]
+        assert [v.status for v in screened] == [v.status for v in reference]
+        disproofs = [(v.certificate, r.certificate) for v, r in zip(screened, reference) if v.disproved]
+        assert len(disproofs) > 100 and all(a == b for a, b in disproofs)
+        assert any(v.proved and v.certificate.shift is not None for v in screened)
+
+    def test_overflowing_shift_turns_the_screen_off(self):
+        p = planted_vertex_family(np.random.default_rng(0), 7, shift=6.0)
+        assert definiteness._screen_shift(p, "psd", 1e308, 0.0) is None
+        assert decide(p, "strong_psd", 1e308, method="vertex").certificate.shift is None
 
 
 class TestVertexBlockSchedule:
