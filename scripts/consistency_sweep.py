@@ -206,7 +206,7 @@ def near_threshold_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
 
 def full_vertex_min(p: pp.ParametricSymMatrix) -> float:
     """Smallest LAPACK eigenvalue over all 2^K vertex members."""
-    points = np.array(list(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals])))
+    points = np.array(list(itertools.product(*zip(p.box.inf().tolist(), p.box.sup().tolist()))))
     return member_min_eigs(p, points).min()
 
 
@@ -248,7 +248,7 @@ def passes(goal: str, m, tol: float):
 
 def grid_passes(p: pp.ParametricSymMatrix, goal: str, tol: float) -> bool:
     """Whether some point of the grid (vertices included) passes the goal."""
-    axes = [np.unique(np.linspace(iv.inf, iv.sup, GRID_POINTS)) for iv in p.box.intervals]
+    axes = [np.unique(np.linspace(lo, hi, GRID_POINTS)) for lo, hi in zip(p.box.inf().tolist(), p.box.sup().tolist())]
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     for start in range(0, len(points), GRID_CHUNK):
         if passes(goal, member_min_eigs(p, points[start : start + GRID_CHUNK]), tol).any():

@@ -23,7 +23,7 @@ from typing import Optional, get_args
 
 from . import definiteness as df
 from .cubic import certify_convexity, parse as parse_poly, variable_index
-from .intervals import Interval
+from .intervals import _check_bounds
 from .parametric import FamilyOverflowError, ParameterBox, problem_from_json
 from .symlinalg import ConvergenceError, SymMatrix
 
@@ -96,7 +96,7 @@ _BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
 
 
 def _parse_box_flags(flags, n: int) -> ParameterBox:
-    assigned: dict[int, Interval] = {}
+    assigned: dict[int, tuple[float, float]] = {}
     for flag in flags:
         m = _BOX_RE.match(flag)
         if m is None:
@@ -115,15 +115,16 @@ def _parse_box_flags(flags, n: int) -> ParameterBox:
         except ValueError as exc:
             raise InputError(f"--box bounds must be numbers, got {flag!r}") from exc
         try:
-            assigned[idx] = Interval(lo, hi)
+            _check_bounds(lo, hi)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        assigned[idx] = (lo, hi)
     # Stop at the fourth missing variable: n may be far too large to scan.
     missing = list(itertools.islice((f"x{i}" for i in range(1, n + 1) if i not in assigned), 4))
     if missing:
         names = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
         raise InputError(f"missing --box for {names}")
-    return ParameterBox(assigned[i] for i in range(1, n + 1))
+    return ParameterBox.from_bounds(assigned[i] for i in range(1, n + 1))
 
 
 def cmd_convex(args) -> int:
@@ -144,7 +145,7 @@ def cmd_convex(args) -> int:
 
     extra = {
         "expression": args.expression,
-        "box": {f"x{i + 1}": [iv.inf, iv.sup] for i, iv in enumerate(box.intervals)},
+        "box": {f"x{i}": [lo, hi] for i, (lo, hi) in enumerate(zip(box.inf().tolist(), box.sup().tolist()), 1)},
         "diagnostics": {
             "relaxation_strongly_psd": result.relaxation_strongly_psd,
             "hertz_min_eig": result.relaxation_min_eig,

@@ -23,7 +23,6 @@ from .definiteness import (
     interval_tol,
     passes,
 )
-from .intervals import Interval
 from .parametric import FamilyOverflowError, ParameterBox, ParametricSymMatrix, relax
 
 # Single-letter variable aliases accepted by the parser.
@@ -255,7 +254,7 @@ def hessian_coefficients(f: CubicPolynomial) -> tuple[list[np.ndarray], np.ndarr
 def hessian(f: CubicPolynomial, box: ParameterBox) -> ParametricSymMatrix:
     """Hessian of f over the box as a linear parametric family.
 
-    One coefficient matrix per variable (its interval taken from the box)
+    One coefficient matrix per variable (its bounds taken from the box)
     plus a constant matrix paired with the degenerate parameter [1, 1].
     All-zero matrices are dropped; a polynomial with a vanishing Hessian
     keeps the zero constant matrix so the family stays well formed.
@@ -266,16 +265,16 @@ def hessian(f: CubicPolynomial, box: ParameterBox) -> ParametricSymMatrix:
         raise ValueError(f"box has {box.K} intervals but the polynomial has {f.n} variables")
     mats, const = hessian_coefficients(f)
     coeffs = []
-    params = []
-    for v, m in enumerate(mats):
+    bounds = []
+    for m, lo, hi in zip(mats, box.inf(), box.sup()):
         if np.any(m):
             coeffs.append(m)
-            params.append(box.intervals[v])
+            bounds.append((lo, hi))
     if np.any(const) or not coeffs:
         coeffs.append(const)
-        params.append(Interval(1.0, 1.0))
+        bounds.append((1.0, 1.0))
     try:
-        return ParametricSymMatrix(coeffs, ParameterBox(params))
+        return ParametricSymMatrix(coeffs, ParameterBox.from_bounds(bounds))
     except ValueError as exc:  # f's coefficients are finite: its Hessian overflowed
         raise FamilyOverflowError(f"cannot form the Hessian: {exc}") from exc
 

@@ -62,6 +62,23 @@ def _prod_unsafe(a, b, p):
     return big | ((np.abs(p) < _SAFE_LO) & (a != 0.0) & (b != 0.0))
 
 
+def _check_bounds(lo, hi) -> None:
+    """ValueError at the first entry, in C order, whose bounds are not both finite or have lo > hi."""
+    ok = np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        a, b = float(np.ravel(lo)[i]), float(np.ravel(hi)[i])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval bounds must be finite, got [{a}, {b}]")
+        raise ValueError(f"lower bound {a} exceeds upper bound {b}")
+
+
+def _clamped_mid(lo, hi):
+    """0.5 * lo + 0.5 * hi, entrywise, clamped into [lo, hi]: halving a subnormal bound can round out of it."""
+    m = 0.5 * lo + 0.5 * hi
+    return np.where(m < lo, lo, np.where(m > hi, hi, m))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed real interval [inf, sup] with finite float bounds."""
@@ -72,29 +89,9 @@ class Interval:
     def __post_init__(self):
         lo = float(self.inf)
         hi = float(self.sup)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+        _check_bounds(lo, hi)
         object.__setattr__(self, "inf", lo)
         object.__setattr__(self, "sup", hi)
-
-    @classmethod
-    def point(cls, value: float) -> "Interval":
-        return cls(value, value)
-
-    @property
-    def mid(self) -> float:
-        """0.5 * inf + 0.5 * sup, clamped into the interval: halving a subnormal bound can round out of it."""
-        m = 0.5 * self.inf + 0.5 * self.sup
-        return self.inf if m < self.inf else self.sup if m > self.sup else m
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.inf == self.sup
-
-    def __contains__(self, x: float) -> bool:
-        return self.inf <= x <= self.sup
 
     def __repr__(self) -> str:
         return f"[{self.inf!r}, {self.sup!r}]"
@@ -112,10 +109,7 @@ class IntervalMatrix:
         hi = np.array(self.sup, dtype=float)
         if lo.ndim != 2 or lo.shape != hi.shape:
             raise ValueError(f"bound arrays must be 2-D with equal shapes, got {lo.shape} and {hi.shape}")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("interval matrix bounds must be finite")
-        if (lo > hi).any():
-            raise ValueError("lower bounds exceed upper bounds")
+        _check_bounds(lo, hi)
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "inf", lo)
@@ -142,9 +136,8 @@ class IntervalMatrix:
         return Interval(self.inf[i, j], self.sup[i, j])
 
     def mid(self) -> np.ndarray:
-        """Entrywise ``Interval.mid``: 0.5 * inf + 0.5 * sup, clamped into the bounds."""
-        m = 0.5 * self.inf + 0.5 * self.sup
-        return np.where(m < self.inf, self.inf, np.where(m > self.sup, self.sup, m))
+        """Entrywise ``_clamped_mid`` of the bounds."""
+        return _clamped_mid(self.inf, self.sup)
 
     def rad(self) -> np.ndarray:
         """Entrywise radius, rounded up so mid +/- rad encloses the bounds."""

@@ -32,20 +32,16 @@ def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
 
 
 def _sample_points(p: ParametricSymMatrix, scheme: str, d: int, count: int, seed: int) -> np.ndarray:
-    lows = p.box.inf()
-    highs = p.box.sup()
+    lows, highs = p.box.inf(), p.box.sup()
+    bounds = list(zip(lows.tolist(), highs.tolist()))
     if scheme == "vertices":
         if p.K > MAX_VERTEX_PARAMS:
             raise ValueError(f"vertex enumeration budget exceeded: K={p.K} > {MAX_VERTEX_PARAMS}")
-        combos = itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals])
-        return np.array(sorted(set(combos)))
+        return np.array(sorted(set(itertools.product(*bounds))))
     if scheme == "grid":
         if d < 2:
             raise ValueError("grid scheme needs d >= 2 points per axis")
-        axes = [
-            np.array([iv.inf]) if iv.is_degenerate else np.linspace(iv.inf, iv.sup, d)
-            for iv in p.box.intervals
-        ]
+        axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, d) for lo, hi in bounds]
         total = int(np.prod([len(ax) for ax in axes]))
         if total > MAX_SAMPLES:
             raise ValueError(f"grid of {total} points exceeds budget {MAX_SAMPLES}")

@@ -1,12 +1,14 @@
 """The linear parametric matrix model A(p) = sum_k A_k p_k over a parameter box.
 
-A family holds its coefficients as one checked, symmetrized, read-only
-(K, n, n) stack, with their spectra and PSD parts computed once.  Covers
-point evaluation, the interval relaxation and its midpoint-preconditioned
-form (each one outward-rounded ``scaled_sum``, added in k order), and the
-reduced set of parameter-box vertices that decides strong definiteness.
-Only ``vertices`` classifies coefficients: it pins semidefinite ones at one
-endpoint and reports what that pinning may miss.
+The box is two read-only bound arrays and their clamped midpoint, built
+once.  A family holds its coefficients as one checked, symmetrized,
+read-only (K, n, n) stack, with their spectra and PSD parts computed once.
+Covers point evaluation, the interval relaxation and its
+midpoint-preconditioned form (each one outward-rounded ``scaled_sum``,
+added in k order), and the reduced set of parameter-box vertices that
+decides strong definiteness.  Only ``vertices`` classifies coefficients:
+it pins semidefinite ones at one endpoint and reports what that pinning
+may miss.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .intervals import Interval, IntervalMatrix, scaled_sum
+from .intervals import Interval, IntervalMatrix, _check_bounds, _clamped_mid, scaled_sum
 from .symlinalg import SymMatrix, eig_stack, invert, passes, psd_parts, scaled_tol, symmetrize
 
 SYMMETRY_TOL_FACTOR = 1e-12
@@ -28,42 +30,50 @@ class FamilyOverflowError(ValueError):
     """A family's matrices, or its default tolerance, leave double precision over its box."""
 
 
-@dataclass(frozen=True)
 class ParameterBox:
-    """Axis-aligned box of parameter values, one interval per parameter."""
-
-    intervals: tuple[Interval, ...]
+    """Axis-aligned box of parameter values: read-only float64 arrays of its bounds and clamped midpoint, built once."""
 
     def __init__(self, intervals):
         ivs = tuple(intervals)
-        if not ivs:
-            raise ValueError("parameter box needs at least one interval")
         if not all(isinstance(iv, Interval) for iv in ivs):
             raise TypeError("parameter box entries must be Interval instances")
-        object.__setattr__(self, "intervals", ivs)
+        self._hold([(iv.inf, iv.sup) for iv in ivs])
 
     @classmethod
     def from_bounds(cls, bounds) -> "ParameterBox":
-        return cls(Interval(lo, hi) for lo, hi in bounds)
+        box = cls.__new__(cls)
+        box._hold(list(bounds))
+        return box
+
+    def _hold(self, pairs) -> None:
+        pairs = np.array(pairs, dtype=float)
+        if pairs.shape[1:] != (2,) or not len(pairs):
+            raise ValueError(f"parameter box needs one or more (low, high) pairs, got an array of shape {pairs.shape}")
+        bounds = pairs.T.copy()
+        _check_bounds(*bounds)
+        mid = _clamped_mid(*bounds)
+        bounds.setflags(write=False)
+        mid.setflags(write=False)
+        (self._inf, self._sup), self._mid = bounds, mid
 
     @property
     def K(self) -> int:
-        return len(self.intervals)
+        return len(self._inf)
 
     def inf(self) -> np.ndarray:
-        return np.array([iv.inf for iv in self.intervals])
+        return self._inf
 
     def sup(self) -> np.ndarray:
-        return np.array([iv.sup for iv in self.intervals])
+        return self._sup
 
     def mid(self) -> np.ndarray:
-        return np.array([iv.mid for iv in self.intervals])
+        return self._mid
 
-    def contains(self, p, slack: float = 1e-12) -> bool:
+    def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
         if p.shape != (self.K,):
             return False
-        return bool((p >= self.inf() - slack).all() and (p <= self.sup() + slack).all())
+        return bool((p >= self._inf - 1e-12).all() and (p <= self._sup + 1e-12).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +315,7 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
                     raise ValueError(f"{lead}{what} {idx} holds a null, not a number")
                 if not kinds.isdisjoint((bool, str)):
                     raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
-        box = ParameterBox(Interval(float(lo), float(hi)) for lo, hi in bounds)
+        box = ParameterBox.from_bounds((float(lo), float(hi)) for lo, hi in bounds)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter entry: {exc!r}") from exc
     p = ParametricSymMatrix(stack, box)

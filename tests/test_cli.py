@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from conftest import BIG_INDEFINITE_DOC, DEMO_CUBIC, OVERFLOW_DOC, SPLIT_OVERFLOW_DOC
-from psdparam import cubic, parametric
+from psdparam import Interval, ParameterBox, cubic, hessian, parametric, parse, problem_from_json
 from psdparam import definiteness as df
 from psdparam.cli import (
     EXIT_DISPROVED,
     EXIT_INPUT_ERROR,
     EXIT_PROVED,
     EXIT_UNKNOWN,
+    _parse_box_flags,
     certificate_to_jsonable,
     main,
     report_schema,
@@ -848,6 +849,67 @@ class TestConvex:
     def test_usage_error_maps_to_input_error(self, capsys):
         assert main(["convex"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+
+
+class TestBoxFrontDoors:
+    """Every way into a parameter box: its errors, word for word, with exit 64, and its arrays, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "parameter, message",
+        [
+            ('{"inf":[0],"sup":1}', """malformed parameter entry: TypeError("float() argument must be a string or a real number, not 'list'")"""),
+            ('{"inf":{"a":1},"sup":1}', """malformed parameter entry: TypeError("float() argument must be a string or a real number, not 'dict'")"""),
+            ('{"inf":0,"sup":1' + "0" * 400 + "}", "malformed parameter entry: OverflowError('int too large to convert to float')"),
+            ('{"inf":0,"sup":1e999}', "interval bounds must be finite, got [0.0, inf]"),
+            ('{"inf":NaN,"sup":1}', "interval bounds must be finite, got [nan, 1.0]"),
+            ("[0, 1]", "malformed parameter entry: TypeError('list indices must be integers or slices, not str')"),
+            ('{"inf":2,"sup":1}', "lower bound 2.0 exceeds upper bound 1.0"),
+        ],
+        ids=["list", "dict", "huge-integer", "1e999", "NaN", "parameter-list", "reversed"],
+    )
+    def test_json_bound_errors(self, capsys, tmp_path, parameter, message):
+        path = tmp_path / "box.json"
+        path.write_text('{"n":1,"K":2,"coefficients":[[[1]],[[1]]],"parameters":[{"inf":0,"sup":1},%s]}' % parameter)
+        result = run_cli(capsys, "check", str(path), "--goal", "strong-psd")
+        assert result == (EXIT_INPUT_ERROR, None, f"error: malformed problem file: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, expression, message",
+        [
+            ("x1=2:1", "x1^2", "lower bound 2.0 exceeds upper bound 1.0"),
+            ("x1=nan:1", "x1^2", "interval bounds must be finite, got [nan, 1.0]"),
+            ("x1=-inf:1", "x1^2", "interval bounds must be finite, got [-inf, 1.0]"),
+            ("x1=1e999:2", "x1^2", "interval bounds must be finite, got [inf, 2.0]"),
+            ("x1=2:1", "x1^2 + x2^2", "lower bound 2.0 exceeds upper bound 1.0"),
+        ],
+        ids=["reversed", "nan", "-inf", "1e999", "reversed-before-missing"],
+    )
+    def test_box_flag_errors(self, capsys, flag, expression, message):
+        result = run_cli(capsys, "convex", "--box", flag, "--", expression)
+        assert result == (EXIT_INPUT_ERROR, None, f"error: {message}\n")
+
+    def test_every_front_door_builds_the_same_arrays(self):
+        # Subnormal, degenerate and signed-zero bounds, where the midpoint's clamp and sign show.
+        given = [(5e-324, 1e-323), (2.5, 2.5), (-1e-323, -5e-324), (-1.5, 0.75), (-0.0, 0.0), (5e-324, 5e-324)]
+        bounds = [*given, (1.0, 1.0)]  # the Hessian's constant matrix adds the last parameter
+        doc = {"n": 1, "K": len(bounds), "coefficients": [[[1.0]]] * len(bounds), "parameters": [{"inf": lo, "sup": hi} for lo, hi in bounds]}
+        flags = [f"x{i}={lo!r}:{hi!r}" for i, (lo, hi) in enumerate(given, 1)]
+        cubic_text = " + ".join(f"x{i}^3" for i in range(1, len(given) + 1)) + " + x1^2"
+        boxes = [
+            ParameterBox(Interval(lo, hi) for lo, hi in bounds),
+            ParameterBox.from_bounds(bounds),
+            problem_from_json(json.dumps(doc)).box,
+            hessian(parse(cubic_text), _parse_box_flags(flags, len(given))).box,
+        ]
+        mid = [5e-324, 2.5, -5e-324, -0.375, 0.0, 5e-324, 1.0]
+        for box in boxes:
+            arrays = (box.inf(), box.sup(), box.mid())
+            for got, want in zip(arrays, (*zip(*bounds), mid)):
+                assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
 
 
 def test_parser_is_built_once(capsys, monkeypatch, split_file):

@@ -329,6 +329,46 @@ class TestVertexBlockSchedule:
             assert v.disproved and v.certificate.p == vertices(p)[j].values
 
 
+
+# The 28th draw of ``near_threshold_family`` (scripts/consistency_sweep.py) from default_rng(1):
+# n = 2, K = 5, four indefinite coefficients on [-1, 1] and c I on [1, 1].  Written out bit for
+# bit, so a change to the generator cannot move the case.
+NEAR_THRESHOLD_FALSE_PROOF = [
+    [["-0x1.4e72a728338f5p-1", "0x1.a89ff93e28d0bp-2"], ["0x1.a89ff93e28d0bp-2", "0x1.693b96f699e23p-2"]],
+    [["0x1.4911b90959afdp-2", "0x1.8d8cac839837ap-14"], ["0x1.8d8cac839837ap-14", "-0x1.154da2b9f6351p-1"]],
+    [["-0x1.2ac7f7717c30ap-3", "0x1.9bf7006fb2c2cp-1"], ["0x1.9bf7006fb2c2cp-1", "0x1.49a69338b978ep-2"]],
+    [["-0x1.2193336b0fd3dp-2", "-0x1.c1c3c2c1ad09cp-3"], ["-0x1.c1c3c2c1ad09cp-3", "0x1.1531e70f43414p-1"]],
+    [["0x1.060cd217aa28bp+1", "0x0.0p+0"], ["0x0.0p+0", "0x1.060cd217aa28bp+1"]],
+]
+
+
+class TestExactVertexTruth:
+    """A strong PSD verdict against exact rational arithmetic at a vertex member."""
+
+    @staticmethod
+    def family() -> ParametricSymMatrix:
+        coeffs = [[[float.fromhex(x) for x in row] for row in c] for c in NEAR_THRESHOLD_FALSE_PROOF]
+        return ParametricSymMatrix(coeffs, ParameterBox.from_bounds([(-1.0, 1.0)] * 4 + [(1.0, 1.0)]))
+
+    def test_vertex_member_is_exactly_indefinite(self):
+        # A(v) + tol I at v = (-1, 1, -1, -1, 1), in Fractions: a negative determinant, so its
+        # smallest eigenvalue is below -tol and the family is not strongly PSD.
+        p = self.family()
+        v = (-1.0, 1.0, -1.0, -1.0, 1.0)
+        tol = Fraction(family_tol(p))
+        assert family_tol(p) == float.fromhex("0x1.17b8c096d1a74p-30")
+        a = [[sum(Fraction(x) * Fraction(c[i][j]) for x, c in zip(v, p.coefficient_stack().tolist())) for j in range(2)] for i in range(2)]
+        assert a[0][0] + tol > 0 and a[1][1] + tol > 0
+        assert (a[0][0] + tol) * (a[1][1] + tol) - a[0][1] * a[1][0] < 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known false proof: the vertex stage's eigenvalue fallback passes a computed min_eig that rounding lifted to -tol + 8.8e-17",
+    )
+    def test_strong_psd_is_not_proved(self):
+        assert not decide(self.family(), "strong_psd").proved
+
+
 class TestSplitConditions:
     def test_split_favorable_sum_and_proof(self):
         v = strong_pd_split(split_favorable())
@@ -526,15 +566,15 @@ class TestBeeckBound:
             p = random_family(rng, max_n=3, max_k=2)
             w = np.linalg.eigvalsh(evaluate(p, p.box.mid()).array)
             shift = -(w[0] - 1e-10 * (1.0 + w[-1] - w[0])) * np.eye(p.n)
-            yield ParametricSymMatrix([*p.coefficient_stack(), shift], ParameterBox([*p.box.intervals, Interval(1.0, 1.0)]))
+            yield ParametricSymMatrix([*p.coefficient_stack(), shift], ParameterBox.from_bounds([*zip(p.box.inf(), p.box.sup()), (1.0, 1.0)]))
         for _ in range(10):
             # A point box: G is then |I - C A(mid)| and the rounding terms alone.
             p = random_family(rng, max_n=3, max_k=3)
-            yield ParametricSymMatrix(p.coefficient_stack(), ParameterBox(Interval(iv.inf, iv.inf) for iv in p.box.intervals))
+            yield ParametricSymMatrix(p.coefficient_stack(), ParameterBox.from_bounds(zip(p.box.inf(), p.box.inf())))
         for _ in range(5):
             # Coefficients near 1e-305 on boxes near 1e305: some products underflow.
             p = random_family(rng, max_n=3, max_k=3)
-            box = ParameterBox(Interval(1e305 * iv.inf, 1e305 * iv.sup) for iv in p.box.intervals)
+            box = ParameterBox.from_bounds(zip(1e305 * p.box.inf(), 1e305 * p.box.sup()))
             yield ParametricSymMatrix(1e-305 * p.coefficient_stack(), box)
 
     def test_dominates_the_exact_residual_at_every_vertex(self, rng):
@@ -549,7 +589,7 @@ class TestBeeckBound:
             for cc, shift in itertools.product((c, c * (1.0 + 1e-3 * rng.standard_normal(c.shape))), (0.0, family_tol(p))):
                 g = definiteness._beeck_bound(p, cc, shift)
                 assert np.isfinite(g).all()
-                for q, s in itertools.product(itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]), {0.0, shift}):
+                for q, s in itertools.product(itertools.product(*zip(p.box.inf().tolist(), p.box.sup().tolist())), {0.0, shift}):
                     residual = exact_residual(p, cc, q, s)
                     assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), residual.ravel())), (p, q, s)
                 checked += 1
@@ -565,7 +605,7 @@ class TestBeeckBound:
         c = invert(evaluate(p, p.box.mid(), check=False))
         g = definiteness._beeck_bound(p, c, family_tol(p))
         assert np.isfinite(g).all()
-        for q in itertools.product(*[(iv.inf, iv.sup) for iv in p.box.intervals]):
+        for q in itertools.product(*zip(p.box.inf().tolist(), p.box.sup().tolist())):
             assert all(Fraction(x) >= r for x, r in zip(g.ravel().tolist(), exact_residual(p, c, q).ravel()))
         assert strong_pd_regularity(p).proved
 
@@ -674,7 +714,7 @@ def sequential_starts(p: ParametricSymMatrix, restarts: int, seed: int = definit
     """The witness stage's starts, one by one: the box midpoint, then ``restarts - 1`` seeded uniform draws."""
     rng = np.random.default_rng(seed)
     for trial in range(restarts):
-        yield p.box.mid() if trial == 0 else rng.uniform(p.box.inf(), p.box.sup())
+        yield p.box.mid().copy() if trial == 0 else rng.uniform(p.box.inf(), p.box.sup())
 
 
 def sequential_ascents(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.WITNESS_SEED):
