@@ -4,10 +4,12 @@
 Draws random parametric families and runs the full cascade for all four
 goals.  Every strong verdict that is not Unknown is checked against the
 unreduced vertex enumeration, and every vertex certificate is re-checked
-too: a counterexample's smallest eigenvalue, recomputed with LAPACK at
-its point, must match the reported one within the family tolerance, and
-a vertex list must count every reduced vertex, or every vertex of the
-set the stage rescans when the pinned shortfall could matter.  A vertex
+too.  A counterexample must lie in the box, the public
+``min_eig(evaluate(p, point))`` must give its reported smallest eigenvalue
+bit for bit, and the sweep's own LAPACK value, from members it forms
+itself, must match that within the family tolerance.  A vertex list must
+count every reduced vertex, or every vertex of the set the stage rescans
+when the pinned shortfall could matter.  A vertex
 list that carries the Cholesky screen's ``shift`` is re-checked without a
 Cholesky: the shift must reach the goal's threshold plus that set's
 pinned shortfall, and every vertex of the set must pass the goal by its
@@ -20,13 +22,14 @@ enumeration too, so the split bound matrix, the preconditioned
 enclosure and the Perron bracket are cross-checked even when another
 stage decides first in the cascade.
 
-Weak verdicts are re-checked with LAPACK alone.  A witness point must lie
-in the box, pass the goal, and match its reported smallest eigenvalue
-within the family tolerance.  A weak Disproved is contradicted by any
-point of a grid with GRID_POINTS points per axis that passes the goal;
-each axis includes both endpoints, so the grid holds all 2^K vertices.
-Unknown weak verdicts with a passing grid point are counted as missed
-witnesses and reported without failing the sweep.
+Weak verdicts are re-checked with LAPACK.  A witness point must lie in the
+box, give its reported smallest eigenvalue bit for bit through the public
+``min_eig(evaluate(p, point))``, and, by the sweep's own members, pass the
+goal and match that value within the family tolerance.  A weak Disproved
+is contradicted by any point of a grid with GRID_POINTS points per axis
+that passes the goal; each axis includes both endpoints, so the grid
+holds all 2^K vertices.  Unknown weak verdicts with a passing grid point
+are counted as missed witnesses and reported without failing the sweep.
 
 For every family with at most HERTZ_MAX_N rows, the interval-Hessian
 diagnostic ``hertz_min_eig(relax(family))``, which solves each sign
@@ -222,6 +225,8 @@ def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdic
     if isinstance(cert, pp.CounterexampleVertex):
         if not p.box.contains(cert.p):
             return "counterexample outside the box"
+        if (replayed := pp.min_eig(pp.evaluate(p, cert.p))) != cert.min_eig:
+            return f"counterexample min_eig {cert.min_eig!r}, min_eig(evaluate) gives {replayed!r}"
         m = float(member_min_eigs(p, np.array([cert.p]))[0])
         if abs(m - cert.min_eig) > tol:
             return f"counterexample min_eig {cert.min_eig:.12g}, LAPACK says {m:.12g}"
@@ -265,6 +270,8 @@ def weak_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> s
             return f"proved by {verdict.method} without a witness point"
         if not p.box.contains(cert.p):
             return "witness point outside the box"
+        if (replayed := pp.min_eig(pp.evaluate(p, cert.p))) != cert.min_eig:
+            return f"witness min_eig {cert.min_eig!r}, min_eig(evaluate) gives {replayed!r}"
         m = float(member_min_eigs(p, np.array([cert.p]))[0])
         if not passes(goal, m, tol):
             return f"witness point fails the goal: LAPACK min_eig {m:.12g}"

@@ -34,8 +34,8 @@ from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .intervals import IntervalMatrix
-from .parametric import ParametricSymMatrix, VertexEnumeration, evaluate, family_tol, vertices
+from .intervals import IntervalMatrix, _clamped_mid
+from .parametric import ParametricSymMatrix, VertexEnumeration, _members, evaluate, family_tol, vertices
 from .symlinalg import (
     SingularMatrixError,
     SymMatrix,
@@ -161,11 +161,6 @@ class Verdict:
         return self.status is Status.UNKNOWN
 
 
-def _member_min_eigs(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of A(q) for each row q of ``points``, by one batched call."""
-    return min_eigs(np.einsum("vk,kij->vij", points, p.coefficient_stack()))
-
-
 # ---------------------------------------------------------------------------
 # vertex characterizations
 
@@ -236,7 +231,7 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
     pivots, minima = [], []  # per block: (smallest pivot or eigenvalue, block start, first vertex attaining it)
     for start, stop in blocks:
         points = enum.points(start, stop)
-        members = np.einsum("vk,kij->vij", points, p.coefficient_stack())
+        members = _members(p, points)
         screened = shifted_cholesky_pivots(members, shift) if shift is not None and not minima else None
         if screened is not None:
             pivots.append(_first_minimum(screened, start, points))
@@ -251,7 +246,7 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
         return Verdict(Status.PROVED, certificate=VertexList(total, min(pivots)[2], None, shift))
     for start, stop in blocks[: len(pivots)]:
         points = enum.points(start, stop)
-        minima.append(_first_minimum(_member_min_eigs(p, points), start, points))
+        minima.append(_first_minimum(min_eigs(_members(p, points)), start, points))
     worst, _, worst_vertex = min(minima)
     return Verdict(Status.PROVED, certificate=VertexList(total, worst_vertex, worst))
 
@@ -463,11 +458,11 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, values: np.nd
     """Maximize min_eig(A(q)) over the box from each row of ``starts``, whose smallest eigenvalues are ``values``.
 
     Each row runs up to 30 sweeps of per-coordinate ternary search, 48 steps per coordinate; the objective is
-    concave in q, so each line search is unimodal.  Thirds and midpoints are formed from halves of the bracket,
-    finite on any box.  The rows run in lockstep, with their brackets in two arrays: every ternary step takes
-    the smallest eigenvalues of all active rows' probe members in one batched LAPACK call and moves every
-    bracket by one mask.  A row leaves the batch once a sweep no longer improves it.  Returns the final points
-    and their values, each from the call that formed it.
+    concave in q, so each line search is unimodal.  Thirds are formed from halves of the bracket, finite on any
+    box, and each midpoint is ``_clamped_mid``'s, in the box.  The rows run in lockstep, with their brackets in
+    two arrays: every ternary step takes the smallest eigenvalues of all active rows' probe members in one
+    batched LAPACK call and moves every bracket by one mask.  A row leaves the batch once a sweep no longer
+    improves it.  Returns the final points and their values, each from the call that formed it.
     """
     lows, highs = p.box.inf(), p.box.sup()
     q = starts.copy()
@@ -483,11 +478,11 @@ def _coordinate_ascent(p: ParametricSymMatrix, starts: np.ndarray, values: np.nd
                 third = (0.5 * hi - 0.5 * lo) / 1.5
                 np.add(lo, third, out=a)
                 np.subtract(hi, third, out=b)
-                f = _member_min_eigs(p, probes)
+                f = min_eigs(_members(p, probes))
                 left = f[0::2] < f[1::2]
                 lo, hi = np.where(left, a, lo), np.where(left, hi, b)
-            q[active, k] = 0.5 * lo + 0.5 * hi
-            best[active] = _member_min_eigs(p, q[active])
+            q[active, k] = _clamped_mid(lo, hi)
+            best[active] = min_eigs(_members(p, q[active]))
         now = best[active]
         active = active[~(now - improved <= 1e-13 * (1.0 + np.abs(now)))]
         if not len(active):
@@ -509,7 +504,7 @@ def _weak_by_witness(p: ParametricSymMatrix, kind: str, tol: float, budget: int)
     unit = np.random.default_rng(WITNESS_SEED).random((WITNESS_RESTARTS - 1, p.K))
     with np.errstate(over="ignore"):
         starts = np.vstack([p.box.mid(), np.minimum(lows + (0.5 * highs - 0.5 * lows) * (2.0 * unit), highs)])
-    values = _member_min_eigs(p, starts)
+    values = min_eigs(_members(p, starts))
     ok = passes(values, kind, tol)
     if ok.any():
         i = int(np.argmax(ok))

@@ -1,19 +1,20 @@
 """The linear parametric matrix model A(p) = sum_k A_k p_k over a parameter box.
 
-The box is two read-only bound arrays and their clamped midpoint, built
-once.  A family holds its coefficients as one checked, symmetrized,
-read-only (K, n, n) stack, with their spectra and PSD parts computed once.
-Covers point evaluation, the interval relaxation and its
-midpoint-preconditioned form (each one outward-rounded ``scaled_sum``,
-added in k order), and the reduced set of parameter-box vertices that
-decides strong definiteness.  Only ``vertices`` classifies coefficients:
-it pins semidefinite ones at one endpoint and reports what that pinning
-may miss.
+The box is two read-only bound arrays and their clamped midpoint, built once; it
+holds exactly the points within those bounds.  A family holds its coefficients as one
+checked, symmetrized, read-only (K, n, n) stack, with their spectra and PSD parts
+computed once.  ``_members`` forms every member matrix, for ``evaluate``, the vertex
+scan and the witness climb.  Also covers the interval relaxation and its
+midpoint-preconditioned form (each one outward-rounded ``scaled_sum``, added in k
+order) and the reduced vertex set that decides strong definiteness.  Only
+``vertices`` classifies coefficients: it pins semidefinite ones at one endpoint and
+reports what that pinning may miss.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -73,7 +74,7 @@ class ParameterBox:
         p = np.asarray(p, dtype=float)
         if p.shape != (self.K,):
             return False
-        return bool((p >= self._inf - 1e-12).all() and (p <= self._sup + 1e-12).all())
+        return bool((p >= self._inf).all() and (p <= self._sup).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +159,19 @@ def family_tol(p: ParametricSymMatrix) -> float:
         raise FamilyOverflowError(f"the family's default tolerance overflows; set one with tol= or --tol ({exc})") from exc
 
 
+def _members(p: ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
+    """A(q) = sum_k A_k q_k for each row q of ``points``: the one formula behind every member matrix."""
+    return np.einsum("vk,kij->vij", points, p.coefficient_stack())
+
+
 def evaluate(p: ParametricSymMatrix, point, check: bool = True) -> SymMatrix:
-    """Member matrix A(point) = sum_k A_k point_k as a plain floating sum."""
+    """Member matrix A(point), ``_members``' one-row case; with ``check``, the point must lie in the box exactly."""
     point = np.asarray(point, dtype=float)
     if point.shape != (p.K,):
         raise ValueError(f"expected {p.K} parameter values, got shape {point.shape}")
     if check and not p.box.contains(point):
         raise ValueError(f"parameter point {point.tolist()} lies outside the box")
-    return SymMatrix(np.tensordot(point, p.coefficient_stack(), axes=1))
+    return SymMatrix(_members(p, point[None])[0])
 
 
 def relax(p: ParametricSymMatrix) -> IntervalMatrix:
@@ -302,23 +308,33 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
                 raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
             if shape != (n, n):
                 raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
-    try:
-        bounds = [(iv["inf"], iv["sup"]) for iv in raw_params]
-        # float() takes JSON booleans and numeric strings, and np.array turns a null into NaN, so refuse
-        # them by type, in one walk over the numbers.  A null bound keeps the "malformed parameter entry"
-        # lead that float(None) once gave it.
-        for what, rows in (("coefficient", map(chain.from_iterable, raw_coeffs)), ("parameter", bounds)):
-            for idx, values in enumerate(rows):
-                kinds = set(map(type, values))
-                if type(None) in kinds:
-                    lead = "malformed parameter entry: " if what == "parameter" else ""
-                    raise ValueError(f"{lead}{what} {idx} holds a null, not a number")
-                if not kinds.isdisjoint((bool, str)):
-                    raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
-        box = ParameterBox.from_bounds((float(lo), float(hi)) for lo, hi in bounds)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed parameter entry: {exc!r}") from exc
-    p = ParametricSymMatrix(stack, box)
+    # float() takes JSON booleans and numeric strings, and np.array turns a null into NaN, so refuse them by
+    # type.  A null bound keeps the "malformed parameter entry" lead that float(None) once gave it.
+    def refuse_non_numbers(what: str, idx: int, values) -> None:
+        kinds = set(map(type, values))
+        if type(None) in kinds:
+            lead = "malformed parameter entry: " if what == "parameter" else ""
+            raise ValueError(f"{lead}{what} {idx} holds a null, not a number")
+        if not kinds.isdisjoint((bool, str)):
+            raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
+
+    for idx, values in enumerate(map(chain.from_iterable, raw_coeffs)):
+        refuse_non_numbers("coefficient", idx, values)
+    pairs = []  # each parameter is read, typed, converted and checked before the next: the first fault is named
+    for idx, iv in enumerate(raw_params):
+        try:
+            bounds = (iv["inf"], iv["sup"])
+            refuse_non_numbers("parameter", idx, bounds)
+            lo, hi = float(bounds[0]), float(bounds[1])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed parameter entry: parameter {idx}: {exc!r}") from exc
+        try:
+            if not -math.inf < lo <= hi < math.inf:  # _check_bounds words the error, but costs microseconds a call
+                _check_bounds(lo, hi)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in parameter {idx}") from exc
+        pairs.append((lo, hi))
+    p = ParametricSymMatrix(stack, ParameterBox.from_bounds(pairs))
     bad = np.flatnonzero(p.asymmetry > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(p.coefficient_stack()).max(axis=(1, 2), initial=0.0), 1e-300))
     if len(bad):
         raise ValueError(f"coefficient {bad[0]} is asymmetric by {p.asymmetry[bad[0]]:g}")

@@ -858,13 +858,13 @@ class TestBoxFrontDoors:
     @pytest.mark.parametrize(
         "parameter, message",
         [
-            ('{"inf":[0],"sup":1}', """malformed parameter entry: TypeError("float() argument must be a string or a real number, not 'list'")"""),
-            ('{"inf":{"a":1},"sup":1}', """malformed parameter entry: TypeError("float() argument must be a string or a real number, not 'dict'")"""),
-            ('{"inf":0,"sup":1' + "0" * 400 + "}", "malformed parameter entry: OverflowError('int too large to convert to float')"),
-            ('{"inf":0,"sup":1e999}', "interval bounds must be finite, got [0.0, inf]"),
-            ('{"inf":NaN,"sup":1}', "interval bounds must be finite, got [nan, 1.0]"),
-            ("[0, 1]", "malformed parameter entry: TypeError('list indices must be integers or slices, not str')"),
-            ('{"inf":2,"sup":1}', "lower bound 2.0 exceeds upper bound 1.0"),
+            ('{"inf":[0],"sup":1}', """malformed parameter entry: parameter 1: TypeError("float() argument must be a string or a real number, not 'list'")"""),
+            ('{"inf":{"a":1},"sup":1}', """malformed parameter entry: parameter 1: TypeError("float() argument must be a string or a real number, not 'dict'")"""),
+            ('{"inf":0,"sup":1' + "0" * 400 + "}", "malformed parameter entry: parameter 1: OverflowError('int too large to convert to float')"),
+            ('{"inf":0,"sup":1e999}', "interval bounds must be finite, got [0.0, inf] in parameter 1"),
+            ('{"inf":NaN,"sup":1}', "interval bounds must be finite, got [nan, 1.0] in parameter 1"),
+            ("[0, 1]", "malformed parameter entry: parameter 1: TypeError('list indices must be integers or slices, not str')"),
+            ('{"inf":2,"sup":1}', "lower bound 2.0 exceeds upper bound 1.0 in parameter 1"),
         ],
         ids=["list", "dict", "huge-integer", "1e999", "NaN", "parameter-list", "reversed"],
     )
@@ -872,6 +872,15 @@ class TestBoxFrontDoors:
         path = tmp_path / "box.json"
         path.write_text('{"n":1,"K":2,"coefficients":[[[1]],[[1]]],"parameters":[{"inf":0,"sup":1},%s]}' % parameter)
         result = run_cli(capsys, "check", str(path), "--goal", "strong-psd")
+        assert result == (EXIT_INPUT_ERROR, None, f"error: malformed problem file: {message}\n")
+
+    def test_json_names_the_first_faulty_parameter(self, capsys, tmp_path):
+        # A reversed bound in parameter 1 and a list in parameter 2: each parameter is checked before the next.
+        path = tmp_path / "box.json"
+        params = '{"inf":0,"sup":1},{"inf":2,"sup":1},{"inf":[0],"sup":1}'
+        path.write_text('{"n":1,"K":3,"coefficients":[[[1]],[[1]],[[1]]],"parameters":[%s]}' % params)
+        result = run_cli(capsys, "check", str(path), "--goal", "strong-psd")
+        message = "lower bound 2.0 exceeds upper bound 1.0 in parameter 1"
         assert result == (EXIT_INPUT_ERROR, None, f"error: malformed problem file: {message}\n")
 
     @pytest.mark.parametrize(

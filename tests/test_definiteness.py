@@ -53,7 +53,8 @@ from psdparam import (
 )
 from psdparam import definiteness
 from psdparam.oracle import sample_min_eig
-from psdparam.symlinalg import _jacobi_eigvals, invert, psd_parts
+from psdparam.parametric import _members
+from psdparam.symlinalg import _jacobi_eigvals, invert, min_eigs, psd_parts
 
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
 
@@ -767,7 +768,7 @@ def sequential_witness(p: ParametricSymMatrix, restarts: int, goal: str, seed: i
 def float_bracket_ascent(p: ParametricSymMatrix, start: np.ndarray, value: float):
     """One start's climb with its bracket in Python floats and one probe pair per call.
 
-    The halves arithmetic, ternary rule, counts and stopping test of
+    The halves arithmetic, clamped midpoint, ternary rule, counts and stopping test of
     ``_coordinate_ascent``, scalar where the stage uses arrays and masks, so
     the stage must end on the same bits.  Returns the point and its value.
     """
@@ -784,13 +785,13 @@ def float_bracket_ascent(p: ParametricSymMatrix, start: np.ndarray, value: float
                 third = (0.5 * hi - 0.5 * lo) / 1.5
                 a, b = lo + third, hi - third
                 probes[:, k] = a, b
-                fa, fb = definiteness._member_min_eigs(p, probes).tolist()
+                fa, fb = min_eigs(_members(p, probes)).tolist()
                 if fa < fb:
                     lo = a
                 else:
                     hi = b
-            q[k] = 0.5 * lo + 0.5 * hi
-            best = float(definiteness._member_min_eigs(p, q[None])[0])
+            q[k] = min(max(0.5 * lo + 0.5 * hi, lo), hi)
+            best = float(min_eigs(_members(p, q[None]))[0])
         if best - improved <= 1e-13 * (1.0 + abs(best)):
             break
     return q, best
@@ -826,19 +827,19 @@ def stage_witness(monkeypatch, p: ParametricSymMatrix, goal: str, restarts: int 
 
 
 def spy_witness_stage(monkeypatch) -> tuple[list, list]:
-    """Lists that record the rows of each ``_member_min_eigs`` call and the starts of each ``_coordinate_ascent`` call."""
+    """Lists that record the rows of each ``_members`` call and the starts of each ``_coordinate_ascent`` call."""
     calls, climbs = [], []
-    member_min_eigs, ascent = definiteness._member_min_eigs, definiteness._coordinate_ascent
+    members, ascent = definiteness._members, definiteness._coordinate_ascent
 
-    def spy_eigs(p, points):
+    def spy_members(p, points):
         calls.append(len(points))
-        return member_min_eigs(p, points)
+        return members(p, points)
 
     def spy_ascent(p, starts, values):
         climbs.append(len(starts))
         return ascent(p, starts, values)
 
-    monkeypatch.setattr(definiteness, "_member_min_eigs", spy_eigs)
+    monkeypatch.setattr(definiteness, "_members", spy_members)
     monkeypatch.setattr(definiteness, "_coordinate_ascent", spy_ascent)
     return calls, climbs
 
@@ -935,7 +936,6 @@ class TestWitnessSearch:
         # first call is the 40 probe members of 20 rows, not the 20 starts
         # again.  The certificate's value is the one its row's climb ended
         # on, and no call follows the climb.
-        member_min_eigs = definiteness._member_min_eigs
         calls, _ = spy_witness_stage(monkeypatch)
         ascent, ended = definiteness._coordinate_ascent, []
 
@@ -952,7 +952,7 @@ class TestWitnessSearch:
         assert len(calls) == after_climb
         i = next(i for i, row in enumerate(q) if tuple(row.tolist()) == v.certificate.p)
         assert v.certificate.min_eig == best[i]
-        assert v.certificate.min_eig == float(member_min_eigs(p, np.array([v.certificate.p]))[0])
+        assert v.certificate.min_eig == min_eig(evaluate(p, v.certificate.p))
 
     def test_no_passing_start_at_n4_climbs_in_two_blocks(self, monkeypatch):
         # Two 4x4 probe members take 256 bytes, so the first block holds 16
@@ -993,7 +993,7 @@ class TestWitnessSearch:
         rng = np.random.default_rng(seed)
         for p in (ridge_family(2, 0.6), random_family(rng, 3, 4)):
             starts = rng.uniform(p.box.inf(), p.box.sup(), (6, p.K))
-            values = definiteness._member_min_eigs(p, starts)
+            values = min_eigs(_members(p, starts))
             q, best = definiteness._coordinate_ascent(p, starts, values)
             for i, start in enumerate(starts):
                 qi, bi = definiteness._coordinate_ascent(p, start[None], values[i : i + 1])
@@ -1008,7 +1008,7 @@ class TestWitnessSearch:
         wide = ParametricSymMatrix([np.diag([1.0, -1.0]), np.eye(2)], ParameterBox([Interval(-1e308, 1e308), Interval(0.0, 1.0)]))
         for p in (ridge_family(2, 0.6), random_family(rng, 3, 4), wide):
             starts = p.box.mid() + (0.5 * p.box.sup() - 0.5 * p.box.inf()) * rng.uniform(-1.0, 1.0, (5, p.K))
-            values = definiteness._member_min_eigs(p, starts)
+            values = min_eigs(_members(p, starts))
             q, best = definiteness._coordinate_ascent(p, starts, values)
             for i, start in enumerate(starts):
                 qi, bi = float_bracket_ascent(p, start, float(values[i]))
@@ -1183,6 +1183,41 @@ class TestDecide:
             if pd_v.proved:
                 assert strong_psd(p).proved
                 assert not weak_pd_necessary(p).disproved
+
+
+class TestReportedPointsReplay:
+    """Every reported point lies in the box exactly, and the public API gives back its reported value, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_min_eig_of_evaluate_is_the_reported_value(self, seed):
+        rng = np.random.default_rng(seed)
+        replayed = 0
+        for _ in range(15):
+            p = random_family(rng, max_n=4, max_k=4)
+            for goal in ("strong_psd", "strong_pd", "weak_psd", "weak_pd"):
+                cert = decide(p, goal).certificate
+                if isinstance(cert, (WitnessPoint, CounterexampleVertex)):
+                    assert min_eig(evaluate(p, cert.p)) == cert.min_eig
+                    replayed += 1
+        assert replayed >= 30
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_climbs_end_inside_boxes_of_subnormal_width(self, seed):
+        # Halving an odd multiple of 5e-324 rounds to even, so on a bracket closed on one such point
+        # 0.5 lo + 0.5 hi lands one step outside it; the climb clamps its midpoints into the box.  The
+        # coefficients near 1e300 keep the members' entries normal, so the climb has values to compare.
+        rng = np.random.default_rng(seed)
+        tiny = 5e-324
+        for _ in range(40):
+            k = int(rng.integers(1, 4))
+            lo = rng.integers(-9, 9, k) * tiny
+            bounds = list(zip(lo.tolist(), (lo + rng.integers(1, 6, k) * tiny).tolist()))
+            coeffs = [SymMatrix(1e300 * rng.uniform(-2.0, 2.0, (2, 2))) for _ in range(k)]
+            p = ParametricSymMatrix(coeffs, ParameterBox.from_bounds(bounds))
+            starts = np.vstack([p.box.mid(), p.box.inf(), p.box.sup()])
+            q, _ = definiteness._coordinate_ascent(p, starts, min_eigs(_members(p, starts)))
+            assert ((p.box.inf() <= q) & (q <= p.box.sup())).all()
+            assert all(p.box.contains(row) for row in q)
 
 
 class TestRunStage:

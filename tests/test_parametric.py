@@ -126,6 +126,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(rank_one_cone(), [1.5])
 
+    def test_membership_is_exact_on_a_narrow_box(self):
+        # 9e-13 lies 4.5e7 box widths past [0, 1e-20]; an absolute slack of 1e-12 once let it through.
+        p = ParametricSymMatrix([np.eye(2)], ParameterBox([Interval(0.0, 1e-20)]))
+        with pytest.raises(ValueError, match="lies outside the box"):
+            evaluate(p, [9e-13])
+        assert p.box.contains([1e-20]) and not p.box.contains([np.nextafter(1e-20, 1.0)])
+        assert p.box.contains([0.0]) and not p.box.contains([-5e-324])
+
+    def test_one_row_of_the_batched_members(self, rng):
+        # evaluate and the batched stages form A(q) by the same formula, so each row matches bit for bit.
+        for _ in range(20):
+            p = random_family(rng)
+            points = rng.uniform(p.box.inf(), p.box.sup(), (5, p.K))
+            members = parametric._members(p, points)
+            for q, m in zip(points, members):
+                assert evaluate(p, q).array.tobytes() == m.tobytes()
+
 
 class TestRelax:
     def test_rank_one_exact_unit_entries(self):
