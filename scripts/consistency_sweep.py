@@ -1,71 +1,72 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the decision cascade against brute force.
 
-Draws random parametric families and runs the full cascade for all four
-goals.  Every strong verdict that is not Unknown is checked against the
-unreduced vertex enumeration, and every vertex certificate is re-checked
-too.  A counterexample must lie in the box, the public
-``min_eig(evaluate(p, point))`` must give its reported smallest eigenvalue
-bit for bit, and the sweep's own LAPACK value, from members it forms
-itself, must match that within the family tolerance.  A vertex list must
-count every reduced vertex, or every vertex of the set the stage rescans
-when the pinned shortfall could matter.  A vertex
-list that carries the Cholesky screen's ``shift`` is re-checked without a
-Cholesky: the shift must reach the goal's threshold plus that set's
-pinned shortfall, and every vertex of the set must pass the goal by its
-LAPACK smallest eigenvalue.
+The sweep is one table of family kinds.  Each row is (label, count,
+generator, stream): random, near-singular, wide-box, pinned-shortfall and
+near-threshold.  A row draws its families from its own random stream, so
+each row's families stay the same for a seed, and ``--count`` sizes the
+random row only.  Every family of every row gets the same checks:
 
-The sufficient stages also run alone on every family: ``method="split"``
-for both strong goals and ``method="regularity"`` for strong PD.  Each
-``proved`` they return is checked against the unreduced vertex
-enumeration too, so the split bound matrix, the preconditioned
-enclosure and the Perron bracket are cross-checked even when another
-stage decides first in the cascade.
+- the Hertz re-check, when the family has at most HERTZ_MAX_N rows: the
+  interval-Hessian diagnostic ``hertz_min_eig(relax(family))``, which
+  solves each sign matrix with the package's Jacobi kernel, against the
+  smallest LAPACK eigenvalue over all 2^(n-1) sign matrices
+  Mid - diag(z) Rad diag(z), z_0 = +1, within the interval tolerance;
+- the cascade on all four goals.  Every strong verdict that is not
+  Unknown is checked against ``oracle.full_vertex_check``, the unreduced
+  enumeration of all 2^K vertices, and its certificate is re-checked.
+  Every weak verdict is re-checked with LAPACK;
+- the sufficient stages alone (ALONE): ``method="split"`` for both strong
+  goals and ``method="regularity"`` for strong PD.  Each ``proved`` they
+  return is checked against the same enumeration, so the split bound
+  matrix, the preconditioned enclosure and the Perron bracket are
+  cross-checked even when another stage decides first in the cascade.
 
-Weak verdicts are re-checked with LAPACK.  A witness point must lie in the
-box, give its reported smallest eigenvalue bit for bit through the public
-``min_eig(evaluate(p, point))``, and, by the sweep's own members, pass the
-goal and match that value within the family tolerance.  A weak Disproved
-is contradicted by any point of a grid with GRID_POINTS points per axis
-that passes the goal; each axis includes both endpoints, so the grid
-holds all 2^K vertices.  Unknown weak verdicts with a passing grid point
-are counted as missed witnesses and reported without failing the sweep.
+The sweep keeps no reference of its own: members and their smallest
+LAPACK eigenvalues come from ``oracle._member_min_eigs``, and grid points
+from ``oracle._sample_points``.  A counterexample must lie in the box, the
+public ``min_eig(evaluate(p, point))`` must give its reported smallest
+eigenvalue bit for bit, and the oracle's member must match that within the
+family tolerance.  A vertex list must count every reduced vertex, or every
+vertex of the set the stage rescans when the pinned shortfall could
+matter.  A vertex list that carries the Cholesky screen's ``shift`` is
+re-checked without a Cholesky: the shift must reach the goal's threshold
+plus that set's pinned shortfall, and every vertex of the set must pass
+the goal by its LAPACK smallest eigenvalue.
 
-For every family with at most HERTZ_MAX_N rows, the interval-Hessian
-diagnostic ``hertz_min_eig(relax(family))``, which solves each sign
-matrix with the package's Jacobi kernel, is re-checked against the
-smallest LAPACK eigenvalue over all 2^(n-1) sign matrices
-Mid - diag(z) Rad diag(z), z_0 = +1, within the interval tolerance.
+A witness point must lie in the box, give its reported smallest eigenvalue
+bit for bit through ``min_eig(evaluate(p, point))``, and, by the oracle's
+member, pass the goal and match that value within the family tolerance.  A
+weak Disproved is contradicted by any point of a grid with GRID_POINTS
+points per axis that passes the goal; each axis includes both endpoints,
+so the grid holds all 2^K vertices.  Unknown weak verdicts with a passing
+grid point are counted as missed witnesses and reported without failing
+the sweep.
 
-NEAR_SINGULAR_FAMILIES near-singular-midpoint families (``near_singular_family``) come from a
-separate random stream, so the random families stay the same for a
-seed.  Each has a member that is singular, and ``method="regularity"``
-runs on it against the unreduced vertex enumeration: a ``proved`` there
-means the Beeck bound missed rounding in the preconditioned products.
+The generators:
 
-WIDE_BOX_FAMILIES wide-box families (``wide_box_family``) come from a third
-stream.  Each has a coefficient whose smallest eigenvalue falls short of
-zero by less than the family tolerance, on a parameter of width about
-1e6, so pinning that parameter at one endpoint misses members by far
-more than the tolerance.  All four goals run on each, with the strong
-verdicts checked against the unreduced vertex enumeration and the weak
-ones re-checked as above.
+- random (``random_family``): n and K up to --max-n and --max-k, entries
+  in [-2, 2] and box endpoints in [-1, 2].
+- near-singular (``near_singular_family``): each has a member that is
+  singular, so a regularity ``proved`` means the Beeck bound missed
+  rounding in the preconditioned products.
+- wide-box (``wide_box_family``): each has a coefficient whose smallest
+  eigenvalue falls short of zero by less than the family tolerance, on a
+  parameter of width about 1e6, so pinning that parameter at one endpoint
+  misses members by far more than the tolerance.
+- pinned-shortfall (``pinned_shortfall_family``): each has several
+  coefficients that are semidefinite within the family tolerance and
+  pinned at one endpoint, whose shortfalls add up past that tolerance
+  along one shared direction.
+- near-threshold (``near_threshold_family``): each is c I on [1, 1] plus 2
+  to 5 indefinite coefficients on [-1, 1], n from 2 to 4, with c placing
+  the vertex minimum (``oracle.sample_min_eig`` over the vertices) at one
+  goal's threshold plus -8, -2, -0.5, 0.5, 2 or 8 of the vertex stage's
+  Cholesky screen margins, or plus -2, -0.5, 0.5 or 2 tolerances.  A
+  margin too small to cover the screen's roundings shows up as a proof
+  the unreduced enumeration contradicts.
 
-PINNED_SHORTFALL_FAMILIES pinned-shortfall families (``pinned_shortfall_family``)
-come from a fourth stream.  Each has several coefficients that are semidefinite
-within the family tolerance and pinned at one endpoint, whose shortfalls add up
-past that tolerance along one shared direction.  All four goals run on each and
-are checked as the wide-box ones are.
-
-NEAR_THRESHOLD_FAMILIES near-threshold families (``near_threshold_family``) come
-from a fifth stream.  Each is c I on [1, 1] plus 2 to 5 indefinite coefficients
-on [-1, 1], n from 2 to 4, with c placing the vertex minimum at one goal's
-threshold plus -8, -2, -0.5, 0.5, 2 or 8 of the vertex stage's Cholesky screen
-margins, or plus -2, -0.5, 0.5 or 2 tolerances.  All four goals run on each and
-are checked as the wide-box ones are, so a margin too small to cover the
-screen's roundings shows up as a proof the unreduced enumeration contradicts.
-
-Reports which stage decided how often.  Exits nonzero on any
+Reports, row by row, which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
 
     python scripts/consistency_sweep.py --count 2000 --seed 7
@@ -81,7 +82,7 @@ import numpy as np
 
 import psdparam as pp
 from psdparam.definiteness import STRONG_GOALS, WEAK_GOALS, _screen_shift, interval_tol
-from psdparam.oracle import full_vertex_check
+from psdparam.oracle import _member_min_eigs, _sample_points, full_vertex_check, sample_min_eig
 
 # The sufficient stages run alone on every family, with the goals they apply to.
 ALONE = (("strong_psd", "split"), ("strong_pd", "split"), ("strong_pd", "regularity"))
@@ -90,14 +91,8 @@ GRID_POINTS = 5
 GRID_CHUNK = 4096
 # Largest n whose 2^(n-1) sign matrices the Hertz re-check forms at once.
 HERTZ_MAX_N = 12
-# Near-singular-midpoint families per sweep, eps 1e-6 and 1e-9 in turn.
-NEAR_SINGULAR_FAMILIES = 40
-# Wide-box families per sweep, each checked on all four goals.
-WIDE_BOX_FAMILIES = 40
-# Pinned-shortfall families per sweep, each checked on all four goals.
-PINNED_SHORTFALL_FAMILIES = 40
-# Near-threshold families per sweep, each checked on all four goals.
-NEAR_THRESHOLD_FAMILIES = 40
+# Families per sweep in each row but the random one, which --count sizes.
+FAMILIES = 40
 # Where a near-threshold family's vertex minimum sits above the threshold: in screen margins, or in tolerances.
 MARGIN_OFFSETS = (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0)
 TOL_OFFSETS = (-2.0, -0.5, 0.5, 2.0)
@@ -114,8 +109,12 @@ def random_family(rng: np.random.Generator, max_n: int, max_k: int) -> pp.Parame
     return pp.ParametricSymMatrix(coeffs, pp.ParameterBox(ivs))
 
 
-def near_singular_family(rng: np.random.Generator, eps: float) -> pp.ParametricSymMatrix:
-    """Q diag(eps, 1, 2) Q^T on [1, 1] plus -eps u u^T on [-1, 1], u = Q[:, 0]: singular at the upper corner."""
+def near_singular_family(rng: np.random.Generator, i: int) -> pp.ParametricSymMatrix:
+    """Q diag(eps, 1, 2) Q^T on [1, 1] plus -eps u u^T on [-1, 1], u = Q[:, 0]: singular at the upper corner.
+
+    eps is 1e-6 for the row's even families and 1e-9 for its odd ones.
+    """
+    eps = (1e-6, 1e-9)[i % 2]
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     centre = q @ np.diag([eps, 1.0, 2.0]) @ q.T
     return pp.ParametricSymMatrix([centre, -eps * np.outer(q[:, 0], q[:, 0])], pp.ParameterBox.from_bounds([(1, 1), (-1, 1)]))
@@ -195,7 +194,7 @@ def near_threshold_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
         coeffs.append(q @ np.diag(w) @ q.T)
     bounds = [(-1.0, 1.0)] * k + [(1.0, 1.0)]
     rest = pp.ParametricSymMatrix(coeffs + [np.zeros((n, n))], pp.ParameterBox.from_bounds(bounds))
-    mu = float(full_vertex_min(rest))
+    mu = sample_min_eig(rest, "vertices")[0]
     draft = pp.ParametricSymMatrix(coeffs + [-mu * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
     tol = pp.family_tol(draft)
     kind = ("psd", "pd")[int(rng.integers(2))]
@@ -207,17 +206,6 @@ def near_threshold_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
     return pp.ParametricSymMatrix(coeffs + [c * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
 
 
-def full_vertex_min(p: pp.ParametricSymMatrix) -> float:
-    """Smallest LAPACK eigenvalue over all 2^K vertex members."""
-    points = np.array(list(itertools.product(*zip(p.box.inf().tolist(), p.box.sup().tolist()))))
-    return member_min_eigs(p, points).min()
-
-
-def member_min_eigs(p: pp.ParametricSymMatrix, points: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of A(q) for each row q of ``points``, by LAPACK."""
-    return np.linalg.eigvalsh(np.einsum("vk,kij->vij", points, p.coefficient_stack()))[:, 0]
-
-
 def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> str | None:
     """Why the verdict's vertex certificate fails its re-check, or None."""
     tol = pp.family_tol(p)
@@ -227,7 +215,7 @@ def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdic
             return "counterexample outside the box"
         if (replayed := pp.min_eig(pp.evaluate(p, cert.p))) != cert.min_eig:
             return f"counterexample min_eig {cert.min_eig!r}, min_eig(evaluate) gives {replayed!r}"
-        m = float(member_min_eigs(p, np.array([cert.p]))[0])
+        m = float(_member_min_eigs(p, np.array([cert.p]))[0])
         if abs(m - cert.min_eig) > tol:
             return f"counterexample min_eig {cert.min_eig:.12g}, LAPACK says {m:.12g}"
     if isinstance(cert, pp.VertexList):
@@ -240,7 +228,7 @@ def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdic
             threshold = tol if goal.endswith("_pd") else -tol
             if not cert.shift >= threshold + scanned.shortfall:
                 return f"shift {cert.shift:.12g} below the threshold plus shortfall {threshold + scanned.shortfall:.12g}"
-            mins = member_min_eigs(p, scanned.points(0, len(scanned)))
+            mins = _member_min_eigs(p, scanned.points(0, len(scanned)))
             if not passes(goal, mins, tol).all():
                 return f"screened vertex list, but a vertex fails the goal: LAPACK min_eig {mins.min():.12g}"
     return None
@@ -253,10 +241,9 @@ def passes(goal: str, m, tol: float):
 
 def grid_passes(p: pp.ParametricSymMatrix, goal: str, tol: float) -> bool:
     """Whether some point of the grid (vertices included) passes the goal."""
-    axes = [np.unique(np.linspace(lo, hi, GRID_POINTS)) for lo, hi in zip(p.box.inf().tolist(), p.box.sup().tolist())]
-    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    points = _sample_points(p, "grid", GRID_POINTS, 0, 0)
     for start in range(0, len(points), GRID_CHUNK):
-        if passes(goal, member_min_eigs(p, points[start : start + GRID_CHUNK]), tol).any():
+        if passes(goal, _member_min_eigs(p, points[start : start + GRID_CHUNK]), tol).any():
             return True
     return False
 
@@ -272,7 +259,7 @@ def weak_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> s
             return "witness point outside the box"
         if (replayed := pp.min_eig(pp.evaluate(p, cert.p))) != cert.min_eig:
             return f"witness min_eig {cert.min_eig!r}, min_eig(evaluate) gives {replayed!r}"
-        m = float(member_min_eigs(p, np.array([cert.p]))[0])
+        m = float(_member_min_eigs(p, np.array([cert.p]))[0])
         if not passes(goal, m, tol):
             return f"witness point fails the goal: LAPACK min_eig {m:.12g}"
         if abs(m - cert.min_eig) > tol:
@@ -318,78 +305,57 @@ def main() -> int:
     parser.add_argument("--max-k", type=int, default=4)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    tally = collections.Counter()
-    alone = collections.Counter()
+    # One row per family kind: label, count, generator of (rng, index in the row), and random stream.
+    rows = (
+        ("random", args.count, lambda rng, i: random_family(rng, args.max_n, args.max_k), args.seed),
+        ("near-singular", FAMILIES, near_singular_family, [args.seed, 1]),
+        ("wide-box", FAMILIES, lambda rng, i: wide_box_family(rng), [args.seed, 2]),
+        ("pinned-shortfall", FAMILIES, lambda rng, i: pinned_shortfall_family(rng), [args.seed, 3]),
+        ("near-threshold", FAMILIES, lambda rng, i: near_threshold_family(rng), [args.seed, 4]),
+    )
+    counts = collections.Counter()
     disagreements = []
-    missed = collections.Counter()
-    near_singular = collections.Counter()
-    hertz_checked = 0
     t0 = time.perf_counter()
-    for i in range(args.count):
-        p = random_family(rng, args.max_n, args.max_k)
-        if p.n <= HERTZ_MAX_N:
-            hertz_checked += 1
-            problem = hertz_problem(p)
-            if problem is not None:
-                disagreements.append((i, "hertz_min_eig", problem))
-        truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
-        for goal in STRONG_GOALS + WEAK_GOALS:
-            verdict, problems = check_goal(p, goal, truth)
-            tally[(goal, verdict.status.value, verdict.method)] += 1
-            disagreements += [(i, goal, problem) for problem in problems]
-            if verdict.unknown and goal in WEAK_GOALS:
-                missed[goal] += grid_passes(p, goal, pp.family_tol(p))
-        for goal, method in ALONE:
-            verdict = pp.decide(p, goal, method=method)
-            alone[(goal, method, verdict.status.value)] += 1
-            if verdict.proved and not truth[goal]:
-                disagreements.append((i, f"{goal} by {method} alone", "proved", truth[goal]))
-    near_rng = np.random.default_rng([args.seed, 1])
-    for i in range(NEAR_SINGULAR_FAMILIES):
-        p = near_singular_family(near_rng, (1e-6, 1e-9)[i % 2])
-        verdict = pp.decide(p, "strong_pd", method="regularity")
-        near_singular[verdict.status.value] += 1
-        if verdict.proved and not full_vertex_check(p, "pd"):
-            disagreements.append((f"near-singular {i}", "strong_pd by regularity alone", "proved", False))
-    # The hard families checked on all four goals: label, count, generator and stream.
-    hard = []
-    for label, count, family, stream in (
-        ("wide-box", WIDE_BOX_FAMILIES, wide_box_family, 2),
-        ("pinned-shortfall", PINNED_SHORTFALL_FAMILIES, pinned_shortfall_family, 3),
-        ("near-threshold", NEAR_THRESHOLD_FAMILIES, near_threshold_family, 4),
-    ):
-        hard_rng = np.random.default_rng([args.seed, stream])
-        statuses = collections.Counter()
-        hard.append((label, count, statuses))
+    for label, count, family, stream in rows:
+        rng = np.random.default_rng(stream)
         for i in range(count):
-            p = family(hard_rng)
+            p = family(rng, i)
+            where = f"{label} {i}"
+            if p.n <= HERTZ_MAX_N:
+                counts[label, "hertz"] += 1
+                if (problem := hertz_problem(p)) is not None:
+                    disagreements.append((where, "hertz_min_eig", problem))
             truth = {goal: full_vertex_check(p, goal.rsplit("_", 1)[1]) for goal in STRONG_GOALS}
             for goal in STRONG_GOALS + WEAK_GOALS:
                 verdict, problems = check_goal(p, goal, truth)
-                statuses[verdict.status.value] += 1
-                disagreements += [(f"{label} {i}", goal, problem) for problem in problems]
+                counts[label, "decide", goal, verdict.status.value, verdict.method] += 1
+                counts[label, verdict.status.value] += 1
+                disagreements += [(where, goal, problem) for problem in problems]
+                if verdict.unknown and goal in WEAK_GOALS:
+                    counts[label, "unknown", goal] += 1
+                    counts[label, "missed", goal] += grid_passes(p, goal, pp.family_tol(p))
+            for goal, method in ALONE:
+                verdict = pp.decide(p, goal, method=method)
+                counts[label, "alone", goal, method, verdict.status.value] += 1
+                if verdict.proved and not truth[goal]:
+                    disagreements.append((where, f"{goal} by {method} alone", "proved", truth[goal]))
     elapsed = time.perf_counter() - t0
 
-    print(f"{args.count} instances, {4 * args.count} decisions in {elapsed:.1f}s")
-    for (goal, status, method), count in sorted(tally.items()):
-        print(f"  {goal:10s} {status:9s} by {method:10s}: {count}")
-    for goal, method in ALONE:
-        proved, unknown = (alone[(goal, method, status)] for status in ("proved", "unknown"))
-        print(f"  {goal:10s} by {method} alone: {proved} proved and checked, {unknown} unknown")
-    print(
-        f"  strong_pd  by regularity alone on {NEAR_SINGULAR_FAMILIES} near-singular families: "
-        f"{near_singular['proved']} proved, {near_singular['unknown']} unknown"
-    )
-    for label, count, statuses in hard:
-        print(
-            f"  all goals  on {count} {label} families: "
-            f"{statuses['proved']} proved, {statuses['disproved']} disproved, {statuses['unknown']} unknown"
-        )
-    for goal in WEAK_GOALS:
-        unknown = sum(c for (g, status, _), c in tally.items() if g == goal and status == "unknown")
-        print(f"  {goal:10s} unknown with a passing grid point (missed witness): {missed[goal]} of {unknown}")
-    print(f"  hertz_min_eig re-checked against LAPACK on {hertz_checked} relaxations")
+    total = sum(count for _, count, _, _ in rows)
+    print(f"{total} families, {4 * total} decisions in {elapsed:.1f}s")
+    for label, count, _, _ in rows:
+        decided = sorted((key[2:], c) for key, c in counts.items() if key[:2] == (label, "decide"))
+        for (goal, status, method), c in decided:
+            print(f"  {label:16s} {goal:10s} {status:9s} by {method:10s}: {c}")
+        for goal, method in ALONE:
+            proved, unknown = (counts[label, "alone", goal, method, status] for status in ("proved", "unknown"))
+            print(f"  {label:16s} {goal:10s} by {method} alone: {proved} proved and checked, {unknown} unknown")
+        proved, disproved, unknown = (counts[label, status] for status in ("proved", "disproved", "unknown"))
+        print(f"  {label:16s} all goals  on {count} families: {proved} proved, {disproved} disproved, {unknown} unknown")
+        for goal in WEAK_GOALS:
+            missed, unknown = counts[label, "missed", goal], counts[label, "unknown", goal]
+            print(f"  {label:16s} {goal:10s} unknown with a passing grid point (missed witness): {missed} of {unknown}")
+        print(f"  {label:16s} hertz_min_eig re-checked against LAPACK on {counts[label, 'hertz']} relaxations")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
         return 1

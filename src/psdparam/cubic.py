@@ -223,10 +223,7 @@ def parse(text: str) -> CubicPolynomial:
 
     n = max((i for _, factors in raw_terms for i in factors), default=0)
     padded = [(c, tuple(sorted(factors + [0] * (3 - len(factors))))) for c, factors in raw_terms]
-    f = CubicPolynomial.from_terms(n, padded)
-    if len(f.terms) == 1 and f.terms[0][0] == 0.0:
-        f = CubicPolynomial(n, ())
-    return f
+    return CubicPolynomial.from_terms(n, padded)
 
 
 def hessian_coefficients(f: CubicPolynomial) -> tuple[list[np.ndarray], np.ndarray]:
