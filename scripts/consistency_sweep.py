@@ -2,10 +2,10 @@
 """Randomized cross-validation of the decision cascade against brute force.
 
 The sweep is one table of family kinds.  Each row is (label, count,
-generator, stream): random, near-singular, wide-box, pinned-shortfall and
-near-threshold.  A row draws its families from its own random stream, so
-each row's families stay the same for a seed, and ``--count`` sizes the
-random row only.  Every family of every row gets the same checks:
+generator, stream): random, near-singular, wide-box, pinned-shortfall,
+near-threshold and cubic.  A row draws its families from its own random
+stream, so each row's families stay the same for a seed, and ``--count``
+sizes the random row only.  Every family of every row gets the same checks:
 
 - the Hertz re-check, when the family has at most HERTZ_MAX_N rows: the
   interval-Hessian diagnostic ``hertz_min_eig(relax(family))``, which
@@ -65,6 +65,11 @@ The generators:
   Cholesky screen margins, or plus -2, -0.5, 0.5 or 2 tolerances.  A
   margin too small to cover the screen's roundings shows up as a proof
   the unreduced enumeration contradicts.
+- cubic (``cubic_family``): the family ``hessian(f, box)`` of a random
+  cubic f in n = 1 to 4 variables, with one to six terms of degree 1 to 3
+  and integer coefficients in [-3, 3], on a box with lower ends in [-2, 2]
+  and widths up to 2.  A variable that occurs only in quadratic or linear
+  terms has an all-zero coefficient matrix, which the family keeps.
 
 Reports, row by row, which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
@@ -206,6 +211,22 @@ def near_threshold_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
     return pp.ParametricSymMatrix(coeffs + [c * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
 
 
+def cubic_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
+    """The Hessian family of a random cubic in n = 1 to 4 variables on a box of widths up to 2.
+
+    One to six terms, each of degree 1 to 3 with an integer coefficient in [-3, 3], so a variable
+    may occur only in quadratic or linear terms and have an all-zero coefficient matrix.
+    """
+    n = int(rng.integers(1, 5))
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        deg = int(rng.integers(1, 4))
+        terms.append((float(rng.integers(-3, 4)), sorted([0] * (3 - deg) + rng.integers(1, n + 1, deg).tolist())))
+    lo = rng.uniform(-2.0, 2.0, n)
+    box = pp.ParameterBox.from_bounds(zip(lo, lo + rng.uniform(0.0, 2.0, n)))
+    return pp.hessian(pp.CubicPolynomial.from_terms(n, terms), box)
+
+
 def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> str | None:
     """Why the verdict's vertex certificate fails its re-check, or None."""
     tol = pp.family_tol(p)
@@ -312,6 +333,7 @@ def main() -> int:
         ("wide-box", FAMILIES, lambda rng, i: wide_box_family(rng), [args.seed, 2]),
         ("pinned-shortfall", FAMILIES, lambda rng, i: pinned_shortfall_family(rng), [args.seed, 3]),
         ("near-threshold", FAMILIES, lambda rng, i: near_threshold_family(rng), [args.seed, 4]),
+        ("cubic", FAMILIES, lambda rng, i: cubic_family(rng), [args.seed, 5]),
     )
     counts = collections.Counter()
     disagreements = []

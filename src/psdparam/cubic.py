@@ -10,6 +10,7 @@ to certify convexity or nonconvexity on the box.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -46,8 +47,9 @@ class CubicPolynomial:
     """Normalized cubic: merged terms keyed by sorted index triples.
 
     Each term is (coefficient, (i, j, k)) with 0 <= i <= j <= k <= n and
-    index 0 meaning the constant factor.  No two terms share a triple and
-    zero coefficients are dropped.
+    index 0 meaning the constant factor.  No two terms share a triple,
+    zero coefficients are dropped, and a merged coefficient that is not a
+    finite double is a ValueError.
     """
 
     n: int
@@ -61,6 +63,9 @@ class CubicPolynomial:
             if len(key) != 3 or any(i < 0 or i > n for i in key):
                 raise ValueError(f"bad index triple {key} for n={n}")
             merged[key] = merged.get(key, 0.0) + float(coeff)
+        for key, c in merged.items():
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {key} is not a finite double: {c!r}")
         kept = tuple(
             (c, key) for key, c in sorted(merged.items()) if c != 0.0
         )
@@ -251,27 +256,19 @@ def hessian_coefficients(f: CubicPolynomial) -> tuple[list[np.ndarray], np.ndarr
 def hessian(f: CubicPolynomial, box: ParameterBox) -> ParametricSymMatrix:
     """Hessian of f over the box as a linear parametric family.
 
-    One coefficient matrix per variable (its bounds taken from the box)
-    plus a constant matrix paired with the degenerate parameter [1, 1].
-    All-zero matrices are dropped; a polynomial with a vanishing Hessian
-    keeps the zero constant matrix so the family stays well formed.
+    The family's parameters are (x1, ..., xn, 1): one coefficient matrix per
+    variable, on that variable's interval, then the constant matrix on the
+    degenerate parameter [1, 1].  Every matrix is kept, zero or not, so a
+    point of the family is always a point of the box with a trailing 1.
     """
     if f.n < 1:
         raise ValueError("polynomial has no variables")
     if box.K != f.n:
         raise ValueError(f"box has {box.K} intervals but the polynomial has {f.n} variables")
     mats, const = hessian_coefficients(f)
-    coeffs = []
-    bounds = []
-    for m, lo, hi in zip(mats, box.inf(), box.sup()):
-        if np.any(m):
-            coeffs.append(m)
-            bounds.append((lo, hi))
-    if np.any(const) or not coeffs:
-        coeffs.append(const)
-        bounds.append((1.0, 1.0))
+    bounds = [*zip(box.inf(), box.sup()), (1.0, 1.0)]
     try:
-        return ParametricSymMatrix(coeffs, ParameterBox.from_bounds(bounds))
+        return ParametricSymMatrix([*mats, const], ParameterBox.from_bounds(bounds))
     except ValueError as exc:  # f's coefficients are finite: its Hessian overflowed
         raise FamilyOverflowError(f"cannot form the Hessian: {exc}") from exc
 
@@ -304,8 +301,10 @@ def certify_convexity(
 
     Proved means the Hessian is positive semidefinite everywhere on the
     box; Disproved exhibits a point where it is not.  The verdict is
-    ``decide``'s on goal strong_psd, with its stage times.  ``vertex_budget``
-    bounds the diagnostics as well as the vertex stage.
+    ``decide``'s on goal strong_psd over ``hessian(f, box)``, with its
+    stage times, so a certificate's point (a counterexample's ``p``, a
+    vertex list's ``worst_vertex``) is (x1, ..., xn, 1) with x in the box.
+    ``vertex_budget`` bounds the diagnostics as well as the vertex stage.
     """
     family = hessian(f, box)
     verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget)

@@ -697,6 +697,23 @@ class TestConvex:
         assert report["certificate"]["type"] == "counterexample_vertex"
         assert_schema_valid(report)
 
+    def test_disproof_point_is_x_then_1(self, capsys):
+        # x1 occurs only in a quadratic term; its zero coefficient matrix was
+        # once dropped, and p read [3.0, 1.0]: x2 and the constant's 1.
+        code, report, _ = run_cli(capsys, "convex", "--box", "x1=0:1", "--box", "x2=3:4", "--", "x2^3 - x1^2")
+        assert code == EXIT_DISPROVED
+        assert report["certificate"] == {"type": "counterexample_vertex", "p": [0.0, 3.0, 1.0], "min_eig": -2.0}
+
+    @pytest.mark.parametrize(
+        "expression, value",
+        [("1e400 x1^2", "inf"), ("1e308 x1^2 + 1e308 x1^2", "inf"), ("1e400 x1^2 - 1e400 x1^2", "nan")],
+        ids=["inf", "merged-overflow", "nan"],
+    )
+    def test_non_finite_coefficient_is_parse_error(self, capsys, expression, value):
+        # These once reached the Hessian and failed as "matrix entries must be finite".
+        result = run_cli(capsys, "convex", "--box", "x1=0:1", "--", expression)
+        assert result == (EXIT_INPUT_ERROR, None, f"error: cannot parse polynomial: coefficient of (0, 1, 1) is not a finite double: {value}\n")
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "convex", "x1^4", "--box", "x1=0:1")
         assert code == EXIT_INPUT_ERROR and "parse" in err

@@ -12,10 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_small_sweep_agrees_on_all_goals():
     # The script's default seed gives 6 weak Unknowns on the random row and
-    # 4 on the wide-box row.  Each costs the witness search all 20 restarts,
-    # which run in lockstep batches; the whole run takes about 1 s.  Every
-    # row but the random one draws 40 families from its own stream,
-    # whatever --count.
+    # 4 each on the wide-box and cubic rows.  Each costs the witness search
+    # all 20 restarts, which run in lockstep batches; the whole run takes
+    # about 3 s.  Every row but the random one draws 40 families from its
+    # own stream, whatever --count.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
@@ -27,7 +27,7 @@ def test_small_sweep_agrees_on_all_goals():
     out = proc.stdout
     # Each row's lines start with its label; runs of spaces from the column padding count as one.
     lines = {" ".join(line.split()) for line in out.splitlines()}
-    assert "175 families, 700 decisions" in out
+    assert "215 families, 860 decisions" in out
     assert "random all goals on 15 families: 20 proved, 34 disproved, 6 unknown" in lines
     for goal in ("strong_psd", "strong_pd", "weak_psd", "weak_pd"):
         assert any(line.startswith(f"random {goal} ") for line in lines)
@@ -41,7 +41,8 @@ def test_small_sweep_agrees_on_all_goals():
     assert "wide-box strong_pd by regularity alone: 4 proved and checked, 36 unknown" in lines
     assert "pinned-shortfall all goals on 40 families: 107 proved, 53 disproved, 0 unknown" in lines
     assert "near-threshold all goals on 40 families: 122 proved, 38 disproved, 0 unknown" in lines
+    assert "cubic all goals on 40 families: 40 proved, 116 disproved, 4 unknown" in lines
     assert "random hertz_min_eig re-checked against LAPACK on 15 relaxations" in lines
-    for label in ("near-singular", "wide-box", "pinned-shortfall", "near-threshold"):
+    for label in ("near-singular", "wide-box", "pinned-shortfall", "near-threshold", "cubic"):
         assert f"{label} hertz_min_eig re-checked against LAPACK on 40 relaxations" in lines
     assert "no disagreements" in out

@@ -11,11 +11,14 @@ from psdparam import (
     CubicPolynomial,
     Interval,
     ParameterBox,
+    VertexList,
     certify_convexity,
+    decide,
     evaluate,
     format_poly,
     hessian,
     hessian_coefficients,
+    min_eig,
     parse,
     poly_value,
 )
@@ -123,6 +126,18 @@ class TestParse:
     def test_cancellation_drops_term(self):
         assert parse("x1^2 - x1^2").terms == ()
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e400 x1^2", "inf"), ("1e308 x1^2 + 1e308 x1^2", "inf"), ("1e400 x1^2 - 1e400 x1^2", "nan")],
+        ids=["inf", "merged-overflow", "nan"],
+    )
+    def test_non_finite_coefficient_refused(self, text, value):
+        # These once parsed, and the NaN one survived the zero filter (NaN != 0).
+        with pytest.raises(ValueError, match=rf"^coefficient of \(0, 1, 1\) is not a finite double: {value}$"):
+            parse(text)
+        with pytest.raises(ValueError, match="not a finite double"):
+            CubicPolynomial.from_terms(1, [(float(value), (1, 1, 0))])
+
     def test_explicit_multiplication_and_leading_sign(self):
         f = parse("-2 * x1 * x2 + 0.5x3")
         assert dict(((k, c) for c, k in f.terms)) == {(0, 1, 2): -2.0, (0, 0, 3): 0.5}
@@ -156,16 +171,15 @@ class TestHessian:
         assert np.array_equal(family.coeffs[3].array, DEMO_CONST)
         assert (family.box.inf()[3], family.box.sup()[3]) == (1.0, 1.0)
 
-    def test_pure_quadratic_keeps_only_constant_matrix(self):
+    def test_one_matrix_per_variable_then_the_constant(self):
+        # Zero matrices keep their place, so the parameters are always (x1, ..., xn, 1).
         family = hessian(parse("x1^2"), ParameterBox([Interval(0.0, 1.0)]))
-        assert family.K == 1
-        assert np.array_equal(family.coeffs[0].array, [[2.0]])
-        assert (family.box.inf()[0], family.box.sup()[0]) == (1.0, 1.0)
-
-    def test_vanishing_hessian_stays_well_formed(self):
+        assert family.K == 2
+        assert [m.array.tolist() for m in family.coeffs] == [[[0.0]], [[2.0]]]
+        assert family.box.inf().tolist() == [0.0, 1.0] and family.box.sup().tolist() == [1.0, 1.0]
         family = hessian(parse("x1 + 2"), ParameterBox([Interval(0.0, 1.0)]))
-        assert family.K == 1
-        assert np.array_equal(family.coeffs[0].array, [[0.0]])
+        assert family.K == 2
+        assert [m.array.tolist() for m in family.coeffs] == [[[0.0]], [[0.0]]]
 
     def test_box_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -235,6 +249,36 @@ class TestCertifyConvexity:
         assert within.relaxation_strongly_psd is True and within.relaxation_min_eig == 2.0
         assert past.relaxation_strongly_psd is None and past.relaxation_min_eig is None
         assert past.verdict.proved and past.verdict.method == within.verdict.method == "split"
+
+    def test_certificate_points_are_points_of_the_box(self):
+        # A variable that occurs only in quadratic or linear terms has a zero
+        # coefficient matrix; it was once dropped from the family, and a
+        # disproof's p then read as a point with its coordinates shifted.
+        rng = np.random.default_rng(24)
+        disproofs = vertex_lists = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            terms = []
+            for _ in range(int(rng.integers(1, 7))):
+                deg = int(rng.integers(1, 4))
+                terms.append((float(rng.integers(-3, 4)), sorted([0] * (3 - deg) + rng.integers(1, n + 1, deg).tolist())))
+            f = CubicPolynomial.from_terms(n, terms)
+            lo = rng.uniform(-2, 2, n)
+            box = ParameterBox.from_bounds(zip(lo, lo + rng.uniform(0, 2, n)))
+            family = hessian(f, box)
+            assert family.K == n + 1
+            # The cascade proves these cubics by split; the vertex stage alone gives vertex lists.
+            for verdict in (certify_convexity(f, box).verdict, decide(family, "strong_psd", method="vertex")):
+                cert = verdict.certificate
+                if verdict.disproved:
+                    disproofs += 1
+                    assert len(cert.p) == n + 1 and cert.p[-1] == 1.0 and box.contains(cert.p[:-1])
+                    assert min_eig(evaluate(family, cert.p)) == cert.min_eig
+                elif isinstance(cert, VertexList):
+                    vertex_lists += 1
+                    assert len(cert.worst_vertex) == n + 1 and cert.worst_vertex[-1] == 1.0
+                    assert box.contains(cert.worst_vertex[:-1])
+        assert disproofs > 100 and vertex_lists > 20
 
     def test_diagnostics_come_from_one_hertz_value(self, rng):
         from psdparam import hertz_min_eig, relax, strong_psd_interval
