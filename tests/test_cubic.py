@@ -171,15 +171,19 @@ class TestHessian:
         assert np.array_equal(family.coeffs[3].array, DEMO_CONST)
         assert (family.box.inf()[3], family.box.sup()[3]) == (1.0, 1.0)
 
-    def test_one_matrix_per_variable_then_the_constant(self):
-        # Zero matrices keep their place, so the parameters are always (x1, ..., xn, 1).
+    def test_pure_quadratic_keeps_only_constant_matrix(self):
+        # The constant matrix is the only nonzero one; the zero x1 matrix keeps
+        # its place, so the parameters are always (x1, ..., xn, 1).
         family = hessian(parse("x1^2"), ParameterBox([Interval(0.0, 1.0)]))
         assert family.K == 2
         assert [m.array.tolist() for m in family.coeffs] == [[[0.0]], [[2.0]]]
         assert family.box.inf().tolist() == [0.0, 1.0] and family.box.sup().tolist() == [1.0, 1.0]
+
+    def test_vanishing_hessian_stays_well_formed(self):
         family = hessian(parse("x1 + 2"), ParameterBox([Interval(0.0, 1.0)]))
         assert family.K == 2
         assert [m.array.tolist() for m in family.coeffs] == [[[0.0]], [[0.0]]]
+        assert family.box.inf().tolist() == [0.0, 1.0] and family.box.sup().tolist() == [1.0, 1.0]
 
     def test_box_dimension_mismatch(self):
         with pytest.raises(ValueError):
