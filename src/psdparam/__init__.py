@@ -12,7 +12,6 @@ from .cubic import (
     ConvexityResult,
     CubicPolynomial,
     certify_convexity,
-    format_poly,
     hessian,
     hessian_coefficients,
     parse,
@@ -36,15 +35,12 @@ from .definiteness import (
     strong_psd_interval,
     strong_psd_split,
     weak_pd_necessary,
-    weak_psd_necessary,
 )
 from .intervals import (
     AsymmetricMatrixError,
     Interval,
     IntervalMatrix,
     contains,
-    im_add,
-    scale,
 )
 from .parametric import (
     FamilyOverflowError,

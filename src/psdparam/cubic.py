@@ -62,7 +62,11 @@ class CubicPolynomial:
             key = tuple(sorted(indices))
             if len(key) != 3 or any(i < 0 or i > n for i in key):
                 raise ValueError(f"bad index triple {key} for n={n}")
-            merged[key] = merged.get(key, 0.0) + float(coeff)
+            try:
+                c = float(coeff)
+            except OverflowError as exc:  # an int or Fraction past the largest double
+                raise ValueError(f"coefficient of {key} is not a finite double: {exc}") from None
+            merged[key] = merged.get(key, 0.0) + c
         for key, c in merged.items():
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of {key} is not a finite double: {c!r}")
@@ -70,9 +74,6 @@ class CubicPolynomial:
             (c, key) for key, c in sorted(merged.items()) if c != 0.0
         )
         return cls(n, kept)
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 def poly_value(f: CubicPolynomial, x) -> float:
@@ -82,33 +83,6 @@ def poly_value(f: CubicPolynomial, x) -> float:
         raise ValueError(f"expected {f.n} coordinates, got shape {x.shape}")
     ext = np.concatenate(([1.0], x))
     return float(sum(c * ext[i] * ext[j] * ext[k] for c, (i, j, k) in f.terms))
-
-
-def format_poly(f: CubicPolynomial) -> str:
-    """Render in the grammar the parser accepts; parse(format(f)) == f."""
-    if not f.terms:
-        return "0"
-    pieces = []
-    for c, key in f.terms:
-        factors = [i for i in key if i != 0]
-        mag = abs(c)
-        body = []
-        if mag != 1.0 or not factors:
-            body.append(repr(mag))
-        i = 0
-        while i < len(factors):
-            j = i
-            while j < len(factors) and factors[j] == factors[i]:
-                j += 1
-            e = j - i
-            body.append(f"x{factors[i]}" + (f"^{e}" if e > 1 else ""))
-            i = j
-        term = " ".join(body)
-        if not pieces:
-            pieces.append(term if c > 0 else f"-{term}")
-        else:
-            pieces.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(pieces)
 
 
 _TOKEN_RE = re.compile(
@@ -283,7 +257,7 @@ class ConvexityResult:
     one ``hertz_min_eig`` pass; the interval Hessian counts as strongly
     PSD when that minimum ``passes`` as PSD (``interval_tol`` by default).
     Both are None when the pass's 2^(n-1) sign matrices exceed the
-    vertex budget.
+    vertex budget or ``DEFAULT_VERTEX_BUDGET``, ``hertz_min_eig``'s cap.
     """
 
     verdict: Verdict
@@ -308,7 +282,7 @@ def certify_convexity(
     """
     family = hessian(f, box)
     verdict = decide(family, "strong_psd", tol=tol, vertex_budget=vertex_budget)
-    if 1 << (f.n - 1) > vertex_budget:
+    if 1 << (f.n - 1) > min(vertex_budget, DEFAULT_VERTEX_BUDGET):
         return ConvexityResult(verdict, None, None)
     relaxed = relax(family)
     h = hertz_min_eig(relaxed)

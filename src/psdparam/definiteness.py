@@ -334,11 +334,6 @@ def _weak_by_necessary(p: ParametricSymMatrix, kind: str, tol: float, budget: in
     return Verdict(Status.UNKNOWN if passes(m, kind, tol) else Status.DISPROVED, certificate=NecessaryFailure(n, m))
 
 
-def weak_psd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
-    """Necessary condition for weak PSD; Disproved means no member is PSD."""
-    return decide(p, "weak_psd", tol, method="necessary")
-
-
 def weak_pd_necessary(p: ParametricSymMatrix, tol: float | None = None) -> Verdict:
     """Necessary condition for weak PD; Disproved means no member is PD."""
     return decide(p, "weak_pd", tol, method="necessary")
@@ -422,8 +417,10 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
 
     Minimum of the smallest eigenvalues of the 2^(n-1) sign-vertex
     matrices Mid - diag(z) Rad diag(z) (Hertz, IEEE Trans. Automat.
-    Control 37, 1992); exponential in n.  z and -z give the same matrix,
-    so z_0 stays +1 and the other signs are the bits of 0 .. 2^(n-1) - 1.
+    Control 37, 1992); exponential in n, so past ``DEFAULT_VERTEX_BUDGET``
+    of them it raises ValueError before it allocates anything.  z and -z
+    give the same matrix, so z_0 stays +1 and the other signs are the bits
+    of 0 .. 2^(n-1) - 1.
     The value is exact, so it is never below Rohn's cheap bound
     lambda_min(Mid) - rho(Rad) (Rohn, SIAM J. Matrix Anal. Appl. 15, 1994).
 
@@ -433,6 +430,8 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     harness, which keeps every verdict's report, then exceeds the
     ``peak_rss_mb`` bound.  The move waits for that fix (ROADMAP item 1).
     """
+    if 1 << (a.rows - 1) > DEFAULT_VERTEX_BUDGET:
+        raise ValueError(f"{a.rows} rows give 2^{a.rows - 1} sign matrices, past the budget {DEFAULT_VERTEX_BUDGET}")
     mid, rad = a.symmetric_parts()
     i = np.arange(1 << (a.rows - 1))
     signs = np.ones((len(i), a.rows))
@@ -444,7 +443,8 @@ def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:
     """Strong PSD of a symmetric interval matrix: ``hertz_min_eig(a)`` passes as PSD.
 
     ``tol`` defaults to ``interval_tol(a)``; ValueError for a NaN,
-    infinite or negative ``tol``, or when the default overflows.
+    infinite or negative ``tol``, when the default overflows, or past
+    ``hertz_min_eig``'s budget.
     """
     tol = interval_tol(a) if tol is None else check_tol(tol)
     return passes(hertz_min_eig(a), "psd", tol)

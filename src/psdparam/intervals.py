@@ -1,10 +1,10 @@
-"""Matrix interval arithmetic with outward rounding.
+"""Outward-rounded enclosures of sum_k A_k * [lo_k, hi_k] (``scaled_sum``).
 
-Bounds are ordinary binary64 floats.  Every arithmetic operation detects
-whether its floating-point result is exact (error-free transformations:
-Knuth two-sum, Dekker two-product) and widens an inexact bound by one unit
-in the last place in the safe direction.  Exact results stay exact, so
-integer and dyadic data round-trips bit-for-bit.
+An ``IntervalMatrix`` holds one as two read-only binary64 bound arrays,
+checked by the bounds rule that ``Interval`` and ``ParameterBox`` share.
+Each product and sum detects whether it is exact (Knuth two-sum, Dekker
+two-product) and widens an inexact bound by one ulp outward, so integer
+and dyadic data round-trips bit-for-bit.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ class IntervalMatrix:
         object.__setattr__(self, "inf", lo)
         object.__setattr__(self, "sup", hi)
 
-    @classmethod
-    def point(cls, m) -> "IntervalMatrix":
-        m = np.asarray(m, dtype=float)
-        return cls(m, m.copy())
-
     @property
     def rows(self) -> int:
         return self.inf.shape[0]
@@ -131,9 +126,6 @@ class IntervalMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.inf.shape
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(self.inf[i, j], self.sup[i, j])
 
     def mid(self) -> np.ndarray:
         """Entrywise ``_clamped_mid`` of the bounds."""
@@ -189,26 +181,11 @@ def _scaled_bounds(a, p_lo, p_hi):
     return np.minimum(*lo), np.maximum(*hi)
 
 
-def im_add(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
-    """Entrywise interval sum of two conformable interval matrices."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return IntervalMatrix(*_sum_bounds(a.inf, a.sup, b.inf, b.sup))
-
-
-def scale(a, p: Interval) -> IntervalMatrix:
-    """Interval matrix with entry (i, j) = [a_ij, a_ij] * p for a real matrix a."""
-    a = np.asarray(getattr(a, "array", a), dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D real matrix")
-    return IntervalMatrix(*_scaled_bounds(a, p.inf, p.sup))
-
-
 def scaled_sum(stack: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> IntervalMatrix:
     """Enclosure of sum_k stack[k] * [lo[k], hi[k]] for a real (K, m, n) stack.
 
-    The K products are rounded outward at once and summed in k order from
-    zero, bit for bit the chain ``im_add(..., scale(stack[k], ...))``.
+    The K products are rounded outward at once, then summed in k order
+    from zero with the outward-rounded two-sum.
     OverflowError, with no floating-point warning, when a bound overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):

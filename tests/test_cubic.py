@@ -15,7 +15,6 @@ from psdparam import (
     certify_convexity,
     decide,
     evaluate,
-    format_poly,
     hessian,
     hessian_coefficients,
     min_eig,
@@ -138,6 +137,11 @@ class TestParse:
         with pytest.raises(ValueError, match="not a finite double"):
             CubicPolynomial.from_terms(1, [(float(value), (1, 1, 0))])
 
+    def test_integer_past_the_largest_double_refused(self):
+        # float(10**400) raises OverflowError, which callers catching ValueError missed.
+        with pytest.raises(ValueError, match=r"^coefficient of \(0, 1, 1\) is not a finite double: int too large"):
+            CubicPolynomial.from_terms(1, [(10**400, (1, 1, 0))])
+
     def test_explicit_multiplication_and_leading_sign(self):
         f = parse("-2 * x1 * x2 + 0.5x3")
         assert dict(((k, c) for c, k in f.terms)) == {(0, 1, 2): -2.0, (0, 0, 3): 0.5}
@@ -146,20 +150,25 @@ class TestParse:
         f = parse("7 + x1^2")
         assert (7.0, (0, 0, 0)) in f.terms
 
-    def test_format_roundtrip_demo(self):
-        f = parse(DEMO_CUBIC)
-        assert parse(format_poly(f)) == f
-        assert format_poly(parse("0")) == "0"
-
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**20))
-    def test_format_roundtrip_random(self, seed):
-        # Reparsing recovers the normalized term list; the variable count
-        # is re-inferred from the text, so unused trailing variables drop.
-        f = random_cubic(np.random.default_rng(seed))
-        g = parse(format_poly(f))
-        assert g.terms == f.terms
-        assert g.n == max((i for _, key in f.terms for i in key), default=0)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+                st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_rendered_terms_parse_to_from_terms(self, terms):
+        # Each term as "+ c x1 x1 x3" or "- c ...", index 0 left out; parse infers n
+        # as the largest index written, and merges in the written order, as from_terms does.
+        text = " ".join(
+            f"{'-' if c < 0 else '+'} {abs(c)!r} " + " ".join(f"x{i}" for i in key if i) for c, key in terms
+        )
+        n = max(i for _, key in terms for i in key)
+        assert parse(text) == CubicPolynomial.from_terms(n, terms)
 
 
 class TestHessian:

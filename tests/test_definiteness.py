@@ -49,7 +49,6 @@ from psdparam import (
     strong_psd_split,
     vertices,
     weak_pd_necessary,
-    weak_psd_necessary,
 )
 from psdparam import definiteness
 from psdparam.oracle import DEFAULT_SEED, _member_min_eigs, _sample_points, sample_min_eig
@@ -430,14 +429,14 @@ class TestSplitCombinationBits:
 
 class TestWeakNecessary:
     def test_diag_sign_never_psd(self):
-        v = weak_psd_necessary(diag_sign_family())
+        v = decide(diag_sign_family(), "weak_psd", method="necessary")
         assert v.disproved and v.method == "necessary"
         cert = v.certificate
         assert isinstance(cert, NecessaryFailure)
         assert np.allclose(cert.matrix.array, np.diag([2.0, -1.0]))
 
     def test_rank_one_cone_inconclusive(self):
-        v = weak_psd_necessary(rank_one_cone())
+        v = decide(rank_one_cone(), "weak_psd", method="necessary")
         assert v.unknown
         assert isinstance(v.certificate, NecessaryFailure)
 
@@ -447,7 +446,7 @@ class TestWeakNecessary:
         found = 0
         while found < 5:
             p = random_family(rng)
-            v = weak_psd_necessary(p)
+            v = decide(p, "weak_psd", method="necessary")
             if v.disproved:
                 found += 1
                 tol = family_tol(p)
@@ -620,7 +619,8 @@ class TestIntervalChecks:
         assert not strong_psd_interval(relax(rank_one_cone()))
 
     def test_degenerate_pd_point_matrix(self):
-        m = IntervalMatrix.point(np.array([[2.0, 0.3], [0.3, 1.5]]))
+        a = [[2.0, 0.3], [0.3, 1.5]]
+        m = IntervalMatrix(a, a)
         assert strong_psd_interval(m) and hertz_min_eig(m) > definiteness.interval_tol(m)
 
     def test_asymmetric_input_rejected(self):
@@ -632,10 +632,9 @@ class TestIntervalChecks:
 
     def test_default_tolerance_is_uniform(self):
         # interval_tol = 1e-10 * (1 + n * max|entry|) = 3e-10 here.
-        t = definiteness.interval_tol(IntervalMatrix.point(np.eye(2)))
+        t = definiteness.interval_tol(IntervalMatrix(np.eye(2), np.eye(2)))
         assert t == pytest.approx(3e-10)
-        inside = IntervalMatrix.point(np.diag([1.0, -0.5 * t]))
-        outside = IntervalMatrix.point(np.diag([1.0, -2.0 * t]))
+        inside, outside = (IntervalMatrix(m, m) for m in (np.diag([1.0, -0.5 * t]), np.diag([1.0, -2.0 * t])))
         assert strong_psd_interval(inside) and not strong_psd_interval(outside)
         assert strong_psd_interval(outside, tol=3.0 * t)
         assert not strong_psd_interval(inside, tol=0.0)
@@ -643,7 +642,7 @@ class TestIntervalChecks:
     def test_overflowing_default_tolerance_rejected(self):
         # n * max|entry| overflows; the inf default once passed this
         # indefinite point matrix as strongly PSD.
-        m = IntervalMatrix.point(np.diag([1e308, -1e308]))
+        m = IntervalMatrix(np.diag([1e308, -1e308]), np.diag([1e308, -1e308]))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             strong_psd_interval(m)
         assert not strong_psd_interval(m, tol=0.0)
@@ -651,7 +650,7 @@ class TestIntervalChecks:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
     def test_invalid_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            strong_psd_interval(IntervalMatrix.point(np.eye(2)), tol=tol)
+            strong_psd_interval(IntervalMatrix(np.eye(2), np.eye(2)), tol=tol)
 
     def test_sign_enumeration_consistent_with_hertz(self, rng):
         for _ in range(20):
@@ -671,7 +670,7 @@ class TestIntervalChecks:
 class TestHertz:
     def test_degenerate_matrix_reduces_to_min_eig(self):
         m = np.array([[1.0, 0.25], [0.25, 3.0]])
-        assert hertz_min_eig(IntervalMatrix.point(m)) == pytest.approx(min_eig(SymMatrix(m)), abs=1e-12)
+        assert hertz_min_eig(IntervalMatrix(m, m)) == pytest.approx(min_eig(SymMatrix(m)), abs=1e-12)
 
     def test_bounds_all_sampled_members(self, rng):
         lo = rng.uniform(-2, 2, (3, 3))
@@ -713,6 +712,33 @@ class TestHertz:
             )
             assert ref == pytest.approx(2.0 * n, abs=1e-9)
             assert hertz_min_eig(a) == pytest.approx(ref, abs=1e-9)
+
+    def test_sign_matrices_past_the_default_budget_are_refused(self, monkeypatch):
+        # With the cap lowered to 4 sign matrices, n = 3 (4 of them) still runs and
+        # n = 4 (8) raises before any kernel call.  certify_convexity keeps its
+        # verdict, under its own default budget of 2^20, and drops the diagnostics.
+        from psdparam import cubic
+
+        for module in (definiteness, cubic):
+            monkeypatch.setattr(module, "DEFAULT_VERTEX_BUDGET", 4)
+        calls = []
+
+        def count(a):
+            calls.append(a)
+            return _jacobi_eigvals(a)
+
+        monkeypatch.setattr(definiteness, "_jacobi_eigvals", count)
+        wide = IntervalMatrix(-np.ones((4, 4)), np.ones((4, 4)))
+        for check in (hertz_min_eig, strong_psd_interval):
+            with pytest.raises(ValueError, match=r"2\^3 sign matrices, past the budget 4"):
+                check(wide)
+        assert not calls
+        assert hertz_min_eig(IntervalMatrix(-np.ones((3, 3)), np.ones((3, 3)))) < 0 and len(calls) == 4
+        for n, diagnosed in [(3, True), (4, False)]:
+            f = parse(" + ".join(f"x{i}^2" for i in range(1, n + 1)))
+            result = certify_convexity(f, ParameterBox.from_bounds([(-1.0, 1.0)] * n))
+            assert result.verdict.proved
+            assert (result.relaxation_min_eig is not None) == (result.relaxation_strongly_psd is not None) == diagnosed
 
 
 def sequential_starts(p: ParametricSymMatrix, restarts: int, seed: int = definiteness.WITNESS_SEED):
@@ -1228,7 +1254,7 @@ class TestRunStage:
     """One stage alone, through ``decide(..., method=<stage>)``."""
 
     def test_matches_the_named_wrappers(self, rng):
-        # All seven public per-stage functions, under the defaults and under
+        # All six public per-stage functions, under the defaults and under
         # a coarse tolerance with a budget that blocks most vertex scans.
         from psdparam.cli import certificate_to_jsonable
 
@@ -1240,7 +1266,6 @@ class TestRunStage:
                 (("strong_pd", "regularity"), strong_pd_regularity(p, tol)),
                 (("strong_psd", "vertex"), strong_psd(p, tol, budget)),
                 (("strong_pd", "vertex"), strong_pd(p, tol, budget)),
-                (("weak_psd", "necessary"), weak_psd_necessary(p, tol)),
                 (("weak_pd", "necessary"), weak_pd_necessary(p, tol)),
             ]
             for (goal, stage), expected in pairs:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from psdparam import (
     SymMatrix,
     contains,
     evaluate,
-    im_add,
     family_tol,
     parse,
     hessian,
@@ -37,10 +37,10 @@ from psdparam import (
     precondition_relax,
     problem_from_json,
     relax,
-    scale,
     vertices,
 )
 from psdparam import parametric
+from psdparam.intervals import _scaled_bounds, _sum_bounds
 from psdparam.oracle import full_vertex_check
 from psdparam.parametric import FamilyOverflowError
 
@@ -423,13 +423,34 @@ class TestFamilyTol:
                 family_tol(p)
 
 
-def sequential_enclosure(stack: np.ndarray, box: ParameterBox) -> IntervalMatrix:
-    """Reference enclosure: one ``im_add(acc, scale(A_k, p_k))`` per coefficient, from zero, in k order."""
+def sequential_enclosure(stack: np.ndarray, box: ParameterBox) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds summed one coefficient at a time, from zero, in k order: each product rounded outward, then added."""
     n = stack.shape[1]
-    acc = IntervalMatrix(np.zeros((n, n)), np.zeros((n, n)))
+    acc = (np.zeros((n, n)),) * 2
     for a, lo, hi in zip(stack, box.inf().tolist(), box.sup().tolist()):
-        acc = im_add(acc, scale(a, Interval(lo, hi)))
+        acc = _sum_bounds(*acc, *_scaled_bounds(a, lo, hi))
     return acc
+
+
+def exact_enclosure(stack: np.ndarray, box: ParameterBox) -> tuple[list[Fraction], list[Fraction]]:
+    """The exact bounds of sum_k stack[k] * [lo_k, hi_k], entry by entry in C order, in rationals."""
+    ends = [(Fraction(lo), Fraction(hi)) for lo, hi in zip(box.inf().tolist(), box.sup().tolist())]
+    lows, highs = [], []
+    for entry in stack.reshape(len(stack), -1).T.tolist():
+        products = [(Fraction(a) * lo, Fraction(a) * hi) for a, (lo, hi) in zip(entry, ends)]
+        lows.append(sum(min(pair) for pair in products))
+        highs.append(sum(max(pair) for pair in products))
+    return lows, highs
+
+
+def encloses_exact(got: IntervalMatrix, stack: np.ndarray, box: ParameterBox, exact: bool) -> bool:
+    """Every entry's exact enclosure lies within [inf, sup], and equals it when ``exact``."""
+    lows, highs = exact_enclosure(stack, box)
+    inf = [Fraction(x) for x in got.inf.ravel().tolist()]
+    sup = [Fraction(x) for x in got.sup.ravel().tolist()]
+    if exact:
+        return inf == lows and sup == highs
+    return all(a <= lo and hi <= b for a, lo, hi, b in zip(inf, lows, highs, sup))
 
 
 def mixed_scale_family(rng: np.random.Generator, i: int) -> ParametricSymMatrix:
@@ -461,8 +482,10 @@ class TestStackEnclosure:
     def test_relax_matches_the_sequential_loop(self, rng):
         for i in range(self.FAMILIES):
             p = mixed_scale_family(rng, i)
-            got, ref = relax(p), sequential_enclosure(p.coefficient_stack(), p.box)
-            assert same_bits(got.inf, ref.inf) and same_bits(got.sup, ref.sup), i
+            got, (inf, sup) = relax(p), sequential_enclosure(p.coefficient_stack(), p.box)
+            assert same_bits(got.inf, inf) and same_bits(got.sup, sup), i
+            # Integer and dyadic families (kinds 0 and 1) have exact products and sums.
+            assert encloses_exact(got, p.coefficient_stack(), p.box, exact=i % 3 < 2), i
 
     def test_precondition_relax_matches_the_sequential_loop(self, rng):
         checked = 0
@@ -472,8 +495,10 @@ class TestStackEnclosure:
                 c, got = precondition_relax(p)
             except SingularMatrixError:
                 continue
-            ref = sequential_enclosure(np.array([c @ a for a in p.coefficient_stack()]), p.box)
-            assert same_bits(got.inf, ref.inf) and same_bits(got.sup, ref.sup), i
+            stack = np.array([c @ a for a in p.coefficient_stack()])
+            inf, sup = sequential_enclosure(stack, p.box)
+            assert same_bits(got.inf, inf) and same_bits(got.sup, sup), i
+            assert encloses_exact(got, stack, p.box, exact=False), i
             checked += 1
         assert checked >= 200
 
