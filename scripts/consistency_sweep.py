@@ -3,9 +3,10 @@
 
 The sweep is one table of family kinds.  Each row is (label, count,
 generator, stream): random, near-singular, wide-box, pinned-shortfall,
-near-threshold and cubic.  A row draws its families from its own random
-stream, so each row's families stay the same for a seed, and ``--count``
-sizes the random row only.  Every family of every row gets the same checks:
+near-threshold, cubic and block-diagonal.  A row draws its families from
+its own random stream, so each row's families stay the same for a seed,
+and ``--count`` sizes the random row only.  Every family of every row gets
+the same checks:
 
 - the Hertz re-check, when the family has at most HERTZ_MAX_N rows: the
   interval-Hessian diagnostic ``hertz_min_eig(relax(family))``, which
@@ -70,6 +71,11 @@ The generators:
   and integer coefficients in [-3, 3], on a box with lower ends in [-2, 2]
   and widths up to 2.  A variable that occurs only in quadratic or linear
   terms has an all-zero coefficient matrix, which the family keeps.
+- block-diagonal (``block_diagonal_family``): c I on [1, 1], c in [1, 6],
+  plus 2 to 5 coefficients on [-1, 1], n from 2 to 6, each with entries in
+  [-2, 2] on one of two diagonal blocks.  A(mid) = c I, so the Beeck matrix
+  G of the regularity stage is block diagonal up to its rounding terms:
+  nearly reducible, which a Perron bracket must still bound.
 
 Reports, row by row, which stage decided how often.  Exits nonzero on any
 disagreement, so this doubles as a long-running soak test:
@@ -227,6 +233,24 @@ def cubic_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
     return pp.hessian(pp.CubicPolynomial.from_terms(n, terms), box)
 
 
+def block_diagonal_family(rng: np.random.Generator) -> pp.ParametricSymMatrix:
+    """c I on [1, 1] plus 2 to 5 symmetric coefficients on [-1, 1], each on one of two diagonal blocks.
+
+    n is 2 to 6 and the blocks split it at a random row; a coefficient's block has entries in [-2, 2].
+    """
+    n = int(rng.integers(2, 7))
+    cut = int(rng.integers(1, n))
+    coeffs = []
+    for _ in range(int(rng.integers(2, 6))):
+        lo, hi = ((0, cut), (cut, n))[int(rng.integers(2))]
+        half = rng.uniform(-1.0, 1.0, (hi - lo, hi - lo))
+        coeff = np.zeros((n, n))
+        coeff[lo:hi, lo:hi] = half + half.T
+        coeffs.append(coeff)
+    bounds = [(-1.0, 1.0)] * len(coeffs) + [(1.0, 1.0)]
+    return pp.ParametricSymMatrix(coeffs + [rng.uniform(1.0, 6.0) * np.eye(n)], pp.ParameterBox.from_bounds(bounds))
+
+
 def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdict) -> str | None:
     """Why the verdict's vertex certificate fails its re-check, or None."""
     tol = pp.family_tol(p)
@@ -334,6 +358,7 @@ def main() -> int:
         ("pinned-shortfall", FAMILIES, lambda rng, i: pinned_shortfall_family(rng), [args.seed, 3]),
         ("near-threshold", FAMILIES, lambda rng, i: near_threshold_family(rng), [args.seed, 4]),
         ("cubic", FAMILIES, lambda rng, i: cubic_family(rng), [args.seed, 5]),
+        ("block-diagonal", FAMILIES, lambda rng, i: block_diagonal_family(rng), [args.seed, 6]),
     )
     counts = collections.Counter()
     disagreements = []

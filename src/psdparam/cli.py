@@ -5,7 +5,8 @@ matrix problem given as JSON, and ``convex`` certifies convexity of a
 cubic polynomial on a box.  The machine-readable report goes to stdout as
 one compact JSON line (schema shipped in ``schemas/run_report.schema.json``);
 a one-line human summary goes to stderr.  Exit codes: 0 proved,
-1 disproved, 2 unknown, 64 input error or LAPACK failure.
+1 disproved, 2 unknown, 64 input error or LAPACK failure, 70 any other
+exception, a defect, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .symlinalg import ConvergenceError, SymMatrix
 EXIT_PROVED = 0
 EXIT_DISPROVED = 1
 EXIT_UNKNOWN = 2
-EXIT_INPUT_ERROR = 64
+EXIT_INPUT_ERROR = 64  # sysexits' EX_USAGE
+EXIT_INTERNAL_ERROR = 70  # sysexits' EX_SOFTWARE: never 1, which a caller would read as disproved
 
 _STATUS_EXIT = {
     df.Status.PROVED: EXIT_PROVED,
@@ -237,6 +239,11 @@ def main(argv=None) -> int:
     except (InputError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:
+        import traceback  # only a crash needs it; every run pays for a top-level import
+
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entry() -> None:

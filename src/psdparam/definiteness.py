@@ -223,7 +223,7 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
     the one the screen found nearest to failing.  Any other proof takes the cleared blocks' eigenvalues
     too, and names the first vertex attaining the minimum with its value.  Neither depends on the block sizes.
     """
-    total = len(enum)
+    total = 1 << enum.free_count  # not len(enum): len() refuses counts past sys.maxsize
     if total > budget:
         return Verdict(Status.UNKNOWN, detail=f"2^{enum.free_count} vertices exceed budget {budget}")
     shift = _screen_shift(p, kind, tol, enum.shortfall)

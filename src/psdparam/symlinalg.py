@@ -3,11 +3,11 @@
 LAPACK (numpy.linalg) does the smallest eigenvalue, the spectral
 decomposition, the shifted Cholesky screen, the splitting of a symmetric
 matrix into a difference of two positive semidefinite parts, inversion,
-the determinant and the batched solves over stacks of matrices.  An
-eigenvalue-only cyclic Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
+the determinant, the batched solves over stacks of matrices and the
+eigenvectors behind a closed-form Perron root bracket.  An eigenvalue-only
+cyclic Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
 convexity diagnostic ``definiteness.hertz_min_eig`` (its docstring says
-why).  Also the one symmetrization rule (``symmetrize``, on stacks), a
-bracketed Perron root started at LAPACK's Perron vector, and the
+why).  Also the one symmetrization rule (``symmetrize``, on stacks) and the
 tolerances with the one rule every decision compares against (``passes``).
 """
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PERRON_TOL = 1e-9  # the Perron bracket's target width
-PERRON_MAX_ITER = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -244,10 +243,12 @@ def determinant(a: SymMatrix) -> float:
 
 @dataclass(frozen=True)
 class PerronBracket:
-    """Collatz-Wielandt bracket around the Perron root of a nonnegative matrix.
+    """Collatz-Wielandt bracket ``lower <= rho <= upper`` around the Perron root of a nonnegative matrix.
 
     ``upper`` is always a valid upper bound on the spectral radius, so it
-    may be used to conclude rho < 1 even when ``converged`` is false.
+    may be used to conclude rho < 1 even when ``converged`` is false, which
+    means the bracket is not narrower than ``PERRON_TOL``.  ``iterations``
+    counts the Perron vectors whose ratios tightened it, 0 to 2.
     """
 
     upper: float
@@ -257,16 +258,15 @@ class PerronBracket:
 
 
 def spectral_radius_nonneg(r) -> PerronBracket:
-    """Perron root of a nonnegative matrix by bracketed power iteration.
+    """Perron root of a nonnegative matrix R, bracketed in closed form at LAPACK's Perron vectors.
 
-    Iterates on the diagonally shifted, scaled matrix R/s + I (which keeps
-    the iterate strictly positive and removes periodicity) and maps the
-    Collatz-Wielandt ratio bounds back to R.  Any positive start gives a
-    valid bracket: it is |v| for LAPACK's Perron vector v (of the
-    eigenvalue with the largest real part), floored at 1e-3 of its
-    largest entry, or the ones vector when ``eig`` fails or is not
-    finite.  Stops once the bracket is narrower than ``PERRON_TOL``; past
-    ``PERRON_MAX_ITER`` steps it is returned flagged as unconverged.
+    For any positive x, min_i (R x)_i / x_i <= rho <= max_i (R x)_i / x_i (Collatz-Wielandt; Horn &
+    Johnson, *Matrix Analysis*, ch. 8).  The bracket starts at max(max diagonal, min row sum) <= rho
+    <= max row sum and each end is tightened by the ratios at x = |v|, for ``eig``'s eigenvector v of
+    the eigenvalue with the largest real part, floored at 1e-9 of its largest entry.  Only when that
+    leaves it not narrower than ``PERRON_TOL`` is this repeated at the same vector of the positive matrix
+    R + 1e-8 * (max row sum) / n, whose vector stays away from zero when R is (nearly) reducible.
+    An ``eig`` that fails or is not finite leaves the bracket as it stands.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -277,32 +277,22 @@ def spectral_radius_nonneg(r) -> PerronBracket:
         raise ValueError("matrix entries must be nonnegative")
 
     n = r.shape[0]
-    max_row_sum = float(r.sum(axis=1).max()) if n else 0.0
-    max_diag = float(r.diagonal().max()) if n else 0.0
-    if max_row_sum == 0.0:
+    if not n:
         return PerronBracket(0.0, 0.0, True, 0)
-
-    s = r / max_row_sum + np.eye(n)
-    try:
-        w, v = np.linalg.eig(r)
-        x = np.abs(v[:, np.argmax(w.real)])
-    except np.linalg.LinAlgError:
-        x = np.zeros(n)
-    x = np.maximum(x, 1e-3 * x.max()) if np.isfinite(x).all() and x.max() > 0.0 else np.ones(n)
-    lower = max_diag
-    upper = max_row_sum
-    converged = False
-    it = 0
-    for it in range(1, PERRON_MAX_ITER + 1):
-        y = s @ x
-        ratios = y / x
-        lower = max(lower, (float(ratios.min()) - 1.0) * max_row_sum)
-        upper = min(upper, (float(ratios.max()) - 1.0) * max_row_sum)
-        if upper - lower < PERRON_TOL:
-            converged = True
+    row_sums = r.sum(axis=1)
+    max_row_sum = float(row_sums.max())
+    lower, upper, used = max(float(r.diagonal().max()), float(row_sums.min())), max_row_sum, 0
+    for spread in (0.0, 1e-8 * max_row_sum / n):
+        try:
+            w, v = np.linalg.eig(r + spread)
+        except np.linalg.LinAlgError:
             break
-        x = y / y.max()
-
-    slack = 1e-12 * (1.0 + max_row_sum)
-    assert upper >= max_diag - slack and upper <= max_row_sum + slack, "Perron-Frobenius bounds violated"
-    return PerronBracket(upper, min(lower, upper), converged, it)
+        x = np.abs(v[:, np.argmax(w.real)])
+        if not (np.isfinite(x).all() and x.max() > 0.0):
+            break
+        x = np.maximum(x, 1e-9 * x.max())
+        ratios = (r @ x) / x
+        lower, upper, used = max(lower, float(ratios.min())), min(upper, float(ratios.max())), used + 1
+        if upper - lower < PERRON_TOL:
+            break
+    return PerronBracket(upper, min(lower, upper), upper - lower < PERRON_TOL, used)

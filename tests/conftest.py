@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ SPLIT_OVERFLOW_DOC = (
     '{"n":2,"K":2,"coefficients":[[[1.5e308,0],[0,1.5e308]],[[0,1.5e308],[1.5e308,0]]],'
     '"parameters":[{"inf":1,"sup":1},{"inf":0,"sup":1}]}'
 )
+
+
+def swap_copies_doc(copies: int) -> str:
+    """Problem document: I on [1, 1] plus ``copies`` copies of [[0, 1], [1, 0]] on [-1, 1].
+
+    No coefficient is pinned, so the vertex stage faces 2^copies vertices; from 63 copies that count is past sys.maxsize.
+    """
+    coefficients = [[[1, 0], [0, 1]]] + [[[0, 1], [1, 0]]] * copies
+    parameters = [{"inf": 1, "sup": 1}] + [{"inf": -1, "sup": 1}] * copies
+    return json.dumps({"n": 2, "K": copies + 1, "coefficients": coefficients, "parameters": parameters})
 
 
 def rank_one_cone() -> ParametricSymMatrix:

@@ -15,12 +15,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import BIG_INDEFINITE_DOC, DEMO_CUBIC, OVERFLOW_DOC, SPLIT_OVERFLOW_DOC
+from conftest import BIG_INDEFINITE_DOC, DEMO_CUBIC, OVERFLOW_DOC, SPLIT_OVERFLOW_DOC, swap_copies_doc
 from psdparam import Interval, ParameterBox, cubic, hessian, parametric, parse, problem_from_json
 from psdparam import definiteness as df
 from psdparam.cli import (
     EXIT_DISPROVED,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_PROVED,
     EXIT_UNKNOWN,
     _parse_box_flags,
@@ -190,6 +191,17 @@ class TestCheck:
         assert code == EXIT_PROVED
         assert report["method"] == "regularity"
         assert report["certificate"]["rho"] == pytest.approx(0.9678, abs=5e-4)
+        assert_schema_valid(report)
+
+    @pytest.mark.parametrize("goal", ["strong-psd", "strong-pd"])
+    @pytest.mark.parametrize("copies", [63, 64])
+    def test_vertex_count_past_sys_maxsize_is_unknown(self, capsys, tmp_path, goal, copies):
+        path = tmp_path / "swaps.json"
+        path.write_text(swap_copies_doc(copies))
+        code, report, err = run_cli(capsys, "check", str(path), "--goal", goal)
+        assert code == EXIT_UNKNOWN and report["method"] == "vertex"
+        assert report["detail"] == f"2^{copies} vertices exceed budget {df.DEFAULT_VERTEX_BUDGET}"
+        assert "unknown by vertex" in err
         assert_schema_valid(report)
 
     def test_truncated_json(self, capsys, tmp_path):
@@ -813,14 +825,23 @@ class TestConvex:
 
     def test_library_fault_is_not_an_input_error(self, capsys, monkeypatch):
         # Only the Hessian's range and its default tolerance are input
-        # errors; a ValueError from the diagnostics is a defect and surfaces.
+        # errors; a ValueError from the diagnostics is a defect and exits
+        # 70 with its traceback, never 1, the disproved code.
         def broken(m):
             raise ValueError("diagnostic fault")
 
         monkeypatch.setattr(cubic, "hertz_min_eig", broken)
-        with pytest.raises(ValueError, match="diagnostic fault"):
-            main(["convex", DEMO_CUBIC, *DEMO_BOX_FLAGS])
-        capsys.readouterr()
+        code, report, err = run_cli(capsys, "convex", DEMO_CUBIC, *DEMO_BOX_FLAGS)
+        assert code == EXIT_INTERNAL_ERROR == 70 and report is None
+        assert "Traceback" in err and "ValueError: diagnostic fault" in err
+
+    def test_vertex_count_past_sys_maxsize_is_unknown(self, capsys):
+        # 64 variables x_i on [-1, 1]: the Hessian family has 2^64 vertices, past what len() can count.
+        terms = " + ".join(f"x{i} x{i % 64 + 1} x{(i + 1) % 64 + 1} + 0.3 x{i}^2" for i in range(1, 65))
+        boxes = [flag for i in range(1, 65) for flag in ("--box", f"x{i}=-1:1")]
+        code, report, err = run_cli(capsys, "convex", terms, *boxes)
+        assert code == EXIT_UNKNOWN and report["status"] == "unknown"
+        assert_schema_valid(report)
 
     @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
     def test_lapack_failure_is_exit_64(self, capsys, monkeypatch, name):

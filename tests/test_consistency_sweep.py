@@ -27,7 +27,7 @@ def test_small_sweep_agrees_on_all_goals():
     out = proc.stdout
     # Each row's lines start with its label; runs of spaces from the column padding count as one.
     lines = {" ".join(line.split()) for line in out.splitlines()}
-    assert "215 families, 860 decisions" in out
+    assert "255 families, 1020 decisions" in out
     assert "random all goals on 15 families: 20 proved, 34 disproved, 6 unknown" in lines
     for goal in ("strong_psd", "strong_pd", "weak_psd", "weak_pd"):
         assert any(line.startswith(f"random {goal} ") for line in lines)
@@ -42,7 +42,9 @@ def test_small_sweep_agrees_on_all_goals():
     assert "pinned-shortfall all goals on 40 families: 107 proved, 53 disproved, 0 unknown" in lines
     assert "near-threshold all goals on 40 families: 122 proved, 38 disproved, 0 unknown" in lines
     assert "cubic all goals on 40 families: 40 proved, 116 disproved, 4 unknown" in lines
+    assert "block-diagonal all goals on 40 families: 124 proved, 36 disproved, 0 unknown" in lines
+    assert "block-diagonal strong_pd by regularity alone: 18 proved and checked, 22 unknown" in lines
     assert "random hertz_min_eig re-checked against LAPACK on 15 relaxations" in lines
-    for label in ("near-singular", "wide-box", "pinned-shortfall", "near-threshold", "cubic"):
+    for label in ("near-singular", "wide-box", "pinned-shortfall", "near-threshold", "cubic", "block-diagonal"):
         assert f"{label} hertz_min_eig re-checked against LAPACK on 40 relaxations" in lines
     assert "no disagreements" in out

@@ -18,6 +18,7 @@ from conftest import (
     rank_one_cone,
     regularity_favorable,
     split_favorable,
+    swap_copies_doc,
 )
 from psdparam import (
     AsymmetricMatrixError,
@@ -40,7 +41,9 @@ from psdparam import (
     hertz_min_eig,
     min_eig,
     parse,
+    problem_from_json,
     relax,
+    spectral_radius_nonneg,
     strong_pd,
     strong_pd_regularity,
     strong_pd_split,
@@ -178,6 +181,14 @@ class TestStrongVertex:
             p = random_family(rng, max_n=3, max_k=4)
         v = strong_psd(p, budget=1)
         assert v.unknown and "budget" in v.detail
+
+    @pytest.mark.parametrize("goal", ["strong_psd", "strong_pd"])
+    @pytest.mark.parametrize("copies", [63, 64])
+    def test_vertex_count_past_sys_maxsize_is_unknown(self, goal, copies):
+        # len() of a 2^63-vertex enumeration raises OverflowError; the budget test must not take it.
+        v = decide(problem_from_json(swap_copies_doc(copies)), goal)
+        assert v.unknown and v.method == "vertex"
+        assert v.detail == f"2^{copies} vertices exceed budget {definiteness.DEFAULT_VERTEX_BUDGET}"
 
 
 class TestBatchedVertexRoute:
@@ -505,6 +516,31 @@ class TestRegularityRoute:
         v = strong_pd_regularity(regularity_favorable())
         assert v.proved and len(calls) == 1
         assert v.certificate.rho == bracket(calls[0]).upper == pytest.approx(0.9678, abs=5e-4)
+
+    def test_block_diagonal_family_proved_by_two_perron_vectors(self, monkeypatch):
+        # 3 I on [1, 1] plus coefficients on [-1, 1] that each sit in one of two 2x2 diagonal blocks:
+        # A(mid) = 3 I, so G is block diagonal up to its underflow term, with row sums below one.  A
+        # power iteration never closes the bracket on such G; the closed form takes at most two vectors.
+        calls = []
+        bracket = definiteness.spectral_radius_nonneg
+        monkeypatch.setattr(definiteness, "spectral_radius_nonneg", lambda g: calls.append(g) or bracket(g))
+        blocks = [
+            (slice(0, 2), [[0.0, 1.0], [1.0, 0.0]]),
+            (slice(2, 4), [[0.5, 0.2], [0.2, -0.3]]),
+            (slice(0, 2), [[0.4, 0.0], [0.0, -0.4]]),
+        ]
+        coeffs = [3.0 * np.eye(4)]
+        for rows, block in blocks:
+            coeffs.append(np.zeros((4, 4)))
+            coeffs[-1][rows, rows] = block
+        p = ParametricSymMatrix(coeffs, ParameterBox.from_bounds([(1.0, 1.0)] + [(-1.0, 1.0)] * len(blocks)))
+        v = decide(p, "strong_pd", method="regularity")
+        assert v.proved and len(calls) == 1
+        g = calls[0]
+        assert g.sum(axis=1).min() < 1.0
+        b = spectral_radius_nonneg(g)
+        assert b.iterations <= 2 and v.certificate.rho == b.upper
+        assert b.upper == pytest.approx(float(np.abs(np.linalg.eigvals(g)).max()), rel=1e-12)
 
     def test_singular_midpoint_unknown(self):
         p = ParametricSymMatrix([np.diag([1.0, -1.0])], ParameterBox([Interval(-1.0, 1.0)]))
