@@ -39,6 +39,7 @@ _STATUS_EXIT = {
     df.Status.DISPROVED: EXIT_DISPROVED,
     df.Status.UNKNOWN: EXIT_UNKNOWN,
 }
+_CERTIFICATE_TYPES = get_args(df.Certificate)  # resolved once, not per report
 
 
 class InputError(ValueError):
@@ -58,7 +59,7 @@ def certificate_to_jsonable(cert) -> Optional[dict]:
     """
     if cert is None:
         return None
-    if not isinstance(cert, get_args(df.Certificate)):
+    if not isinstance(cert, _CERTIFICATE_TYPES):
         raise TypeError(f"unknown certificate type {type(cert).__name__}")
     doc = {"type": cert.json_type}
     for field in dataclasses.fields(cert):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
@@ -227,14 +227,15 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
     if total > budget:
         return Verdict(Status.UNKNOWN, detail=f"2^{enum.free_count} vertices exceed budget {budget}")
     shift = _screen_shift(p, kind, tol, enum.shortfall)
-    blocks = list(_blocks(total, p.coefficient_stack()[0].nbytes))
+    row_bytes, cleared = p.coefficient_stack()[0].nbytes, 0  # cleared: where the blocks the screen cleared end
     pivots, minima = [], []  # per block: (smallest pivot or eigenvalue, block start, first vertex attaining it)
-    for start, stop in blocks:
+    for start, stop in _blocks(total, row_bytes):
         points = enum.points(start, stop)
         members = _members(p, points)
         screened = shifted_cholesky_pivots(members, shift) if shift is not None and not minima else None
         if screened is not None:
             pivots.append(_first_minimum(screened, start, points))
+            cleared = stop
             continue
         mins = min_eigs(members)
         failed = ~passes(mins, kind, tol)
@@ -244,7 +245,7 @@ def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, t
         minima.append(_first_minimum(mins, start, points))
     if not minima:
         return Verdict(Status.PROVED, certificate=VertexList(total, min(pivots)[2], None, shift))
-    for start, stop in blocks[: len(pivots)]:
+    for start, stop in _blocks(cleared, row_bytes):  # the cleared blocks again: block sizes do not depend on the total
         points = enum.points(start, stop)
         minima.append(_first_minimum(min_eigs(_members(p, points)), start, points))
     worst, _, worst_vertex = min(minima)
@@ -304,10 +305,8 @@ def _split_combination(p: ParametricSymMatrix, plus_at: np.ndarray, minus_at: np
     every member.  The terms are summed in k order from zero.
     """
     plus, minus = p.coefficient_parts()
-    acc = np.zeros((p.n, p.n))
-    for term in plus * plus_at[:, None, None] - minus * minus_at[:, None, None]:
-        acc += term
-    return SymMatrix(acc)
+    # accumulate adds in k order (reduce may pair terms up); + 0.0 turns its -0.0 into the 0.0 a sum from zero gives.
+    return SymMatrix(np.add.accumulate(plus * plus_at[:, None, None] - minus * minus_at[:, None, None])[-1] + 0.0)
 
 
 def _strong_by_split(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
@@ -587,4 +586,4 @@ def decide(
         stage_ms.append((stage.name, (time.perf_counter() - t0) * 1e3))
         if not verdict.unknown:
             break
-    return replace(verdict, method=stage.name, tol=tol, stage_ms=tuple(stage_ms))
+    return Verdict(verdict.status, stage.name, verdict.certificate, verdict.detail, tol, tuple(stage_ms))

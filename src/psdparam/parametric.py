@@ -14,7 +14,6 @@ reports what that pinning may miss.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -89,13 +88,18 @@ class ParametricSymMatrix:
     norm_bound: float
 
     def __init__(self, coeffs, box: ParameterBox):
-        try:
-            raw = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
-        if len(raw) != box.K:
-            raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
-        stack, skew = symmetrize(raw)
+        # A C-contiguous float64 stack is read as it is; anything else is copied into one.
+        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == np.float64 and coeffs.flags.c_contiguous):
+            try:
+                coeffs = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
+        if len(coeffs) != box.K:
+            raise ValueError(f"{len(coeffs)} coefficient matrices but box has {box.K} parameters")
+        self._hold(*symmetrize(coeffs), box)
+
+    def _hold(self, stack: np.ndarray, skew: np.ndarray, box: ParameterBox) -> None:
+        """Build the family on a stack ``symmetrize`` returned, with its skew."""
         k, n = stack.shape[:2]
         object.__setattr__(self, "box", box)
         eigvals, eigvecs = eig_stack(stack)
@@ -219,7 +223,7 @@ class VertexEnumeration(Sequence):
         self._shortfalls = shortfalls
         self._base = base
         self._free = np.flatnonzero(free)
-        self._shifts = np.arange(len(self._free))
+        self._masks = np.uint64(1) << np.arange(len(self._free), dtype=np.uint64)
         self._lows, self._highs = lows, highs
         self._ends = lows[self._free], highs[self._free]
 
@@ -234,20 +238,21 @@ class VertexEnumeration(Sequence):
         return len(self._free)
 
     def __len__(self) -> int:
+        """``1 << free_count``; Python's ``len()`` refuses counts past ``sys.maxsize``, from 63 free coordinates."""
         return 1 << len(self._free)
 
     def __getitem__(self, i: int) -> VertexAssignment:
-        if not -len(self) <= i < len(self):
+        count = 1 << len(self._free)
+        if not -count <= i < count:
             raise IndexError(i)
-        i %= len(self)
-        return VertexAssignment(tuple(self.points(i, i + 1)[0].tolist()))
+        return VertexAssignment(tuple(self.points(i % count, i % count + 1)[0].tolist()))
 
     def points(self, start: int, stop: int) -> np.ndarray:
-        """Vertices ``start`` to ``stop - 1`` in Gray-code order, one row each."""
-        i = np.arange(start, stop, dtype=np.int64)
-        bits = ((i ^ (i >> 1))[:, None] >> self._shifts) & 1
-        rows = np.tile(self._base, (len(i), 1))
-        rows[:, self._free] = np.where(bits == 1, self._ends[1], self._ends[0])
+        """Vertices ``start`` to ``stop - 1`` (below 2^64) in Gray-code order, one row each."""
+        i = np.arange(start, stop, dtype=np.uint64)
+        rows = np.empty((len(i), len(self._base)))
+        rows[:] = self._base
+        rows[:, self._free] = np.where((i ^ (i >> 1))[:, None] & self._masks, self._ends[1], self._ends[0])
         return rows
 
 
@@ -318,24 +323,34 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         if not kinds.isdisjoint((bool, str)):
             raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
 
-    for idx, values in enumerate(map(chain.from_iterable, raw_coeffs)):
-        refuse_non_numbers("coefficient", idx, values)
-    pairs = []  # each parameter is read, typed, converted and checked before the next: the first fault is named
-    for idx, iv in enumerate(raw_params):
-        try:
-            bounds = (iv["inf"], iv["sup"])
-            refuse_non_numbers("parameter", idx, bounds)
-            lo, hi = float(bounds[0]), float(bounds[1])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed parameter entry: parameter {idx}: {exc!r}") from exc
-        try:
-            if not -math.inf < lo <= hi < math.inf:  # _check_bounds words the error, but costs microseconds a call
+    # One C-level pass tests the types of all entries, and one those of all bounds; the walks run only to name a fault.
+    if not {float, int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw_coeffs)))):
+        for idx, values in enumerate(map(chain.from_iterable, raw_coeffs)):
+            refuse_non_numbers("coefficient", idx, values)
+    try:
+        pairs = [(iv["inf"], iv["sup"]) for iv in raw_params]
+        box = ParameterBox.from_bounds(pairs) if {float, int}.issuperset(map(type, chain.from_iterable(pairs))) else None
+    except (KeyError, TypeError, OverflowError, ValueError):
+        box = None
+    if box is None:
+        pairs = []  # each parameter is read, typed, converted and checked before the next: the first fault is named
+        for idx, iv in enumerate(raw_params):
+            try:
+                bounds = (iv["inf"], iv["sup"])
+                refuse_non_numbers("parameter", idx, bounds)
+                lo, hi = float(bounds[0]), float(bounds[1])
+            except (KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"malformed parameter entry: parameter {idx}: {exc!r}") from exc
+            try:
                 _check_bounds(lo, hi)
-        except ValueError as exc:
-            raise ValueError(f"{exc} in parameter {idx}") from exc
-        pairs.append((lo, hi))
-    p = ParametricSymMatrix(stack, ParameterBox.from_bounds(pairs))
-    bad = np.flatnonzero(p.asymmetry > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(p.coefficient_stack()).max(axis=(1, 2), initial=0.0), 1e-300))
+            except ValueError as exc:
+                raise ValueError(f"{exc} in parameter {idx}") from exc
+            pairs.append((lo, hi))
+        box = ParameterBox.from_bounds(pairs)
+    stack, skew = symmetrize(stack)  # the skew is checked before the family's eigh
+    bad = np.flatnonzero(skew > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
     if len(bad):
-        raise ValueError(f"coefficient {bad[0]} is asymmetric by {p.asymmetry[bad[0]]:g}")
+        raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
+    p = ParametricSymMatrix.__new__(ParametricSymMatrix)
+    p._hold(stack, skew, box)
     return p

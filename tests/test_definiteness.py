@@ -271,11 +271,16 @@ class TestCholeskyScreen:
         assert v.proved and v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[j].values
         assert 0.0 < v.certificate.worst_min_eig - tol < 1e-13
 
-    @pytest.mark.parametrize("failing_call", [1, 3, 5])
-    def test_cleared_blocks_join_the_exact_worst_vertex(self, rng, monkeypatch, failing_call):
+    @pytest.mark.parametrize(
+        "failing_call, j",
+        [pytest.param(1, 0, id="1"), pytest.param(3, 0, id="3"), pytest.param(5, 0, id="5"),
+         pytest.param(3, 2, id="3-last-cleared-row"), pytest.param(5, 14, id="5-last-cleared-row")],
+    )
+    def test_cleared_blocks_join_the_exact_worst_vertex(self, rng, monkeypatch, failing_call, j):
         # Blocks of 1, 2, 4, 8 and 16 rows; the screen clears the blocks before
         # ``failing_call`` and fails there, so the eigenvalues of the cleared
-        # blocks are taken at the end, and vertex 0, in the first block, is the worst.
+        # blocks are taken at the end, and vertex j is the worst: in the first
+        # block, or the last row of the last cleared one.
         monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
         screen, calls = definiteness.shifted_cholesky_pivots, []
 
@@ -284,10 +289,10 @@ class TestCholeskyScreen:
             return None if len(calls) == failing_call else screen(stack, shift)
 
         monkeypatch.setattr(definiteness, "shifted_cholesky_pivots", failing)
-        p = planted_vertex_family(rng, 0, shift=6.0)
+        p = planted_vertex_family(rng, j, shift=6.0)
         v = assert_matches_sequential(p, "pd")
         assert calls == [1, 2, 4, 8, 16][:failing_call]
-        assert v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[0].values
+        assert v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[j].values
 
     def test_singular_integer_members_at_tol_zero(self, monkeypatch):
         # Exactly PSD and singular, so no shift clears them; what the eigenvalues
@@ -427,6 +432,20 @@ class TestSplitCombinationBits:
                 got = definiteness._split_combination(p, plus_at, minus_at).array
                 ref = sequential_split_combination(p, plus_at, minus_at)
                 assert got.tobytes() == ref.tobytes()
+
+    def test_one_by_one_and_negative_zero_terms(self, rng):
+        # A 1x1 stack reduces along its contiguous axis, where numpy sums pairwise; zero coefficients on a box
+        # around 0 give -0.0 lower-bound terms, which a sum from zero turns into 0.0.
+        for _ in range(200):
+            k = int(rng.integers(8, 24))
+            coeffs = rng.standard_normal((k, 1, 1)) * 10.0 ** rng.integers(-8, 8, (k, 1, 1))
+            p = ParametricSymMatrix(coeffs, ParameterBox.from_bounds(zip(-rng.random(k), rng.random(k))))
+            for plus_at, minus_at in ((p.box.inf(), p.box.sup()), (p.box.sup(), p.box.inf())):
+                got = definiteness._split_combination(p, plus_at, minus_at).array
+                assert got.tobytes() == sequential_split_combination(p, plus_at, minus_at).tobytes()
+        zeros = ParametricSymMatrix(np.zeros((3, 2, 2)), ParameterBox.from_bounds([(-1.0, 1.0)] * 3))
+        got = definiteness._split_combination(zeros, zeros.box.inf(), zeros.box.sup()).array
+        assert got.tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_family_parts_are_the_stacked_psd_parts(self, rng):
         p = random_family(rng, max_n=5, max_k=5)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BIG_INDEFINITE_DOC,
@@ -19,6 +20,7 @@ from conftest import (
     rank_one_cone,
     regularity_favorable,
     split_favorable,
+    swap_copies_doc,
 )
 from psdparam import (
     Interval,
@@ -234,6 +236,25 @@ class TestVertices:
                 assert tuple(row) == enum[i].values
             assert np.array_equal(enum.points(1, len(enum)), rows[1:])
 
+    @pytest.mark.parametrize("copies", [63, 64])
+    def test_indexing_past_sys_maxsize(self, copies):
+        # Indices are bounded by 1 << free_count: len() refuses counts past sys.maxsize.
+        enum = vertices(problem_from_json(swap_copies_doc(copies)))
+        assert enum.free_count == copies
+        count = 1 << copies
+
+        def gray_vertex(i):  # the identity pinned at 1, then bit b of i ^ (i >> 1) picks coordinate b's end
+            return (1.0,) + tuple(1.0 if (i ^ (i >> 1)) >> b & 1 else -1.0 for b in range(copies))
+
+        assert enum[0].values == (1.0,) + (-1.0,) * copies
+        assert enum[-1].values == (1.0,) + (-1.0,) * (copies - 1) + (1.0,) == gray_vertex(count - 1)
+        for i in (1, 2, (1 << 62) + 5, count - 2):
+            assert enum[i].values == gray_vertex(i)
+            assert enum[i - count].values == gray_vertex(i)
+        for i in (1 << 64, count, -count - 1):
+            with pytest.raises(IndexError):
+                enum[i]
+
     def test_fixing_rule_agrees_with_passes(self, rng):
         families = [random_family(rng) for _ in range(30)] + [random_semidefinite_family(rng) for _ in range(30)]
         for p in families:
@@ -397,6 +418,97 @@ class TestProblemJson:
         doc["coefficients"][0][0][0] = {"re": 1.5}
         with pytest.raises(ValueError, match="coefficient 0 is not a matrix of doubles"):
             problem_from_json(doc)
+
+
+@st.composite
+def problem_docs(draw, max_n=3, max_k=4):
+    """A small valid problem document: symmetric integer or float entries, ordered bounds."""
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, max_k))
+    number = st.one_of(st.integers(-(2**70), 2**70), st.floats(-1e6, 1e6, allow_nan=False))
+    coeffs = []
+    for _ in range(k):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(number)
+        coeffs.append(m)
+    params = []
+    for _ in range(k):
+        a, b = sorted([draw(number), draw(number)])
+        params.append({"inf": a, "sup": b})
+    return {"n": n, "K": k, "coefficients": coeffs, "parameters": params}
+
+
+class TestOnePassParse:
+    """``problem_from_json`` tests every entry's type in one pass and walks the document only to name a fault."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_injected_non_numbers_are_named_as_the_walk_names_them(self, data):
+        doc = data.draw(problem_docs())
+        n, k = doc["n"], doc["K"]
+        spots = [("coefficient", c, (i, j)) for c in range(k) for i in range(n) for j in range(n)]
+        spots += [("parameter", c, key) for c in range(k) for key in ("inf", "sup")]
+        faults = data.draw(st.lists(st.sampled_from(spots), min_size=1, max_size=3, unique=True))
+        values = {}
+        for what, idx, where in faults:
+            value = values[(what, idx, where)] = data.draw(st.sampled_from([True, False, "1", None]))
+            if what == "coefficient":
+                doc["coefficients"][idx][where[0]][where[1]] = value
+            else:
+                doc["parameters"][idx][where] = value
+        # The walk names the first faulty coefficient, then the first faulty parameter; a null outranks the rest.
+        what, idx = min((w, i) for w, i, _ in faults)
+        null = any(v is None for (w, i, _), v in values.items() if (w, i) == (what, idx))
+        lead = "malformed parameter entry: " if what == "parameter" and null else ""
+        kind = "a null" if null else "a boolean or a string"
+        with pytest.raises(ValueError) as info:
+            problem_from_json(json.dumps(doc))
+        assert str(info.value) == f"{lead}{what} {idx} holds {kind}, not a number"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_family_built_from_arrays(self, data):
+        doc = data.draw(problem_docs())
+        if data.draw(st.booleans()):  # a skew inside the 1e-12 budget, in one coefficient
+            c = doc["coefficients"][0]
+            if len(c) > 1 and isinstance(c[0][1], float) and c[0][1] != 0.0:
+                c[0][1] *= 1.0 + 2.0**-50
+        bounds = [(float(iv["inf"]), float(iv["sup"])) for iv in doc["parameters"]]
+        ref = ParametricSymMatrix(np.array(doc["coefficients"], dtype=float), ParameterBox.from_bounds(bounds))
+        listed = ParametricSymMatrix([np.array(c, dtype=float) for c in doc["coefficients"]], ParameterBox.from_bounds(bounds))
+        got = problem_from_json(json.dumps(doc))
+
+        def arrays(p):
+            return [p.coefficient_stack(), *p.coefficient_spectra(), *p.coefficient_parts(), p.asymmetry,
+                    np.array(p.norm_bound), p.box.inf(), p.box.sup(), p.box.mid()]
+
+        for family in (ref, listed):
+            assert [a.tobytes() for a in arrays(got)] == [a.tobytes() for a in arrays(family)]
+            assert [a.shape for a in arrays(got)] == [a.shape for a in arrays(family)]
+
+    def test_integer_bounds_convert_as_float_does(self):
+        big = [2**53 + 1, 2**63 + 1, 2**64 + 1, 10**20 + 1, -(2**53) - 1]
+        doc = {"n": 1, "K": len(big), "coefficients": [[[1]]] * len(big), "parameters": [{"inf": b, "sup": b} for b in big]}
+        p = problem_from_json(json.dumps(doc))
+        assert p.box.inf().tolist() == p.box.sup().tolist() == [float(b) for b in big]
+
+    def test_float64_array_is_taken_without_a_copy(self, monkeypatch):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+        seen = []
+        symmetrize = parametric.symmetrize
+        monkeypatch.setattr(parametric, "symmetrize", lambda a: seen.append(a) or symmetrize(a))
+        ParametricSymMatrix(stack, ParameterBox.from_bounds([(0, 1)] * 2))
+        ParametricSymMatrix(stack.transpose(0, 2, 1), ParameterBox.from_bounds([(0, 1)] * 2))
+        assert seen[0] is stack and seen[1] is not stack and seen[1].flags.c_contiguous
+
+    def test_asymmetry_is_refused_before_the_eigen_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(parametric, "eig_stack", lambda s: calls.append(s))
+        doc = {"n": 2, "K": 1, "coefficients": [[[1, 2], [3, 1]]], "parameters": [{"inf": 0, "sup": 1}]}
+        with pytest.raises(ValueError, match="coefficient 0 is asymmetric by 1"):
+            problem_from_json(doc)
+        assert calls == []
 
 
 class TestFamilyTol:
