@@ -586,4 +586,4 @@ def decide(
         stage_ms.append((stage.name, (time.perf_counter() - t0) * 1e3))
         if not verdict.unknown:
             break
-    return Verdict(verdict.status, stage.name, verdict.certificate, verdict.detail, tol, tuple(stage_ms))
+    return Verdict(verdict.status, method=stage.name, certificate=verdict.certificate, detail=verdict.detail, tol=tol, stage_ms=tuple(stage_ms))

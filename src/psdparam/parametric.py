@@ -88,15 +88,13 @@ class ParametricSymMatrix:
     norm_bound: float
 
     def __init__(self, coeffs, box: ParameterBox):
-        # A C-contiguous float64 stack is read as it is; anything else is copied into one.
-        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == np.float64 and coeffs.flags.c_contiguous):
-            try:
-                coeffs = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
-        if len(coeffs) != box.K:
-            raise ValueError(f"{len(coeffs)} coefficient matrices but box has {box.K} parameters")
-        self._hold(*symmetrize(coeffs), box)
+        try:
+            raw = np.array([getattr(c, "array", c) for c in coeffs], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
+        if len(raw) != box.K:
+            raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
+        self._hold(*symmetrize(raw), box)
 
     def _hold(self, stack: np.ndarray, skew: np.ndarray, box: ParameterBox) -> None:
         """Build the family on a stack ``symmetrize`` returned, with its skew."""
@@ -301,18 +299,6 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         raise ValueError(f"n and K must be integers, got n={n!r} and K={k!r}")
     if len(raw_coeffs) != k or len(raw_params) != k:
         raise ValueError(f"declared K={k} but found {len(raw_coeffs)} coefficients and {len(raw_params)} parameters")
-    try:
-        stack = np.array(raw_coeffs, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        stack = None
-    if stack is None or stack.shape != (k, n, n):
-        for idx, raw in enumerate(raw_coeffs):  # name the first coefficient at fault (K = 0 fails at the box)
-            try:
-                shape = np.asarray(raw, dtype=float).shape
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
-            if shape != (n, n):
-                raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
     # float() takes JSON booleans and numeric strings, and np.array turns a null into NaN, so refuse them by
     # type.  A null bound keeps the "malformed parameter entry" lead that float(None) once gave it.
     def refuse_non_numbers(what: str, idx: int, values) -> None:
@@ -323,18 +309,23 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
         if not kinds.isdisjoint((bool, str)):
             raise ValueError(f"{what} {idx} holds a boolean or a string, not a number")
 
-    # One C-level pass tests the types of all entries, and one those of all bounds; the walks run only to name a fault.
-    if not {float, int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(raw_coeffs)))):
+    try:  # one conversion, and one C-level pass over the types of all entries and bounds
+        pairs = [(iv["inf"], iv["sup"]) for iv in raw_params]
+        stack = np.array(raw_coeffs, dtype=float)
+        if stack.shape != (k, n, n) or not {float, int}.issuperset(map(type, chain(*chain.from_iterable(raw_coeffs), *pairs))):
+            raise TypeError("not a stack of numbers")
+        box = ParameterBox.from_bounds(pairs)
+    except (KeyError, TypeError, OverflowError, ValueError):  # walk to name the first coefficient, else parameter, at fault
+        for idx, raw in enumerate(raw_coeffs):
+            try:
+                shape = np.asarray(raw, dtype=float).shape
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"coefficient {idx} is not a matrix of doubles: {exc}") from exc
+            if shape != (n, n):
+                raise ValueError(f"coefficient {idx} has shape {shape}, expected ({n}, {n})")
         for idx, values in enumerate(map(chain.from_iterable, raw_coeffs)):
             refuse_non_numbers("coefficient", idx, values)
-    try:
-        pairs = [(iv["inf"], iv["sup"]) for iv in raw_params]
-        box = ParameterBox.from_bounds(pairs) if {float, int}.issuperset(map(type, chain.from_iterable(pairs))) else None
-    except (KeyError, TypeError, OverflowError, ValueError):
-        box = None
-    if box is None:
-        pairs = []  # each parameter is read, typed, converted and checked before the next: the first fault is named
-        for idx, iv in enumerate(raw_params):
+        for idx, iv in enumerate(raw_params):  # each parameter is read, typed, converted and checked before the next
             try:
                 bounds = (iv["inf"], iv["sup"])
                 refuse_non_numbers("parameter", idx, bounds)
@@ -345,8 +336,7 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
                 _check_bounds(lo, hi)
             except ValueError as exc:
                 raise ValueError(f"{exc} in parameter {idx}") from exc
-            pairs.append((lo, hi))
-        box = ParameterBox.from_bounds(pairs)
+        box = ParameterBox.from_bounds(pairs)  # nothing named: numbers of other types pass, and K = 0 fails here
     stack, skew = symmetrize(stack)  # the skew is checked before the family's eigh
     bad = np.flatnonzero(skew > SYMMETRY_TOL_FACTOR * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1e-300))
     if len(bad):
