@@ -95,21 +95,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].lstrip()
-            if not tail:
-                break
-            raise PolynomialSyntaxError(f"unexpected character {tail[0]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("end", "", len(text)); past the last token only blanks may follow."""
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    if tail := text[pos:].lstrip():
+        raise PolynomialSyntaxError(f"unexpected character {tail[0]!r}", pos)
+    return [*tokens, ("end", "", len(text))]
 
 
 def variable_index(name: str) -> int:
@@ -127,78 +121,54 @@ def variable_index(name: str) -> int:
 def parse(text: str) -> CubicPolynomial:
     """Parse a cubic polynomial.
 
-    Grammar: signed terms joined by '+'/'-'; a term is an optional decimal
-    coefficient times factors with optional '*' and exponents '^1'..'^3';
-    whitespace and implicit multiplication are free.  Raises
+    Grammar: terms joined by '+'/'-', the first with an optional sign; a term
+    is an optional decimal or scientific coefficient, then factors, each with
+    an optional exponent '^1'..'^3' and '*'.  Whitespace is free.  Raises
     PolynomialSyntaxError with a position, or DegreeError past degree 3.
     """
     tokens = _tokenize(text)
-    cursor = 0
-
-    def peek():
-        return tokens[cursor]
-
-    def advance():
-        nonlocal cursor
-        tok = tokens[cursor]
-        cursor += 1
-        return tok
-
+    if tokens[0][0] == "end":
+        raise PolynomialSyntaxError("empty input", tokens[0][2])
     raw_terms: list[tuple[float, list[int]]] = []
-    sign = 1.0
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        advance()
-        sign = -1.0 if value == "-" else 1.0
-    elif kind == "end":
-        raise PolynomialSyntaxError("empty input", pos)
-
-    while True:
-        coeff = sign
-        factors: list[int] = []
-        kind, value, pos = peek()
+    t = 0
+    while True:  # one term: an optional sign, a coefficient or a variable, then factors
+        kind, value, pos = tokens[t]
+        coeff = -1.0 if value == "-" else 1.0
+        if value in ("+", "-"):
+            t += 1
+            kind, value, pos = tokens[t]
         if kind == "num":
-            advance()
             coeff *= float(value)
-            if peek()[0] == "op" and peek()[1] == "*":
-                advance()
+            t += 1
         elif kind != "var":
             raise PolynomialSyntaxError("expected a coefficient or variable", pos)
-
+        factors: list[int] = []
         while True:
-            kind, value, pos = peek()
+            if tokens[t][1] == "*":
+                t += 1
+            kind, value, pos = tokens[t]
             if kind != "var":
                 break
-            advance()
             try:
                 idx = variable_index(value)
             except ValueError as exc:
                 raise PolynomialSyntaxError(str(exc), pos) from None
-            exponent = 1
-            if peek()[0] == "op" and peek()[1] == "^":
-                advance()
-                ek, ev, ep = advance()
+            exponent, t = 1, t + 1
+            if tokens[t][1] == "^":
+                ek, ev, ep = tokens[t + 1]
                 if ek != "num" or not ev.isdigit():
                     raise PolynomialSyntaxError("expected an integer exponent after '^'", ep)
-                exponent = int(ev)
+                exponent, t = int(ev), t + 2
                 if not 1 <= exponent <= 3:
                     raise DegreeError(f"exponent {exponent} outside 1..3")
             factors.extend([idx] * exponent)
             if len(factors) > 3:
                 raise DegreeError(f"term degree {len(factors)} exceeds 3")
-            if peek()[0] == "op" and peek()[1] == "*":
-                advance()
-
         raw_terms.append((coeff, factors))
-
-        kind, value, pos = peek()
         if kind == "end":
             break
-        if kind == "op" and value in "+-":
-            advance()
-            sign = -1.0 if value == "-" else 1.0
-            continue
-        raise PolynomialSyntaxError(f"expected '+', '-', or end of input, got {value!r}", pos)
+        if value not in ("+", "-"):
+            raise PolynomialSyntaxError(f"expected '+', '-', or end of input, got {value!r}", pos)
 
     n = max((i for _, factors in raw_terms for i in factors), default=0)
     padded = [(c, tuple(sorted(factors + [0] * (3 - len(factors))))) for c, factors in raw_terms]

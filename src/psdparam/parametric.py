@@ -243,10 +243,13 @@ class VertexEnumeration(Sequence):
         count = 1 << len(self._free)
         if not -count <= i < count:
             raise IndexError(i)
-        return VertexAssignment(tuple(self.points(i % count, i % count + 1)[0].tolist()))
+        i %= count
+        row = self._base.copy()  # the Gray code in Python ints, so any index below 1 << free_count works
+        row[self._free] = np.where([(i ^ i >> 1) >> b & 1 for b in range(len(self._free))], self._ends[1], self._ends[0])
+        return VertexAssignment(tuple(row.tolist()))
 
     def points(self, start: int, stop: int) -> np.ndarray:
-        """Vertices ``start`` to ``stop - 1`` (below 2^64) in Gray-code order, one row each."""
+        """Vertices ``start`` to ``stop - 1`` in Gray-code order, one row each; uint64 indices, kept below 2^64 by the vertex budget."""
         i = np.arange(start, stop, dtype=np.uint64)
         rows = np.empty((len(i), len(self._base)))
         rows[:] = self._base

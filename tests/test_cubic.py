@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEMO_CUBIC, DEMO_CUBIC_BOUNDS
 from psdparam import (
+    CounterexampleVertex,
     CubicPolynomial,
     Interval,
     ParameterBox,
@@ -150,23 +154,75 @@ class TestParse:
         f = parse("7 + x1^2")
         assert (7.0, (0, 0, 0)) in f.terms
 
+    @pytest.mark.parametrize(
+        "text, error, message, position",
+        [
+            # The tokenizer reports the start of the blank run before the character.
+            ("x1 $ x2", PolynomialSyntaxError, "unexpected character '$'", 2),
+            ("", PolynomialSyntaxError, "empty input", 0),
+            ("   ", PolynomialSyntaxError, "empty input", 3),
+            ("x1 + + x2", PolynomialSyntaxError, "expected a coefficient or variable", 5),
+            ("+", PolynomialSyntaxError, "expected a coefficient or variable", 1),
+            ("x1 + x0^2", PolynomialSyntaxError, "variable index must be >= 1, got 'x0'", 5),
+            ("3 a^2", PolynomialSyntaxError, "unknown variable name 'a' (use x1, x2, ... or the aliases x, y, z)", 2),
+            ("x1^x", PolynomialSyntaxError, "expected an integer exponent after '^'", 3),
+            ("x1^2.5", PolynomialSyntaxError, "expected an integer exponent after '^'", 3),
+            ("x1 x2 3", PolynomialSyntaxError, "expected '+', '-', or end of input, got '3'", 6),
+            ("2 ^ 3", PolynomialSyntaxError, "expected '+', '-', or end of input, got '^'", 2),
+            ("x1^4", DegreeError, "exponent 4 outside 1..3", None),
+            ("x1 x2 x3 x1", DegreeError, "term degree 4 exceeds 3", None),
+        ],
+        ids=[
+            "unexpected-character", "empty", "blank", "double-sign", "sign-alone", "index-zero", "unknown-name",
+            "name-exponent", "decimal-exponent", "missing-sign", "exponent-without-variable", "exponent-past-3",
+            "degree-past-3",
+        ],
+    )
+    def test_malformed_input_outcomes(self, text, error, message, position):
+        # One row per raise in the tokenizer and the parser: type, exact message and position.
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert type(err.value) is error
+        if position is None:
+            assert str(err.value) == message
+        else:
+            assert str(err.value) == f"{message} (at position {position})"
+            assert err.value.position == position
+
+    def test_dangling_star_is_accepted(self):
+        # Kept as it is: a '*' may follow any factor, so one with nothing after it is ignored.
+        assert parse("x1 *") == parse("x1")
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
             st.tuples(
                 st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
                 st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+                st.sampled_from(["", " ", "*", " * "]),
+                st.booleans(),
+                st.sampled_from([None, "^", "^ "]),
             ),
             min_size=1,
             max_size=10,
-        )
+        ),
+        st.booleans(),
     )
-    def test_rendered_terms_parse_to_from_terms(self, terms):
+    def test_rendered_terms_parse_to_from_terms(self, spelled, leading_plus):
         # Each term as "+ c x1 x1 x3" or "- c ...", index 0 left out; parse infers n
         # as the largest index written, and merges in the written order, as from_terms does.
-        text = " ".join(
-            f"{'-' if c < 0 else '+'} {abs(c)!r} " + " ".join(f"x{i}" for i in key if i) for c, key in terms
-        )
+        # Spellings vary per term: implicit products ("2x1x2") or '*', the aliases x, y, z for
+        # x1..x3, repeats as powers ("x1^2", "x1^ 3"), and a first term with or without its '+'.
+        def render(c, key, joiner, alias, power):
+            names = ["xyz"[i - 1] if alias and i <= 3 else f"x{i}" for i in key if i]
+            if power:
+                names = [name if k == 1 else f"{name}{power}{k}" for name, k in Counter(names).items()]
+            return ("-" if c < 0 else "+") + " " + joiner.join([repr(abs(c)), *names])
+
+        text = " ".join(render(*term) for term in spelled)
+        if not leading_plus and text.startswith("+"):
+            text = text[1:]
+        terms = [(c, key) for c, key, *_ in spelled]
         n = max(i for _, key in terms for i in key)
         assert parse(text) == CubicPolynomial.from_terms(n, terms)
 
@@ -292,6 +348,33 @@ class TestCertifyConvexity:
                     assert len(cert.worst_vertex) == n + 1 and cert.worst_vertex[-1] == 1.0
                     assert box.contains(cert.worst_vertex[:-1])
         assert disproofs > 100 and vertex_lists > 20
+
+    def test_disproofs_confirmed_by_the_cubic_itself(self):
+        # For a cubic, f(x + d) + f(x - d) - 2 f(x) = d^T H(x) d exactly, so a negative second
+        # difference at a point of the box disproves convexity. It is evaluated in Fractions
+        # straight from f.terms, sharing no code with hessian, decide or LAPACK.
+        def exact_value(f, x):
+            ext = [Fraction(1), *x]
+            return sum(Fraction(c) * ext[i] * ext[j] * ext[k] for c, (i, j, k) in f.terms)
+
+        rng = np.random.default_rng(13)
+        disproofs = 0
+        for _ in range(200):
+            f = random_cubic(rng)
+            lo = rng.uniform(-2, 2, f.n)
+            box = ParameterBox.from_bounds(zip(lo, lo + rng.uniform(0.1, 2, f.n)))
+            res = certify_convexity(f, box)
+            if not res.verdict.disproved:
+                continue
+            disproofs += 1
+            cert = res.verdict.certificate
+            assert isinstance(cert, CounterexampleVertex)
+            d = np.linalg.eigh(evaluate(hessian(f, box), cert.p).array)[1][:, 0]
+            x = [Fraction(v) for v in cert.p[:-1]]
+            plus = exact_value(f, [a + Fraction(b) for a, b in zip(x, d)])
+            minus = exact_value(f, [a - Fraction(b) for a, b in zip(x, d)])
+            assert plus + minus - 2 * exact_value(f, x) < 0
+        assert disproofs > 150
 
     def test_diagnostics_come_from_one_hertz_value(self, rng):
         from psdparam import hertz_min_eig, relax, strong_psd_interval

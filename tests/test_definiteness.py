@@ -385,6 +385,30 @@ class TestExactVertexTruth:
         assert not decide(self.family(), "strong_psd").proved
 
 
+class TestExactlySingularMember:
+    """B B^T with B = [[2, 3], [-2, -1], [3, -1]] on [1, 1]: rank 2 in three dimensions, so not PD."""
+
+    @staticmethod
+    def family() -> ParametricSymMatrix:
+        return ParametricSymMatrix([[[13.0, -7.0, 3.0], [-7.0, 5.0, -5.0], [3.0, -5.0, 10.0]]], ParameterBox.from_bounds([(1.0, 1.0)]))
+
+    def test_member_is_exactly_singular(self):
+        a = [[Fraction(x) for x in row] for row in self.family().coefficient_stack()[0].tolist()]
+        det = (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+        assert det == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known false proof: the split stage passes a computed min_eig of 2.9e-15 for an exactly singular member (ROADMAP item 5)",
+    )
+    def test_strong_pd_is_not_proved_at_zero_tolerance(self):
+        assert not decide(self.family(), "strong_pd", tol=0.0).proved
+
+
 class TestSplitConditions:
     def test_split_favorable_sum_and_proof(self):
         v = strong_pd_split(split_favorable())

@@ -255,6 +255,17 @@ class TestVertices:
             with pytest.raises(IndexError):
                 enum[i]
 
+    def test_indexing_past_two_to_the_64(self):
+        # From 65 free coordinates an index no longer fits the uint64 that points counts in.
+        enum = vertices(problem_from_json(swap_copies_doc(65)))
+        assert enum[-1].values == (1.0, *[-1.0] * 64, 1.0)
+        # The Gray code of 2^64 is 2^64 + 2^63: free coordinates 63 and 64 at their upper ends.
+        assert enum[1 << 64].values == (1.0, *[-1.0] * 63, 1.0, 1.0)
+        with pytest.raises(IndexError):
+            enum[1 << 65]
+        for i in (0, 1, 6, (1 << 63) + 3, (1 << 64) - 1):
+            assert enum[i].values == tuple(enum.points(i, i + 1)[0].tolist())
+
     def test_fixing_rule_agrees_with_passes(self, rng):
         families = [random_family(rng) for _ in range(30)] + [random_semidefinite_family(rng) for _ in range(30)]
         for p in families:
