@@ -95,7 +95,8 @@ def cmd_check(args) -> int:
     return _emit(verdict, total, extra, f"{args.goal}: ")
 
 
-_BOX_RE = re.compile(r"^([A-Za-z]\w*)=([^:]+):(.+)$")
+# ASCII only, as float() reads any Unicode digit: low is [^:] and high is . (no newline), each cut to ASCII.
+_BOX_RE = re.compile(r"^([A-Za-z]\w*)=([\x00-9;-\x7f]+):([\x00-\t\x0b-\x7f]+)$", re.ASCII)
 
 
 def _parse_box_flags(flags, n: int) -> ParameterBox:

@@ -87,8 +87,8 @@ def poly_value(f: CubicPolynomial, x) -> float:
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
-        (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<var>x\d+|[A-Za-z])
+        (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+      | (?P<var>x[0-9]+|[A-Za-z])
       | (?P<op>[-+*^])
     )""",
     re.VERBOSE,
@@ -107,8 +107,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def variable_index(name: str) -> int:
-    """The index of variable ``name``, ``x<digits>`` or an alias; ValueError for any other name or ``x0``."""
-    if re.fullmatch(r"x\d+", name):
+    """The index of variable ``name``, ``x<ASCII digits>`` or an alias; ValueError for any other name or ``x0``."""
+    if re.fullmatch(r"x[0-9]+", name):
         idx = int(name[1:])
         if idx < 1:
             raise ValueError(f"variable index must be >= 1, got {name!r}")

@@ -52,7 +52,7 @@ from .symlinalg import (
 )
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
-# The first of ``_blocks`` (at least one row), which the vertex scan and the witness climbs share;
+# The first of ``_blocks`` (at least one row), which every blocked scan shares;
 # blocks double up to the second.
 FIRST_VERTEX_BLOCK_BYTES = 1 << 12
 VERTEX_CHUNK_BYTES = 1 << 20
@@ -168,8 +168,8 @@ class Verdict:
 def _blocks(total: int, row_bytes: int) -> Iterator[tuple[int, int]]:
     """(start, stop) pairs covering range(total): FIRST_VERTEX_BLOCK_BYTES of rows, doubling to VERTEX_CHUNK_BYTES.
 
-    Every block holds at least one row.  Both batched stages, the vertex
-    scan and the witness climbs, take their blocks from here.
+    Every block holds at least one row.  The vertex scan, the witness climbs
+    and ``hertz_min_eig``'s sign rows take their blocks from here.
     """
     first, cap = (max(1, b // row_bytes) for b in (FIRST_VERTEX_BLOCK_BYTES, VERTEX_CHUNK_BYTES))
     start, size = 0, min(first, cap)
@@ -418,24 +418,23 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     matrices Mid - diag(z) Rad diag(z) (Hertz, IEEE Trans. Automat.
     Control 37, 1992); exponential in n, so past ``DEFAULT_VERTEX_BUDGET``
     of them it raises ValueError before it allocates anything.  z and -z
-    give the same matrix, so z_0 stays +1 and the other signs are the bits
-    of 0 .. 2^(n-1) - 1.
-    The value is exact, so it is never below Rohn's cheap bound
-    lambda_min(Mid) - rho(Rad) (Rohn, SIAM J. Matrix Anal. Appl. 15, 1994).
+    give the same matrix, so the signs are a ``VertexEnumeration``, z_0
+    pinned at +1 and the rest free on [-1, 1].  The value is exact, so it
+    is never below Rohn's cheap bound lambda_min(Mid) - rho(Rad) (Rohn,
+    SIAM J. Matrix Anal. Appl. 15, 1994).
 
-    Each sign matrix goes through the Jacobi kernel, one call per matrix;
-    this is the kernel's only caller.  Batching them through LAPACK makes
-    the benchmark's ``convex`` workload over ten times faster, and its
-    harness, which keeps every verdict's report, then exceeds the
-    ``peak_rss_mb`` bound.  The move waits for that fix (ROADMAP item 1).
+    The sign rows stream in the vertex scan's ``_blocks``, a few blocks of
+    memory at any n.  Each matrix goes through the Jacobi kernel, its only
+    caller; ROADMAP item 2 swaps in one LAPACK ``min_eigs`` per block.
     """
     if 1 << (a.rows - 1) > DEFAULT_VERTEX_BUDGET:
         raise ValueError(f"{a.rows} rows give 2^{a.rows - 1} sign matrices, past the budget {DEFAULT_VERTEX_BUDGET}")
     mid, rad = a.symmetric_parts()
-    i = np.arange(1 << (a.rows - 1))
-    signs = np.ones((len(i), a.rows))
-    signs[:, 1:] -= 2 * ((i[:, None] >> np.arange(a.rows - 1)) & 1)
-    return min(float(_jacobi_eigvals(SymMatrix(mid - np.outer(z, z) * rad))[0]) for z in signs)
+    ones = np.ones(a.rows)
+    signs = VertexEnumeration(ones, np.arange(a.rows) > 0, -ones, ones, np.zeros(a.rows))
+    blocks = (signs.points(start, stop) for start, stop in _blocks(1 << (a.rows - 1), mid.nbytes))
+    members = (m for z in blocks for m in mid - np.einsum("vi,vj->vij", z, z) * rad)
+    return min(float(_jacobi_eigvals(SymMatrix(m))[0]) for m in members)
 
 
 def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .intervals import Interval, IntervalMatrix, _check_bounds, _clamped_mid, scaled_sum
-from .symlinalg import SymMatrix, eig_stack, invert, passes, psd_parts, scaled_tol, symmetrize
+from .symlinalg import SymMatrix, check_tol, eig_stack, invert, passes, psd_parts, scaled_tol, symmetrize
 
 SYMMETRY_TOL_FACTOR = 1e-12
 
@@ -267,9 +267,9 @@ def vertices(p: ParametricSymMatrix, tol: float | None = None) -> VertexEnumerat
     are free.  Pinning misses each member by at most the coefficient's
     ``max(0, -lambda_min)`` (PSD) or ``max(0, lambda_max)`` (NSD) times
     ``sup_k - inf_k``, and ``shortfall`` sums those; a zero one adds 0 even
-    on an overflowing width.
+    on an overflowing width.  A given ``tol`` must be finite and nonnegative.
     """
-    tol = family_tol(p) if tol is None else tol
+    tol = family_tol(p) if tol is None else check_tol(tol)
     eigvals = p.coefficient_spectra()[0]
     lows, highs = p.box.inf(), p.box.sup()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -5,10 +5,10 @@ decomposition, the shifted Cholesky screen, the splitting of a symmetric
 matrix into a difference of two positive semidefinite parts, inversion,
 the determinant, the batched solves over stacks of matrices and the
 eigenvectors behind a closed-form Perron root bracket.  An eigenvalue-only
-cyclic Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller, the
-convexity diagnostic ``definiteness.hertz_min_eig`` (its docstring says
-why).  Also the one symmetrization rule (``symmetrize``, on stacks) and the
-tolerances with the one rule every decision compares against (``passes``).
+cyclic Jacobi kernel, ``_jacobi_eigvals``, is kept for one caller,
+``definiteness.hertz_min_eig``, until ROADMAP item 2 swaps in LAPACK.  Also
+the one symmetrization rule (``symmetrize``, on stacks) and the tolerances
+with the one rule every decision compares against (``passes``).
 """
 
 from __future__ import annotations

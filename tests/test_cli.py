@@ -929,8 +929,11 @@ class TestBoxFrontDoors:
             ("x1=-inf:1", "x1^2", "interval bounds must be finite, got [-inf, 1.0]"),
             ("x1=1e999:2", "x1^2", "interval bounds must be finite, got [inf, 2.0]"),
             ("x1=2:1", "x1^2 + x2^2", "lower bound 2.0 exceeds upper bound 1.0"),
+            # ASCII only: float() reads any Unicode digit, and these once boxed x3 and x1 on [0, 1].
+            ("x\u0663=0:1", "x1^2 + x2^2 + x3^2", "--box expects name=low:high, got 'x\u0663=0:1'"),
+            ("x1=\u0660:\u0661", "x1^2", "--box expects name=low:high, got 'x1=\u0660:\u0661'"),
         ],
-        ids=["reversed", "nan", "-inf", "1e999", "reversed-before-missing"],
+        ids=["reversed", "nan", "-inf", "1e999", "reversed-before-missing", "arabic-indic-name", "arabic-indic-bounds"],
     )
     def test_box_flag_errors(self, capsys, flag, expression, message):
         result = run_cli(capsys, "convex", "--box", flag, "--", expression)

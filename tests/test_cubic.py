@@ -101,10 +101,17 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "name, message",
-        [("x0", "variable index must be >= 1"), ("xa", "unknown variable name"), ("x1a", "unknown variable name"), ("q", "unknown variable name")],
+        [
+            ("x0", "variable index must be >= 1"),
+            ("xa", "unknown variable name"),
+            ("x1a", "unknown variable name"),
+            ("q", "unknown variable name"),
+            ("x\u0663", "unknown variable name"),
+        ],
     )
     def test_variable_index_refuses(self, name, message):
-        # The one name rule of the parser and of the CLI's --box; "xa" is not an index.
+        # The one name rule of the parser and of the CLI's --box; "xa" is not an index, and "x\u0663" (once 3)
+        # has no ASCII digits.
         with pytest.raises(ValueError, match=message):
             variable_index(name)
 
@@ -192,6 +199,17 @@ class TestParse:
     def test_dangling_star_is_accepted(self):
         # Kept as it is: a '*' may follow any factor, so one with nothing after it is ignored.
         assert parse("x1 *") == parse("x1")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("\u0663 x1^\u0663", 0), ("x\u0663^2", 1)],
+        ids=["arabic-indic-coefficient-and-exponent", "arabic-indic-index"],
+    )
+    def test_digits_are_ascii(self, text, position):
+        # \d once read any Unicode decimal digit: these parsed as 3 x1^3 and x3^2.
+        with pytest.raises(PolynomialSyntaxError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.position == position
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -266,6 +266,13 @@ class TestVertices:
         for i in (0, 1, 6, (1 << 63) + 3, (1 << 64) - 1):
             assert enum[i].values == tuple(enum.points(i, i + 1)[0].tolist())
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        # As decide checks it: a NaN pinned nothing here, and -1.0 pinned with a negative tolerance.
+        p = problem_from_json({"n": 1, "K": 1, "coefficients": [[[1]]], "parameters": [{"inf": 0, "sup": 1}]})
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            vertices(p, tol)
+
     def test_fixing_rule_agrees_with_passes(self, rng):
         families = [random_family(rng) for _ in range(30)] + [random_semidefinite_family(rng) for _ in range(30)]
         for p in families:
