@@ -85,8 +85,9 @@ def poly_value(f: CubicPolynomial, x) -> float:
     return float(sum(c * ext[i] * ext[j] * ext[k] for c, (i, j, k) in f.terms))
 
 
+_BLANKS = " \t\n\r\f\v"  # between tokens; other whitespace is an unexpected character
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""[{_BLANKS}]*(?:
         (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
       | (?P<var>x[0-9]+|[A-Za-z])
       | (?P<op>[-+*^])
@@ -101,7 +102,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while m := _TOKEN_RE.match(text, pos):
         tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
         pos = m.end()
-    if tail := text[pos:].lstrip():
+    if tail := text[pos:].lstrip(_BLANKS):
         raise PolynomialSyntaxError(f"unexpected character {tail[0]!r}", pos)
     return [*tokens, ("end", "", len(text))]
 
@@ -123,7 +124,9 @@ def parse(text: str) -> CubicPolynomial:
 
     Grammar: terms joined by '+'/'-', the first with an optional sign; a term
     is an optional decimal or scientific coefficient, then factors, each with
-    an optional exponent '^1'..'^3' and '*'.  Whitespace is free.  Raises
+    an optional exponent '^1'..'^3' and '*'.  Blanks are free: ASCII space,
+    tab, newline, carriage return, form feed and vertical tab; any other
+    character, Unicode whitespace included, is unexpected.  Raises
     PolynomialSyntaxError with a position, or DegreeError past degree 3.
     """
     tokens = _tokenize(text)

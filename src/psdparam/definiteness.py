@@ -426,7 +426,10 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     The sign rows stream in the vertex scan's ``_blocks``, a few blocks of
     memory at any n.  Each matrix goes through the Jacobi kernel, its only
     caller; ROADMAP item 2 swaps in one LAPACK ``min_eigs`` per block.
+    An empty matrix has no eigenvalues: ValueError.
     """
+    if a.rows == 0:
+        raise ValueError(f"the empty {a.rows}x{a.cols} interval matrix has no eigenvalues")
     if 1 << (a.rows - 1) > DEFAULT_VERTEX_BUDGET:
         raise ValueError(f"{a.rows} rows give 2^{a.rows - 1} sign matrices, past the budget {DEFAULT_VERTEX_BUDGET}")
     mid, rad = a.symmetric_parts()

@@ -345,6 +345,20 @@ class TestVertexBlockSchedule:
         else:
             assert v.disproved and v.certificate.p == vertices(p)[j].values
 
+    @pytest.mark.parametrize("tol", [None, 0.0], ids=["screened", "eigenvalues"])
+    def test_tie_in_one_block_names_its_first_vertex(self, tol):
+        # diag(2, 1, 10, 10) + q1 diag(1, -1, 0, 0) + q2 diag(0, 0, 1, -1) on [-1, 1]^2: the two vertices with q1 = 1,
+        # Gray indices 1 and 2 of the first block, tie exactly at the smallest eigenvalue 0 and at the smallest
+        # Cholesky pivot.  The default tolerance lets the screen clear all four; at tol 0 it clears none.
+        p = ParametricSymMatrix(
+            [np.diag([1.0, -1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, -1.0]), np.diag([2.0, 1.0, 10.0, 10.0])],
+            ParameterBox.from_bounds([(-1.0, 1.0), (-1.0, 1.0), (1.0, 1.0)]),
+        )
+        assert [v.values for v in vertices(p)][1:3] == [(1.0, -1.0, 1.0), (1.0, 1.0, 1.0)]
+        cert = decide(p, "strong_psd", tol=tol, method="vertex").certificate
+        assert cert.worst_vertex == (1.0, -1.0, 1.0)
+        assert (cert.shift is None) == (tol == 0.0) and cert.worst_min_eig == (None if tol is None else 0.0)
+
 
 
 # The 28th draw of ``near_threshold_family`` (scripts/consistency_sweep.py) from default_rng(1):
@@ -536,6 +550,22 @@ class TestRegularityRoute:
         assert v.proved
         assert v.certificate.rho < 1e-12 + family_tol(p) * c_norm
         assert decide(p, "strong_pd", tol=0.0, method="regularity").certificate.rho < 1e-12
+
+    @pytest.mark.parametrize(
+        "r, truth", [(1.0, Status.DISPROVED), (1.0 - 1e-9, Status.PROVED)], ids=["singular-corners", "perron"]
+    )
+    def test_rho_within_the_margin_of_one_proves_nothing(self, r, truth):
+        # I + q [[0, 1], [1, 0]] on [-r, r]: A(mid) = I, so G is about r |B| + tol I and rho(G) lies within
+        # RHO_MARGIN of 1: above it through the row-sum shortcut at r = 1, where the corners are singular and a proof
+        # would be false, and below it through the Perron bracket at r = 1 - 1e-9.
+        p = ParametricSymMatrix(
+            [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], ParameterBox([Interval(1.0, 1.0), Interval(-r, r)])
+        )
+        v = strong_pd_regularity(p)
+        assert 0.0 < abs(v.certificate.rho - 1.0) < definiteness.RHO_MARGIN
+        assert v.certificate.converged == (r < 1.0)
+        assert v.unknown and v.detail == "spectral radius not below one"
+        assert decide(p, "strong_pd").status is truth
 
     def test_row_sums_at_least_one_skip_the_perron_bracket(self, monkeypatch):
         # I + q [[0, 1], [1, 0]] on [-2, 2]: A(mid) = I, so G is about
@@ -838,6 +868,12 @@ class TestHertz:
                 members[v] = m + np.triu(m, 1).T
             reference = float(np.linalg.eigvalsh(members)[:, 0].min())
             assert abs(hertz_min_eig(a) - reference) <= definiteness.interval_tol(a)
+
+    def test_empty_matrix_refused(self):
+        empty = IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
+        for check in (hertz_min_eig, strong_psd_interval, lambda a: strong_psd_interval(a, tol=0.0)):
+            with pytest.raises(ValueError, match=r"^the empty 0x0 interval matrix has no eigenvalues$"):
+                check(empty)
 
     def test_sign_rows_stream_in_blocks(self, monkeypatch):
         # No array grows with the 2^15 sign matrices of a 16x16 matrix: all the sign rows at once would hold

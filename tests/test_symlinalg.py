@@ -146,6 +146,11 @@ class TestEigSym:
                 a = SymMatrix((a + a.T) * scale)
                 assert np.array_equal(_jacobi_eigvals(a), two_sided_jacobi_eigvals(a))
 
+    def test_complex_abs_is_numpy_hypot(self, rng):
+        # The kernel takes hypot(1, tau) as abs(complex(1.0, tau)), C's hypot, for the value np.hypot gives.
+        taus = rng.standard_normal(20000) * 10.0 ** rng.uniform(-20.0, 20.0, 20000)
+        assert [abs(complex(1.0, t)) for t in taus.tolist()] == np.hypot(1.0, taus).tolist()
+
     def test_zero_matrix(self):
         z = SymMatrix(np.zeros((4, 4)))
         assert np.array_equal(_jacobi_eigvals(z), np.zeros(4))
