@@ -124,7 +124,8 @@ def parse(text: str) -> CubicPolynomial:
 
     Grammar: terms joined by '+'/'-', the first with an optional sign; a term
     is an optional decimal or scientific coefficient, then factors, each with
-    an optional exponent '^1'..'^3' and '*'.  Blanks are free: ASCII space,
+    an optional exponent '^1'..'^3' and an optional '*' before it; a '*' must
+    be followed by a factor.  Blanks are free: ASCII space,
     tab, newline, carriage return, form feed and vertical tab; any other
     character, Unicode whitespace included, is unexpected.  Raises
     PolynomialSyntaxError with a position, or DegreeError past degree 3.
@@ -148,6 +149,8 @@ def parse(text: str) -> CubicPolynomial:
         factors: list[int] = []
         while True:
             if tokens[t][1] == "*":
+                if tokens[t + 1][0] != "var":
+                    raise PolynomialSyntaxError("expected a variable after '*'", tokens[t][2])
                 t += 1
             kind, value, pos = tokens[t]
             if kind != "var":

@@ -49,6 +49,7 @@ from .symlinalg import (
     scaled_tol,
     shifted_cholesky_pivots,
     spectral_radius_nonneg,
+    symmetrize,
 )
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
@@ -424,9 +425,11 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     SIAM J. Matrix Anal. Appl. 15, 1994).
 
     The sign rows stream in the vertex scan's ``_blocks``, a few blocks of
-    memory at any n.  Each matrix goes through the Jacobi kernel, its only
-    caller; ROADMAP item 2 swaps in one LAPACK ``min_eigs`` per block.
-    An empty matrix has no eigenvalues: ValueError.
+    memory at any n.  Each block is symmetrized once and solved by one call
+    of the stack Jacobi kernel, its only caller; ROADMAP item 2 swaps in one
+    LAPACK ``min_eigs`` per block.  Python's ``min`` over each sorted
+    spectrum's first entry, in enumeration order, resolves a -0.0/0.0 tie
+    to the first.  An empty matrix has no eigenvalues: ValueError.
     """
     if a.rows == 0:
         raise ValueError(f"the empty {a.rows}x{a.cols} interval matrix has no eigenvalues")
@@ -436,8 +439,8 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     ones = np.ones(a.rows)
     signs = VertexEnumeration(ones, np.arange(a.rows) > 0, -ones, ones, np.zeros(a.rows))
     blocks = (signs.points(start, stop) for start, stop in _blocks(1 << (a.rows - 1), mid.nbytes))
-    members = (m for z in blocks for m in mid - np.einsum("vi,vj->vij", z, z) * rad)
-    return min(float(_jacobi_eigvals(SymMatrix(m))[0]) for m in members)
+    smallest = (_jacobi_eigvals(symmetrize(mid - np.einsum("vi,vj->vij", z, z) * rad)[0])[:, 0].tolist() for z in blocks)
+    return min(x for block in smallest for x in block)
 
 
 def strong_psd_interval(a: IntervalMatrix, tol: float | None = None) -> bool:

@@ -178,6 +178,9 @@ class TestParse:
             ("2 ^ 3", PolynomialSyntaxError, "expected '+', '-', or end of input, got '^'", 2),
             ("x1^4", DegreeError, "exponent 4 outside 1..3", None),
             ("x1 x2 x3 x1", DegreeError, "term degree 4 exceeds 3", None),
+            # A '*' must be followed by a factor; the error stands at the '*'.
+            ("x1 *", PolynomialSyntaxError, "expected a variable after '*'", 3),
+            ("2 * + x1", PolynomialSyntaxError, "expected a variable after '*'", 2),
             # Blanks are ASCII only: Unicode whitespace is an unexpected character where it stands.
             ("x1\u3000+ x2", PolynomialSyntaxError, "unexpected character '\\u3000'", 2),
             ("\xa0x1^2", PolynomialSyntaxError, "unexpected character '\\xa0'", 0),
@@ -187,7 +190,7 @@ class TestParse:
         ids=[
             "unexpected-character", "empty", "blank", "double-sign", "sign-alone", "index-zero", "unknown-name",
             "name-exponent", "decimal-exponent", "missing-sign", "exponent-without-variable", "exponent-past-3",
-            "degree-past-3", "ideographic-space", "no-break-space", "em-space-after-blank", "file-separator",
+            "degree-past-3", "dangling-star", "star-before-sign", "ideographic-space", "no-break-space", "em-space-after-blank", "file-separator",
         ],
     )
     def test_malformed_input_outcomes(self, text, error, message, position):
@@ -204,10 +207,6 @@ class TestParse:
     def test_ascii_blanks_are_free(self):
         # Space, tab, newline, carriage return, form feed and vertical tab, anywhere between tokens.
         assert parse("\t2\nx1 ^\r2\f*\vx2 +\x0bx2^2 \n") == parse("2x1^2x2+x2^2")
-
-    def test_dangling_star_is_accepted(self):
-        # Kept as it is: a '*' may follow any factor, so one with nothing after it is ignored.
-        assert parse("x1 *") == parse("x1")
 
     @pytest.mark.parametrize(
         "text, position",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -831,19 +832,19 @@ class TestHertz:
 
         for module in (definiteness, cubic):
             monkeypatch.setattr(module, "DEFAULT_VERTEX_BUDGET", 4)
-        calls = []
+        rows = []
 
-        def count(a):
-            calls.append(a)
-            return _jacobi_eigvals(a)
+        def count(stack):
+            rows.append(len(stack))
+            return _jacobi_eigvals(stack)
 
         monkeypatch.setattr(definiteness, "_jacobi_eigvals", count)
         wide = IntervalMatrix(-np.ones((4, 4)), np.ones((4, 4)))
         for check in (hertz_min_eig, strong_psd_interval):
             with pytest.raises(ValueError, match=r"2\^3 sign matrices, past the budget 4"):
                 check(wide)
-        assert not calls
-        assert hertz_min_eig(IntervalMatrix(-np.ones((3, 3)), np.ones((3, 3)))) < 0 and len(calls) == 4
+        assert not rows
+        assert hertz_min_eig(IntervalMatrix(-np.ones((3, 3)), np.ones((3, 3)))) < 0 and sum(rows) == 4
         for n, diagnosed in [(3, True), (4, False)]:
             f = parse(" + ".join(f"x{i}^2" for i in range(1, n + 1)))
             result = certify_convexity(f, ParameterBox.from_bounds([(-1.0, 1.0)] * n))
@@ -869,6 +870,12 @@ class TestHertz:
             reference = float(np.linalg.eigvalsh(members)[:, 0].min())
             assert abs(hertz_min_eig(a) - reference) <= definiteness.interval_tol(a)
 
+    def test_signed_zero_tie_keeps_the_first_sorted_eigenvalue(self):
+        # diag(0.0, -0.0) has the eigenvalues 0.0 and -0.0, equal under ==.  The value is the first entry of the
+        # sorted diagonal, 0.0, as when each sign matrix went through the kernel alone; ndarray.min gives -0.0.
+        m = np.diag([0.0, -0.0])
+        assert math.copysign(1.0, hertz_min_eig(IntervalMatrix(m, m))) == 1.0
+
     def test_empty_matrix_refused(self):
         empty = IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
         for check in (hertz_min_eig, strong_psd_interval, lambda a: strong_psd_interval(a, tol=0.0)):
@@ -877,15 +884,14 @@ class TestHertz:
 
     def test_sign_rows_stream_in_blocks(self, monkeypatch):
         # No array grows with the 2^15 sign matrices of a 16x16 matrix: all the sign rows at once would hold
-        # 4 MiB, and forming them that way peaked at 8.2 MiB.  A stand-in kernel and wrapper keep the run short.
-        calls = [0]
+        # 4 MiB, and forming them that way peaked at 8.2 MiB.  A stand-in kernel keeps the run short.
+        rows = [0]
 
-        def diagonal(a):
-            calls[0] += 1
-            return a.array.diagonal()
+        def diagonal(stack):
+            rows[0] += len(stack)
+            return stack.diagonal(axis1=1, axis2=2)
 
         monkeypatch.setattr(definiteness, "_jacobi_eigvals", diagonal)
-        monkeypatch.setattr(definiteness, "SymMatrix", SymMatrix.view)
         rng = np.random.default_rng(16)
         mid = rng.normal(size=(16, 16))
         rad = np.abs(rng.normal(size=(16, 16)))
@@ -896,7 +902,7 @@ class TestHertz:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls[0] == 1 << 15
+        assert rows[0] == 1 << 15
         assert peak < 4 << 20
 
 
@@ -1497,9 +1503,10 @@ class TestJacobiOnlyBehindHertz:
 
     @staticmethod
     def patch_kernel(monkeypatch, replacement):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("psdparam") and hasattr(module, "_jacobi_eigvals"):
-                monkeypatch.setattr(module, "_jacobi_eigvals", replacement)
+        holders = [m for name, m in list(sys.modules.items()) if name.startswith("psdparam") and hasattr(m, "_jacobi_eigvals")]
+        assert holders, "no psdparam module holds _jacobi_eigvals: the test would check nothing"
+        for module in holders:
+            monkeypatch.setattr(module, "_jacobi_eigvals", replacement)
 
     def test_decide_never_reaches_the_kernel(self, monkeypatch, rng):
         def refuse(*_):
@@ -1521,9 +1528,9 @@ class TestJacobiOnlyBehindHertz:
     def test_certify_convexity_reaches_the_kernel_per_sign_matrix(self, monkeypatch, n):
         sizes = []
 
-        def count(a, *rest):
-            sizes.append(a.n)
-            return _jacobi_eigvals(a, *rest)
+        def count(stack, *rest):
+            sizes.extend([stack.shape[1]] * len(stack))
+            return _jacobi_eigvals(stack, *rest)
 
         self.patch_kernel(monkeypatch, count)
         f = parse(" + ".join([f"x{i}^3" for i in range(1, n + 1)] + [f"x{i} x{i + 1}" for i in range(1, n)]))

@@ -100,7 +100,7 @@ class TestEigSym:
 
     def test_sweep_cap_raises(self):
         with pytest.raises(ConvergenceError):
-            _jacobi_eigvals(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+            _jacobi_eigvals(np.array([[[0.0, 1.0], [1.0, 0.0]]]), max_sweeps=0)
 
     @pytest.mark.parametrize("big", [1e155, 1e200, 1e307])
     def test_huge_entries_match_lapack(self, big):
@@ -110,7 +110,7 @@ class TestEigSym:
         vals, q = eig_sym(SymMatrix(m))
         assert vals == pytest.approx(ref, rel=1e-12)
         assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
-        assert _jacobi_eigvals(SymMatrix(m)) == pytest.approx(ref, rel=1e-12)
+        assert _jacobi_eigvals(m[None])[0] == pytest.approx(ref, rel=1e-12)
         assert min_eig(SymMatrix(m)) == pytest.approx(ref[0], rel=1e-12)
 
     def test_huge_random_matrices_match_lapack(self, rng):
@@ -119,7 +119,7 @@ class TestEigSym:
                 a = rng.uniform(-1.0, 1.0, (n, n))
                 a = (a + a.T) * 10.0 ** exponent
                 ref = np.linalg.eigvalsh(a)
-                for vals in (eig_sym(SymMatrix(a))[0], _jacobi_eigvals(SymMatrix(a))):
+                for vals in (eig_sym(SymMatrix(a))[0], _jacobi_eigvals(a[None])[0]):
                     assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
                 assert abs(min_eig(SymMatrix(a)) - ref[0]) <= 1e-12 * np.abs(ref).max()
 
@@ -127,24 +127,37 @@ class TestEigSym:
         # The stopping rule is relative, so a matrix whose entries all sit
         # below 1e-13 is still diagonalized, not returned as its diagonal.
         m = np.array([[1e-20, 1e-14], [1e-14, 1e-20]])
-        assert _jacobi_eigvals(SymMatrix(m))[0] == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
+        assert _jacobi_eigvals(m[None])[0, 0] == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
         assert min_eig(SymMatrix(m)) == pytest.approx(-1e-14 + 1e-20, rel=1e-12)
         a = rng.uniform(-1.0, 1.0, (5, 5))
         a = (a + a.T) * 1e-300
         for m in (m, a):
             ref = np.linalg.eigvalsh(m)
-            assert np.abs(_jacobi_eigvals(SymMatrix(m)) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(_jacobi_eigvals(m[None])[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_one_sided_update_matches_two_sided_rotations(self, rng):
-        # The kernel writes each rotation's new columns as rows too, which
-        # is exact only while the iterate stays exactly symmetric.
+        # The kernel writes each rotation's new columns as rows too, which is exact only while the iterates
+        # stay exactly symmetric, and rotates a whole stack at once, which is exact only while each matrix
+        # keeps its own masks.  Each stack mixes a dense matrix (several sweeps), a near-diagonal one (fewer),
+        # one that passes its convergence test before any sweep with every off-diagonal entry still above the
+        # skip threshold, one whose equal-diagonal zero entry the skip threshold skips while the others
+        # rotate, and the zero matrix, each at its own scale.
+        scales = [1e-300, 1e-3, 1.0, 1e200, 1e-150]
         for n in range(2, 11):
-            for scale in (1e-300, 1e-3, 1.0, 1e200):
+            for k in range(len(scales)):
                 a = rng.uniform(-1.0, 1.0, (n, n))
                 if n % 2:
                     a = np.round(a * 4.0) / 4.0  # ties and exact zeros
-                a = SymMatrix((a + a.T) * scale)
-                assert np.array_equal(_jacobi_eigvals(a), two_sided_jacobi_eigvals(a))
+                dense = a + a.T
+                near = np.diag(rng.uniform(1.0, 2.0, n)) + 1e-4 * dense
+                converged = np.eye(n) + 0.5e-13 / np.sqrt(n - 1) * (1.0 - np.eye(n))
+                skipped = dense.copy()
+                skipped[0, 1] = skipped[1, 0] = 0.0
+                skipped[1, 1] = skipped[0, 0]
+                kinds = [dense, near, converged, skipped, np.zeros((n, n))]
+                stack = np.stack([m * scale for m, scale in zip(kinds, np.roll(scales, k))])
+                for m, vals in zip(stack, _jacobi_eigvals(stack)):
+                    assert np.array_equal(vals, two_sided_jacobi_eigvals(SymMatrix(m)))
 
     def test_complex_abs_is_numpy_hypot(self, rng):
         # The kernel takes hypot(1, tau) as abs(complex(1.0, tau)), C's hypot, for the value np.hypot gives.
@@ -153,7 +166,7 @@ class TestEigSym:
 
     def test_zero_matrix(self):
         z = SymMatrix(np.zeros((4, 4)))
-        assert np.array_equal(_jacobi_eigvals(z), np.zeros(4))
+        assert np.array_equal(_jacobi_eigvals(z.array[None])[0], np.zeros(4))
         assert min_eig(z) == 0.0
 
 
@@ -166,7 +179,7 @@ class TestBatchedLapack:
             batched = min_eigs(np.stack([a.array for a in mats]))
             assert batched.shape == (4,)
             for a, value in zip(mats, batched):
-                assert abs(value - _jacobi_eigvals(a)[0]) <= 1e-10 * (1.0 + a.norm_bound)
+                assert abs(value - _jacobi_eigvals(a.array[None])[0, 0]) <= 1e-10 * (1.0 + a.norm_bound)
 
     def test_min_eig_is_eigvalsh_at_every_scale(self, rng):
         cases = [np.array([[0.0, big], [big, 0.0]]) for big in (1e155, 1e200, 1e307)]
@@ -192,7 +205,7 @@ class TestBatchedLapack:
             vals, vecs = eig_stack(np.stack([a.array for a in mats]))
             for a, w, q in zip(mats, vals, vecs):
                 scale = 1e-10 * (1.0 + a.norm_bound)
-                assert np.abs(w - _jacobi_eigvals(a)).max() <= scale
+                assert np.abs(w - _jacobi_eigvals(a.array[None])[0]).max() <= scale
                 assert np.abs((q * w) @ q.T - a.array).max() <= scale
 
     def test_lapack_failure_is_convergence_error(self):
