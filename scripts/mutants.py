@@ -92,6 +92,13 @@ MUTANTS = (
            "[:, 0].tolist()", ".min(axis=1).tolist()", "CHANGES.md line 497"),
     Mutant("dangling-star-accepted", "cubic.py",
            'if tokens[t + 1][0] != "var":', 'if False:', "CHANGES.md line 497"),
+    # Hertz sign matrices selected from Mid -+ Rad, and the fixes beside it.
+    Mutant("hertz-ends-swapped", "definiteness.py", "low, high))[:, 0]", "high, low))[:, 0]", "CHANGES.md line 521"),
+    Mutant("hertz-ends-unchecked", "definiteness.py",
+           "if not (np.isfinite(low).all() and np.isfinite(high).all()):", "if False:", "CHANGES.md line 521"),
+    Mutant("convexity-inf-minimum-kept", "cubic.py",
+           "h if math.isfinite(h) else None", "h", "CHANGES.md line 521"),
+    Mutant("min-eigs-empty-unchecked", "symlinalg.py", "if stack.shape[-1] == 0:", "if False:", "CHANGES.md line 521"),
 )
 
 

@@ -233,7 +233,8 @@ class ConvexityResult:
     one ``hertz_min_eig`` pass; the interval Hessian counts as strongly
     PSD when that minimum ``passes`` as PSD (``interval_tol`` by default).
     Both are None when the pass's 2^(n-1) sign matrices exceed the
-    vertex budget or ``DEFAULT_VERTEX_BUDGET``, ``hertz_min_eig``'s cap.
+    vertex budget or ``DEFAULT_VERTEX_BUDGET``, ``hertz_min_eig``'s cap;
+    a minimum of -inf gives None and False.
     """
 
     verdict: Verdict
@@ -262,4 +263,5 @@ def certify_convexity(
         return ConvexityResult(verdict, None, None)
     relaxed = relax(family)
     h = hertz_min_eig(relaxed)
-    return ConvexityResult(verdict, passes(h, "psd", interval_tol(relaxed) if tol is None else tol), h)
+    ok = passes(h, "psd", interval_tol(relaxed) if tol is None else tol)
+    return ConvexityResult(verdict, ok, h if math.isfinite(h) else None)

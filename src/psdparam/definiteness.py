@@ -49,7 +49,6 @@ from .symlinalg import (
     scaled_tol,
     shifted_cholesky_pivots,
     spectral_radius_nonneg,
-    symmetrize,
 )
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
@@ -424,22 +423,27 @@ def hertz_min_eig(a: IntervalMatrix) -> float:
     is never below Rohn's cheap bound lambda_min(Mid) - rho(Rad) (Rohn,
     SIAM J. Matrix Anal. Appl. 15, 1994).
 
-    The sign rows stream in the vertex scan's ``_blocks``, a few blocks of
-    memory at any n.  Each block is symmetrized once and solved by one call
-    of the stack Jacobi kernel, its only caller; ROADMAP item 2 swaps in one
-    LAPACK ``min_eigs`` per block.  Python's ``min`` over each sorted
-    spectrum's first entry, in enumeration order, resolves a -0.0/0.0 tie
-    to the first.  An empty matrix has no eigenvalues: ValueError.
+    Each sign matrix is selected entrywise from Mid - Rad (where z_i = z_j)
+    and Mid + Rad, exactly symmetric and bit for bit Mid - z_i z_j Rad_ij;
+    ValueError when either is not finite.  The sign rows stream in the vertex
+    scan's ``_blocks``, one stack Jacobi call per block (ROADMAP item 2 swaps
+    in ``min_eigs``).  Python's ``min`` over each sorted spectrum's first
+    entry, in enumeration order, resolves a -0.0/0.0 tie to the first; a
+    minimum below -max is -inf.  An empty matrix has no eigenvalues: ValueError.
     """
     if a.rows == 0:
         raise ValueError(f"the empty {a.rows}x{a.cols} interval matrix has no eigenvalues")
     if 1 << (a.rows - 1) > DEFAULT_VERTEX_BUDGET:
         raise ValueError(f"{a.rows} rows give 2^{a.rows - 1} sign matrices, past the budget {DEFAULT_VERTEX_BUDGET}")
     mid, rad = a.symmetric_parts()
+    with np.errstate(over="ignore"):
+        low, high = mid - rad, mid + rad
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise ValueError("matrix entries must be finite")
     ones = np.ones(a.rows)
     signs = VertexEnumeration(ones, np.arange(a.rows) > 0, -ones, ones, np.zeros(a.rows))
     blocks = (signs.points(start, stop) for start, stop in _blocks(1 << (a.rows - 1), mid.nbytes))
-    smallest = (_jacobi_eigvals(symmetrize(mid - np.einsum("vi,vj->vij", z, z) * rad)[0])[:, 0].tolist() for z in blocks)
+    smallest = (_jacobi_eigvals(np.where(z[:, :, None] == z[:, None, :], low, high))[:, 0].tolist() for z in blocks)
     return min(x for block in smallest for x in block)
 
 

@@ -136,8 +136,9 @@ class IntervalMatrix:
         m = self.mid()
         left, e1 = _two_sum(m, -self.inf)
         right, e2 = _two_sum(self.sup, -m)
-        left = np.where(e1 > 0, np.nextafter(left, _INF), left)
-        right = np.where(e2 > 0, np.nextafter(right, _INF), right)
+        with np.errstate(over="ignore"):  # np.where steps every entry, the largest double to inf
+            left = np.where(e1 > 0, np.nextafter(left, _INF), left)
+            right = np.where(e2 > 0, np.nextafter(right, _INF), right)
         return np.maximum(np.maximum(left, right), 0.0)
 
     def max_abs(self) -> float:

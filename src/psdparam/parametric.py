@@ -14,7 +14,6 @@ reports what that pinning may miss.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -78,7 +77,7 @@ class ParameterBox:
 
 @dataclass(frozen=True, eq=False)
 class ParametricSymMatrix:
-    """Coefficients as one checked, symmetrized, read-only (K, n, n) stack, each one's prior skew in ``asymmetry``, and a box.
+    """Coefficients as one checked, symmetrized, read-only (K, n, n) stack, n >= 1, and a box.
 
     ``norm_bound``, ``sum_k max(|lo_k|, |hi_k|) * n * max|A_k|`` summed once when the family is built,
     bounds ||A(q)|| and ||sum_k |A_k| |q_k| || over the box; it is inf or NaN when it overflows.
@@ -94,11 +93,13 @@ class ParametricSymMatrix:
             raise ValueError(f"coefficient matrices must share one dimension ({exc})") from exc
         if len(raw) != box.K:
             raise ValueError(f"{len(raw)} coefficient matrices but box has {box.K} parameters")
-        self._hold(*symmetrize(raw), box)
+        self._hold(symmetrize(raw)[0], box)
 
-    def _hold(self, stack: np.ndarray, skew: np.ndarray, box: ParameterBox) -> None:
-        """Build the family on a stack ``symmetrize`` returned, with its skew."""
+    def _hold(self, stack: np.ndarray, box: ParameterBox) -> None:
+        """Build the family on a stack ``symmetrize`` returned; ValueError for empty matrices."""
         k, n = stack.shape[:2]
+        if n == 0:
+            raise ValueError("the empty 0x0 coefficient matrices have no eigenvalues")
         object.__setattr__(self, "box", box)
         eigvals, eigvecs = eig_stack(stack)
         scales = np.maximum(np.abs(box.inf()), np.abs(box.sup()))
@@ -110,9 +111,8 @@ class ParametricSymMatrix:
         if not np.isfinite(bound):
             raise FamilyOverflowError("the family's matrices overflow double precision over the parameter box")
         parts = psd_parts(eigvals, eigvecs)
-        for a in (skew, eigvals, eigvecs, *parts):
+        for a in (eigvals, eigvecs, *parts):
             a.setflags(write=False)
-        object.__setattr__(self, "asymmetry", skew)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_spectra", (eigvals, eigvecs))
         object.__setattr__(self, "_parts", parts)
@@ -206,7 +206,7 @@ class VertexAssignment:
     values: tuple[float, ...]
 
 
-class VertexEnumeration(Sequence):
+class VertexEnumeration:
     """Reduced vertex set of a parametric family, in Gray-code order.
 
     Each coordinate is either pinned at one endpoint or free over both;
@@ -345,5 +345,5 @@ def problem_from_json(text: str | dict) -> ParametricSymMatrix:
     if len(bad):
         raise ValueError(f"coefficient {bad[0]} is asymmetric by {skew[bad[0]]:g}")
     p = ParametricSymMatrix.__new__(ParametricSymMatrix)
-    p._hold(stack, skew, box)
+    p._hold(stack, box)
     return p

@@ -33,37 +33,28 @@ def symmetrize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only symmetrized copy of a (K, n, n) stack and each matrix's largest |A - A^T| entry.
 
     Entries that differ from their transpose become 0.5 * a_ij + 0.5 * a_ji,
-    which cannot overflow; others are kept.  ValueError for a non-square or
-    non-finite matrix.
+    which cannot overflow; others are kept; callers budget the skew.  ValueError
+    for a non-square or non-finite matrix.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     half = 0.5 * stack
-    sym = np.subtract(half, half.swapaxes(1, 2))  # two working arrays of the stack's size besides it
-    skew = 2.0 * np.abs(sym, out=sym).max(axis=(1, 2), initial=0.0)
-    np.add(half, half.swapaxes(1, 2), out=sym)
-    np.copyto(sym, stack, where=stack == stack.swapaxes(1, 2))
+    skew = 2.0 * np.abs(half - half.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    sym = np.where(stack == stack.swapaxes(1, 2), stack, half + half.swapaxes(1, 2))
     sym.setflags(write=False)
     return sym, skew
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Real symmetric matrix; the constructor symmetrizes its input by ``symmetrize``.
-
-    ``asymmetry`` records the largest |A - A^T| entry seen before
-    symmetrization so callers can enforce their own skew budget.
-    """
+    """Real symmetric matrix; the constructor symmetrizes its input by ``symmetrize``, dropping its skew."""
 
     array: np.ndarray
-    asymmetry: float = 0.0
 
     def __init__(self, array):
-        stack, skew = symmetrize(np.array(array, dtype=float)[None])
-        object.__setattr__(self, "array", stack[0])
-        object.__setattr__(self, "asymmetry", float(skew[0]))
+        object.__setattr__(self, "array", symmetrize(np.array(array, dtype=float)[None])[0][0])
 
     @classmethod
     def view(cls, a: np.ndarray) -> "SymMatrix":
@@ -178,7 +169,7 @@ def _jacobi_eigvals(stack: np.ndarray, max_sweeps: int = 30) -> np.ndarray:
                         np.copyto(w[:, j], new, where=act[:, None])
         else:
             raise ConvergenceError(f"Jacobi sweeps exhausted ({max_sweeps}) without convergence")
-    return np.sort(np.ldexp(w.diagonal(axis1=1, axis2=2), e), axis=1)
+        return np.sort(np.ldexp(w.diagonal(axis1=1, axis2=2), e), axis=1)  # past the largest double: -inf or inf
 
 
 def min_eig(a: SymMatrix) -> float:
@@ -204,7 +195,9 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_eigs(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix in a (m, n, n) stack, by one batched LAPACK call."""
+    """Smallest eigenvalue of each matrix in a (m, n, n) stack, by one batched LAPACK call; ValueError when n = 0."""
+    if stack.shape[-1] == 0:
+        raise ValueError(f"the empty {stack.shape[-2]}x{stack.shape[-1]} matrix has no eigenvalues")
     try:
         return np.linalg.eigvalsh(stack)[:, 0]
     except np.linalg.LinAlgError as exc:

@@ -783,6 +783,19 @@ class TestConvex:
         assert report["diagnostics"]["relaxation_strongly_psd"] is False
         assert report["diagnostics"]["hertz_min_eig"] == pytest.approx(-8e200, rel=1e-9)
 
+    def test_hertz_minimum_past_the_largest_double_is_null(self, capsys):
+        # The family's bound sums ||A_k|| and passes, but the relaxation's entries are +-1.2e308, so a sign
+        # matrix's smallest eigenvalue is -2.4e308: the report once printed -Infinity, which is not JSON.
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        cubic_text = "0.16666666666666666 x1^3 + 0.5 x1^2 x2 - 0.5 x1 x2^2"
+        code = main(["convex", "--tol", "1", "--box", "x1=-1.2e308:1.2e308", "--box", "x2=0:0", "--", cubic_text])
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == EXIT_DISPROVED and report["method"] == "vertex"
+        assert report["diagnostics"] == {"relaxation_strongly_psd": False, "hertz_min_eig": None}
+        assert_schema_valid(report)
+
     def test_diagnostics_past_the_budget_are_null(self):
         # The Hertz diagnostic of 70 variables has 2^69 sign matrices; it
         # once ended in a traceback and exit 1 ("disproved").  Past the

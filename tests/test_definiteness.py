@@ -57,9 +57,10 @@ from psdparam import (
 )
 from psdparam import definiteness
 from psdparam.oracle import DEFAULT_SEED, _member_min_eigs, _sample_points, sample_min_eig
-from psdparam.parametric import _members
+from psdparam.parametric import VertexEnumeration, _members
 from psdparam.symlinalg import _jacobi_eigvals, invert, min_eigs, psd_parts
 
+_MAX = np.finfo(float).max
 PLANTED_FREE = 5  # 32 vertices; the chunks start at rows 0, 1, 3, 7, 15 and 31
 
 
@@ -881,6 +882,56 @@ class TestHertz:
         for check in (hertz_min_eig, strong_psd_interval, lambda a: strong_psd_interval(a, tol=0.0)):
             with pytest.raises(ValueError, match=r"^the empty 0x0 interval matrix has no eigenvalues$"):
                 check(empty)
+
+    @pytest.mark.parametrize("check", [
+        lambda: min_eig(SymMatrix(np.zeros((0, 0)))),
+        lambda: min_eigs(np.zeros((1, 0, 0))),
+        lambda: ParametricSymMatrix([np.zeros((0, 0))], ParameterBox.from_bounds([(0, 1)])),
+    ], ids=["min_eig", "min_eigs", "family"])
+    def test_other_empty_matrices_refused(self, check):
+        with pytest.raises(ValueError, match=r"^the empty 0x0 (matrix has|coefficient matrices have) no eigenvalues$"):
+            check()
+
+    def test_blocks_are_selected_from_mid_minus_and_plus_rad(self, monkeypatch):
+        # Each block the kernel gets is exactly symmetric and, bit for bit, Mid - z_i z_j Rad_ij, -0.0 included.
+        blocks = []
+
+        def record(stack):
+            blocks.append(stack.copy())
+            return _jacobi_eigvals(stack)
+
+        monkeypatch.setattr(definiteness, "_jacobi_eigvals", record)
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3, 5, 7):
+            for scale in (5e-324, 1e-310, 1.0, 1e300):
+                m = np.round(rng.normal(size=(n, n)) * 4) * scale * rng.choice([-0.0, 1.0], (n, n), p=[0.2, 0.8])
+                w = np.abs(np.round(rng.normal(size=(n, n)) * 2)) * scale * rng.choice([0.0, 1.0], (n, n))
+                lo, hi = (np.triu(x) + np.triu(x, 1).T for x in (m - w, m + w))
+                a = IntervalMatrix(lo, hi)
+                mid, rad = a.symmetric_parts()
+                blocks.clear()
+                hertz_min_eig(a)
+                ones = np.ones(n)
+                z = VertexEnumeration(ones, np.arange(n) > 0, -ones, ones, np.zeros(n)).points(0, 1 << (n - 1))
+                got = np.concatenate(blocks)
+                assert np.array_equal(got.view(np.uint64), got.swapaxes(1, 2).view(np.uint64))
+                want = mid - np.einsum("vi,vj->vij", z, z) * rad
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("lo, hi, value", [
+        (-_MAX, _MAX, -np.inf),
+        (-_MAX, 0.0, -np.inf),
+        (-1e308, 1e308, -np.inf),
+        (0.0, _MAX, -1.7976931348623153e308),
+    ], ids=["symmetric", "nonpositive", "1e308", "nonnegative"])
+    def test_minimum_past_the_largest_double(self, lo, hi, value):
+        # A sign matrix's smallest eigenvalue below -max rounds to -inf, as IEEE arithmetic does, with no warning.
+        assert hertz_min_eig(IntervalMatrix(np.full((2, 2), lo), np.full((2, 2), hi))) == value
+
+    def test_overflowing_ends_refused(self):
+        # Mid + Rad of [1e308, max] is past the largest double.
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            hertz_min_eig(IntervalMatrix(np.full((2, 2), 1e308), np.full((2, 2), _MAX)))
 
     def test_sign_rows_stream_in_blocks(self, monkeypatch):
         # No array grows with the 2^15 sign matrices of a 16x16 matrix: all the sign rows at once would hold

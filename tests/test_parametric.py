@@ -498,7 +498,7 @@ class TestOnePassParse:
         got = problem_from_json(json.dumps(doc))
 
         def arrays(p):
-            return [p.coefficient_stack(), *p.coefficient_spectra(), *p.coefficient_parts(), p.asymmetry,
+            return [p.coefficient_stack(), *p.coefficient_spectra(), *p.coefficient_parts(),
                     np.array(p.norm_bound), p.box.inf(), p.box.sup(), p.box.mid()]
 
         for family in (ref, listed):
@@ -695,21 +695,21 @@ class TestStackConstruction:
         assert calls == [(3, 2, 2)]
 
     def test_asymmetry_is_recorded_and_budgeted_per_coefficient(self):
-        # The family records each coefficient's skew, as SymMatrix does; problem_from_json
-        # allows 1e-12 times each coefficient's own largest entry.
+        # symmetrize gives each coefficient's skew; problem_from_json allows 1e-12 times
+        # each coefficient's own largest entry.
         raw = [[[1.0, 1e-13], [0.0, 1.0]], [[1e-20, 1e-20], [0.0, 1e-20]]]
         p = ParametricSymMatrix(np.array(raw), ParameterBox.from_bounds([(0, 1)] * 2))
-        assert p.asymmetry.tolist() == [1e-13, 1e-20] and not p.asymmetry.flags.writeable
+        assert parametric.symmetrize(np.array(raw))[1].tolist() == [1e-13, 1e-20]
         assert p.coefficient_stack()[1, 0, 1] == 5e-21
         doc = {"n": 2, "K": 1, "coefficients": raw[:1], "parameters": [{"inf": 0, "sup": 1}]}
-        assert problem_from_json(doc).asymmetry.tolist() == [1e-13]
+        assert problem_from_json(doc).coefficient_stack()[0, 0, 1] == 5e-14
         with pytest.raises(ValueError, match="coefficient 1 is asymmetric by 1e-20"):
             problem_from_json({**doc, "K": 2, "coefficients": raw, "parameters": doc["parameters"] * 2})
 
     def test_coeffs_are_read_only_views_of_the_stack(self):
         p = problem_from_json(self.DOC)
         for k, c in enumerate(p.coeffs):
-            assert isinstance(c, SymMatrix) and c.n == 2 and c.asymmetry == 0.0
+            assert isinstance(c, SymMatrix) and c.n == 2
             assert np.shares_memory(c.array, p.coefficient_stack()[k])
             with pytest.raises(ValueError):
                 c.array[0, 0] = 5.0
