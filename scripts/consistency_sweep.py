@@ -30,10 +30,15 @@ public ``min_eig(evaluate(p, point))`` must give its reported smallest
 eigenvalue bit for bit, and the oracle's member must match that within the
 family tolerance.  A vertex list must count every reduced vertex, or every
 vertex of the set the stage rescans when the pinned shortfall could
-matter.  A vertex list that carries the Cholesky screen's ``shift`` is
-re-checked without a Cholesky: the shift must reach the goal's threshold
-plus that set's pinned shortfall, and every vertex of the set must pass
-the goal by its LAPACK smallest eigenvalue.
+matter, and its ``worst_vertex`` must be a vertex of that set.  A vertex
+list that carries the Cholesky screen's ``shift`` is re-checked without a
+Cholesky: the shift must reach the goal's threshold plus that set's
+pinned shortfall, and every vertex of the set must pass the goal by its
+LAPACK smallest eigenvalue.  A vertex list that carries a
+``worst_min_eig`` is re-checked as a counterexample is: the public
+``min_eig(evaluate(p, worst_vertex))`` must give it bit for bit, and no
+vertex of the set may have a LAPACK smallest eigenvalue below it by more
+than the family tolerance.
 
 A witness point must lie in the box, give its reported smallest eigenvalue
 bit for bit through ``min_eig(evaluate(p, point))``, and, by the oracle's
@@ -77,8 +82,11 @@ The generators:
   G of the regularity stage is block diagonal up to its rounding terms:
   nearly reducible, which a Perron bracket must still bound.
 
-Reports, row by row, which stage decided how often.  Exits nonzero on any
-disagreement, so this doubles as a long-running soak test:
+Reports, row by row, which stage decided how often, and how many of the
+cascade's vertex proofs the Cholesky screen cleared throughout (screened),
+took eigenvalues for throughout (eigen-solved) or both (mixed), and how
+many the stage ran over the exact set.  Exits nonzero on any disagreement,
+so this doubles as a long-running soak test:
 
     python scripts/consistency_sweep.py --count 2000 --seed 7
 """
@@ -268,15 +276,32 @@ def certificate_problem(p: pp.ParametricSymMatrix, goal: str, verdict: pp.Verdic
         expected = (len(enum), len(enum.exact()))
         if cert.checked not in expected:
             return f"vertex list checked {cert.checked} of {' or '.join(map(str, expected))} vertices"
+        scanned = enum if cert.checked == len(enum) else enum.exact()
+        points = scanned.points(0, len(scanned))
+        if not (points == cert.worst_vertex).all(axis=1).any():
+            return f"worst vertex {cert.worst_vertex} is not a vertex of the scanned set"
+        mins = _member_min_eigs(p, points)
         if cert.shift is not None:
-            scanned = enum if cert.checked == len(enum) else enum.exact()
             threshold = tol if goal.endswith("_pd") else -tol
             if not cert.shift >= threshold + scanned.shortfall:
                 return f"shift {cert.shift:.12g} below the threshold plus shortfall {threshold + scanned.shortfall:.12g}"
-            mins = _member_min_eigs(p, scanned.points(0, len(scanned)))
             if not passes(goal, mins, tol).all():
                 return f"screened vertex list, but a vertex fails the goal: LAPACK min_eig {mins.min():.12g}"
+        if cert.worst_min_eig is not None:
+            if (replayed := pp.min_eig(pp.evaluate(p, cert.worst_vertex))) != cert.worst_min_eig:
+                return f"worst_min_eig {cert.worst_min_eig!r}, min_eig(evaluate) gives {replayed!r}"
+            if mins.min() < cert.worst_min_eig - tol:
+                return f"worst_min_eig {cert.worst_min_eig:.12g}, but a vertex has LAPACK min_eig {mins.min():.12g}"
     return None
+
+
+def vertex_proof_kinds(p: pp.ParametricSymMatrix, verdict: pp.Verdict) -> list[str]:
+    """How the vertex stage reached a proof: screened, eigen-solved or mixed, and "exact" when it rescanned."""
+    cert = verdict.certificate
+    if not (verdict.proved and isinstance(cert, pp.VertexList)):
+        return []
+    kind = "eigen-solved" if cert.shift is None else "screened" if cert.worst_min_eig is None else "mixed"
+    return [kind] + ["exact"] * (cert.checked != len(pp.vertices(p, tol=pp.family_tol(p))))
 
 
 def passes(goal: str, m, tol: float):
@@ -377,6 +402,8 @@ def main() -> int:
                 verdict, problems = check_goal(p, goal, truth)
                 counts[label, "decide", goal, verdict.status.value, verdict.method] += 1
                 counts[label, verdict.status.value] += 1
+                for kind in vertex_proof_kinds(p, verdict):
+                    counts[label, "vertex proofs", kind] += 1
                 disagreements += [(where, goal, problem) for problem in problems]
                 if verdict.unknown and goal in WEAK_GOALS:
                     counts[label, "unknown", goal] += 1
@@ -403,6 +430,8 @@ def main() -> int:
             missed, unknown = counts[label, "missed", goal], counts[label, "unknown", goal]
             print(f"  {label:16s} {goal:10s} unknown with a passing grid point (missed witness): {missed} of {unknown}")
         print(f"  {label:16s} hertz_min_eig re-checked against LAPACK on {counts[label, 'hertz']} relaxations")
+        screened, solved, mixed, exact = (counts[label, "vertex proofs", k] for k in ("screened", "eigen-solved", "mixed", "exact"))
+        print(f"  {label:16s} vertex proofs: {screened} screened, {solved} eigen-solved, {mixed} mixed, {exact} over the exact set")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
         return 1

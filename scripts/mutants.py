@@ -57,8 +57,6 @@ MUTANTS = (
     Mutant("necessary-at-midpoint", "definiteness.py",
            "_split_combination(p, p.box.sup(), p.box.inf())", "_split_combination(p, p.box.mid(), p.box.mid())",
            "ROADMAP item 15"),
-    Mutant("vertex-rescan-skipped", "definiteness.py",
-           "verdict = _scan_vertices(p, enum.exact(), kind, tol, budget)", "pass", "ROADMAP item 15"),
     Mutant("beeck-shift-term-zero", "definiteness.py", "g += shift * abs_c", "g += 0.0 * abs_c", "ROADMAP item 15"),
     Mutant("beeck-rounding-term-zero", "definiteness.py",
            "g += (n + 1) * u * (abs_c @", "g += 0.0 * u * (abs_c @", "ROADMAP item 15"),
@@ -77,7 +75,6 @@ MUTANTS = (
            "CHANGES.md line 18"),
     Mutant("decide-no-early-stop", "definiteness.py",
            "if not verdict.unknown:\n            break", "if False:\n            break", "CHANGES.md line 30"),
-    Mutant("rescan-ends-a-block-early", "definiteness.py", "cleared = stop", "cleared = start", "CHANGES.md line 392"),
     Mutant("tail-any-whitespace", "cubic.py", "text[pos:].lstrip(_BLANKS)", "text[pos:].lstrip()",
            "CHANGES.md line 490"),
     Mutant("token-any-whitespace", "cubic.py", 'rf"""[{_BLANKS}]*(?:', 'rf"""\\s*(?:', "CHANGES.md line 490"),
@@ -99,6 +96,16 @@ MUTANTS = (
     Mutant("convexity-inf-minimum-kept", "cubic.py",
            "h if math.isfinite(h) else None", "h", "CHANGES.md line 521"),
     Mutant("min-eigs-empty-unchecked", "symlinalg.py", "if stack.shape[-1] == 0:", "if False:", "CHANGES.md line 521"),
+    # One rule per vertex block, and decide's integer budget.
+    Mutant("vertex-shortfall-test-dropped", "definiteness.py",
+           "passes(mins - enum.shortfall, kind, tol)", "passes(mins, kind, tol)", "CHANGES.md line 537"),
+    Mutant("vertex-screen-latched", "definiteness.py",
+           "shifted_cholesky_pivots(members, shift) if shift is not None else None",
+           "shifted_cholesky_pivots(members, shift) if shift is not None and not minima else None", "CHANGES.md line 537"),
+    Mutant("mixed-proof-loses-shift", "definiteness.py",
+           "shift if pivots else None", "shift if pivots and not minima else None", "CHANGES.md line 537"),
+    Mutant("vertex-budget-unchecked", "definiteness.py",
+           "operator.index(vertex_budget)", "vertex_budget", "CHANGES.md line 537"),
 )
 
 

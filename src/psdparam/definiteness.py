@@ -27,6 +27,7 @@ independently.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,11 +76,13 @@ class Status(Enum):
 class VertexList:
     """All ``checked`` reduced vertices pass; the worst one is recorded.
 
-    When the Cholesky screen cleared every vertex, ``shift`` is its shift s: every vertex member less
-    s I factored, so every one's exact smallest eigenvalue exceeds the goal's threshold plus the pinned
-    shortfall.  ``worst_min_eig`` is then None, and ``worst_vertex`` the first vertex with the smallest
-    Cholesky pivot.  Otherwise ``shift`` is None and the worst vertex is the first attaining the
-    smallest computed eigenvalue, ``worst_min_eig``.
+    ``shift`` is the Cholesky screen's shift s when it cleared some block of vertices: each of their
+    members less s I factored, so its exact smallest eigenvalue exceeds the goal's threshold plus the
+    pinned shortfall.  ``worst_min_eig`` is the smallest computed eigenvalue over the other blocks, and
+    ``worst_vertex`` the first vertex attaining it; when the screen cleared every block,
+    ``worst_min_eig`` is None and ``worst_vertex`` the first vertex with the smallest Cholesky pivot.
+    A proof that mixes the two carries both fields; which blocks the screen clears may depend on the
+    block sizes.
     """
 
     json_type: ClassVar[str] = "vertex_list"
@@ -169,7 +172,10 @@ def _blocks(total: int, row_bytes: int) -> Iterator[tuple[int, int]]:
     """(start, stop) pairs covering range(total): FIRST_VERTEX_BLOCK_BYTES of rows, doubling to VERTEX_CHUNK_BYTES.
 
     Every block holds at least one row.  The vertex scan, the witness climbs
-    and ``hertz_min_eig``'s sign rows take their blocks from here.
+    and ``hertz_min_eig``'s sign rows take their blocks from here.  The vertex
+    scan screens or eigen-solves each block whole, so a proof whose every
+    vertex the screen clears, and a disproof, do not depend on these sizes;
+    which blocks of any other proof the screen clears may.
     """
     first, cap = (max(1, b // row_bytes) for b in (FIRST_VERTEX_BLOCK_BYTES, VERTEX_CHUNK_BYTES))
     start, size = 0, min(first, cap)
@@ -212,44 +218,40 @@ def _screen_shift(p: ParametricSymMatrix, kind: str, tol: float, shortfall: floa
 def _scan_vertices(p: ParametricSymMatrix, enum: VertexEnumeration, kind: str, tol: float, budget: int) -> Verdict:
     """Scan ``enum`` in Gray order, in the ``_blocks`` of one member matrix per row; proved when every vertex passes.
 
-    A vertex passes when the Cholesky screen clears it or when its computed smallest eigenvalue passes.
-    The screen factors each block's members less ``_screen_shift``'s s times I in one batched Cholesky;
-    a cleared block has every member's exact smallest eigenvalue above the goal's threshold plus the
-    enumeration's shortfall, and skips the eigen-solve.  From the first block the screen does not clear,
-    each block takes its members' smallest eigenvalues in one batched call, as an unscreened scan would,
-    and the scan stops at the first block with a failing vertex; the certificate names its first failing
-    vertex in Gray order.  A proof whose every block the screen cleared is ``VertexList`` with ``shift``
-    s, no ``worst_min_eig``, and as ``worst_vertex`` the first vertex with the smallest Cholesky pivot,
-    the one the screen found nearest to failing.  Any other proof takes the cleared blocks' eigenvalues
-    too, and names the first vertex attaining the minimum with its value.  Neither depends on the block sizes.
+    Each block is decided by one rule.  While ``_screen_shift``'s s is finite, the block's members less s I
+    go through one batched Cholesky; a block it clears has every member's exact smallest eigenvalue above
+    the goal's threshold plus the enumeration's shortfall, and records its smallest pivot.  Any other block
+    takes its members' smallest eigenvalues in one batched call: its first failing vertex in Gray order
+    disproves, and a member that passes only without the shortfall marks the scan, which after its last
+    block runs once more over ``enum.exact()`` (shortfall 0, so it never marks again; past the budget it is
+    Unknown).  A proof is ``VertexList`` with ``shift`` s when the screen cleared some block.  When some
+    block was eigen-solved, ``worst_min_eig`` is their smallest eigenvalue and ``worst_vertex`` the first
+    vertex attaining it; otherwise ``worst_vertex`` is the first vertex with the smallest Cholesky pivot,
+    the one the screen found nearest to failing.
     """
     total = 1 << enum.free_count  # not len(enum): len() refuses counts past sys.maxsize
     if total > budget:
         return Verdict(Status.UNKNOWN, detail=f"2^{enum.free_count} vertices exceed budget {budget}")
     shift = _screen_shift(p, kind, tol, enum.shortfall)
-    row_bytes, cleared = p.coefficient_stack()[0].nbytes, 0  # cleared: where the blocks the screen cleared end
-    pivots, minima = [], []  # per block: (smallest pivot or eigenvalue, block start, first vertex attaining it)
-    for start, stop in _blocks(total, row_bytes):
+    pivots, minima, rescan = [], [], False  # per block: (smallest pivot or eigenvalue, block start, first vertex attaining it)
+    for start, stop in _blocks(total, p.coefficient_stack()[0].nbytes):
         points = enum.points(start, stop)
         members = _members(p, points)
-        screened = shifted_cholesky_pivots(members, shift) if shift is not None and not minima else None
+        screened = shifted_cholesky_pivots(members, shift) if shift is not None else None
         if screened is not None:
             pivots.append(_first_minimum(screened, start, points))
-            cleared = stop
             continue
         mins = min_eigs(members)
         failed = ~passes(mins, kind, tol)
         if failed.any():
             i = int(np.argmax(failed))
             return Verdict(Status.DISPROVED, certificate=CounterexampleVertex(tuple(points[i].tolist()), float(mins[i])))
+        rescan = rescan or not passes(mins - enum.shortfall, kind, tol).all()
         minima.append(_first_minimum(mins, start, points))
-    if not minima:
-        return Verdict(Status.PROVED, certificate=VertexList(total, min(pivots)[2], None, shift))
-    for start, stop in _blocks(cleared, row_bytes):  # the cleared blocks again: block sizes do not depend on the total
-        points = enum.points(start, stop)
-        minima.append(_first_minimum(min_eigs(_members(p, points)), start, points))
-    worst, _, worst_vertex = min(minima)
-    return Verdict(Status.PROVED, certificate=VertexList(total, worst_vertex, worst))
+    if rescan:
+        return _scan_vertices(p, enum.exact(), kind, tol, budget)
+    worst, _, worst_vertex = min(minima or pivots)
+    return Verdict(Status.PROVED, certificate=VertexList(total, worst_vertex, worst if minima else None, shift if pivots else None))
 
 
 def _first_minimum(values: np.ndarray, start: int, points: np.ndarray) -> tuple[float, int, tuple[float, ...]]:
@@ -262,20 +264,8 @@ def _first_minimum(values: np.ndarray, start: int, points: np.ndarray) -> tuple[
 
 
 def _strong_by_vertices(p: ParametricSymMatrix, kind: str, tol: float, budget: int) -> Verdict:
-    """``_scan_vertices`` over ``vertices(p, tol)``, rescanned once over its ``exact()`` set when pinning could matter.
-
-    A failing vertex is a member, so it always disproves.  A proof stands when the Cholesky screen
-    cleared every vertex, since its shift covers the enumeration's pinned shortfall, or when the
-    smallest vertex value less that shortfall passes.  Otherwise the rescan frees every pinned
-    coordinate with a nonzero shortfall, which leaves none, so its verdict is exact; past the budget
-    it is Unknown.
-    """
-    enum = vertices(p, tol=tol)
-    verdict = _scan_vertices(p, enum, kind, tol, budget)
-    cert = verdict.certificate
-    if verdict.proved and cert.shift is None and not passes(cert.worst_min_eig - enum.shortfall, kind, tol):
-        verdict = _scan_vertices(p, enum.exact(), kind, tol, budget)
-    return verdict
+    """``_scan_vertices`` over ``vertices(p, tol)``."""
+    return _scan_vertices(p, vertices(p, tol=tol), kind, tol, budget)
 
 
 def strong_psd(
@@ -535,7 +525,7 @@ class Stage(NamedTuple):
 
     ``run(p, kind, tol, vertex_budget)`` returns a Verdict; ``kind``
     is "psd" or "pd", the property the goal asks about, and ``decide`` has
-    already resolved ``tol`` and checked ``vertex_budget``.
+    already resolved ``tol`` and checked ``vertex_budget``, an int.
     """
 
     name: str
@@ -571,12 +561,17 @@ def decide(
     each stage run with its wall time in milliseconds, and its ``tol`` is
     ``tol`` as given or else ``family_tol(p)``, resolved here.  Raises
     ValueError when the goal or the stage is unknown, when the stage does
-    not apply to the goal, for a negative vertex budget, or for a bad or
+    not apply to the goal, for a vertex budget that is not a Python or
+    numpy integer >= 0 (a bool or a float is refused), or for a bad or
     overflowing ``tol``.
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}, got {goal!r}")
-    if vertex_budget < 0:
+    try:  # floats are refused (a NaN budget bounds nothing), and bools, which would read as 0 or 1
+        budget = -1 if isinstance(vertex_budget, bool) else operator.index(vertex_budget)
+    except TypeError:
+        budget = -1
+    if budget < 0:
         raise ValueError(f"vertex budget must be a nonnegative integer, got {vertex_budget!r}")
     kind = goal.rsplit("_", 1)[1]  # the property the goal asks about
     stages = [s for s in STAGES if goal in s.goals]
@@ -591,7 +586,7 @@ def decide(
     stage_ms = []
     for stage in stages:
         t0 = time.perf_counter()
-        verdict = stage.run(p, kind, tol, vertex_budget)
+        verdict = stage.run(p, kind, tol, budget)
         stage_ms.append((stage.name, (time.perf_counter() - t0) * 1e3))
         if not verdict.unknown:
             break

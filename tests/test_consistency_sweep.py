@@ -44,6 +44,8 @@ def test_small_sweep_agrees_on_all_goals():
     assert "cubic all goals on 40 families: 40 proved, 116 disproved, 4 unknown" in lines
     assert "block-diagonal all goals on 40 families: 124 proved, 36 disproved, 0 unknown" in lines
     assert "block-diagonal strong_pd by regularity alone: 18 proved and checked, 22 unknown" in lines
+    assert "near-threshold vertex proofs: 35 screened, 7 eigen-solved, 0 mixed, 0 over the exact set" in lines
+    assert "block-diagonal vertex proofs: 6 screened, 0 eigen-solved, 0 mixed, 0 over the exact set" in lines
     assert "random hertz_min_eig re-checked against LAPACK on 15 relaxations" in lines
     for label in ("near-singular", "wide-box", "pinned-shortfall", "near-threshold", "cubic", "block-diagonal"):
         assert f"{label} hertz_min_eig re-checked against LAPACK on 40 relaxations" in lines

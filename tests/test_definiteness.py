@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -126,14 +127,19 @@ def assert_matches_sequential(p: ParametricSymMatrix, goal: str, tol: float | No
     else:
         enum = vertices(p, tol=tol)
         assert isinstance(cert, VertexList) and cert.checked == len(enum)
-        if cert.shift is None:
+        if cert.shift is not None:
+            # The shift clears the goal's threshold plus the shortfall.
+            assert cert.shift > (tol if goal == "pd" else -tol) + enum.shortfall
+        if cert.worst_min_eig is None:
+            # Screened throughout: the vertex named is the first with the smallest pivot.
+            assert cert.shift is not None and value >= cert.shift - 1e-9
+            assert cert.worst_vertex == tightest_vertex(p, enum, cert.shift)
+        elif cert.shift is None or value < cert.shift - 1e-9:
+            # Eigen-solved throughout, or mixed with the worst vertex in an eigen-solved block.
             assert (cert.worst_vertex, cert.worst_min_eig) == (vertex, pytest.approx(value, abs=1e-9))
         else:
-            # Screened: the shift clears the goal's threshold plus the shortfall, and the
-            # vertex named is the first with the smallest pivot.
-            assert cert.worst_min_eig is None and value >= cert.shift - 1e-9
-            assert cert.shift > (tol if goal == "pd" else -tol) + enum.shortfall
-            assert cert.worst_vertex == tightest_vertex(p, enum, cert.shift)
+            # Mixed, with the worst vertex in a cleared block: the eigen-solved blocks' worst is no lower.
+            assert min_eig(evaluate(p, cert.worst_vertex)) == cert.worst_min_eig >= value
     return v
 
 
@@ -218,7 +224,8 @@ class TestBatchedVertexRoute:
         # A(p) = diag(p1, 10 - 0.001 p1 + p2, 10 - p2): the minimum ``low`` is
         # attained exactly at Gray vertices 0 and 3, in different chunks, and so
         # is the smallest Cholesky pivot.  1e-14 above tol lies inside the screen's
-        # margin, so there the scan falls back to the eigenvalues.
+        # margin, so the blocks of vertices 0 and 3 take their eigenvalues while the
+        # screen clears vertices 1 and 2 between them: a mixed proof.
         for low, tol in ((1.0, None), (1e-9 + 1e-14, 1e-9)):
             p = ParametricSymMatrix(
                 [np.diag([1.0, -0.001, 0.0]), np.diag([0.0, 1.0, -1.0]), np.diag([0.0, 10.0, 10.0])],
@@ -226,10 +233,7 @@ class TestBatchedVertexRoute:
             )
             cert = assert_matches_sequential(p, "pd", tol).certificate
             assert cert.worst_vertex == vertices(p)[0].values
-            if tol is None:
-                assert cert.shift is not None and cert.worst_min_eig is None
-            else:
-                assert cert.shift is None and cert.worst_min_eig == low
+            assert cert.shift is not None and cert.worst_min_eig == (None if tol is None else low)
 
     @pytest.mark.parametrize("j", [0, 7, 31])
     def test_planted_proved_names_worst_vertex(self, rng, j):
@@ -280,22 +284,75 @@ class TestCholeskyScreen:
          pytest.param(3, 2, id="3-last-cleared-row"), pytest.param(5, 14, id="5-last-cleared-row")],
     )
     def test_cleared_blocks_join_the_exact_worst_vertex(self, rng, monkeypatch, failing_call, j):
-        # Blocks of 1, 2, 4, 8 and 16 rows; the screen clears the blocks before
-        # ``failing_call`` and fails there, so the eigenvalues of the cleared
-        # blocks are taken at the end, and vertex j is the worst: in the first
-        # block, or the last row of the last cleared one.
+        # Blocks of 1, 2, 4, 8, 16 and 1 rows; the screen fails only at ``failing_call``,
+        # so that block alone is eigen-solved.  Cleared blocks are not replayed: the
+        # mixed proof names the worst vertex of the eigen-solved block with its value,
+        # which is vertex j, the worst overall, only when j lies in that block.
         monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
-        screen, calls = definiteness.shifted_cholesky_pivots, []
+        screen, calls, solved = definiteness.shifted_cholesky_pivots, [], []
 
         def failing(stack, shift):
             calls.append(len(stack))
             return None if len(calls) == failing_call else screen(stack, shift)
 
+        solve = definiteness.min_eigs
         monkeypatch.setattr(definiteness, "shifted_cholesky_pivots", failing)
+        monkeypatch.setattr(definiteness, "min_eigs", lambda stack: solved.append(len(stack)) or solve(stack))
         p = planted_vertex_family(rng, j, shift=6.0)
         v = assert_matches_sequential(p, "pd")
-        assert calls == [1, 2, 4, 8, 16][:failing_call]
-        assert v.certificate.shift is None and v.certificate.worst_vertex == vertices(p)[j].values
+        assert calls == [1, 2, 4, 8, 16, 1] and solved == [calls[failing_call - 1]]
+        enum = vertices(p)
+        start = sum(calls[: failing_call - 1])
+        values = [min_eig(evaluate(p, enum[i].values)) for i in range(start, start + solved[0])]
+        worst = start + int(np.argmin(values))
+        cert = v.certificate
+        assert cert.shift is not None and (cert.worst_vertex, cert.worst_min_eig) == (enum[worst].values, min(values))
+        assert (worst == j) == (failing_call == 1)
+
+    @pytest.mark.parametrize("j", [0, 1000, 4095])
+    def test_mixed_proof_names_the_worst_eigen_solved_vertex(self, monkeypatch, j):
+        # n = 6 and 2^12 vertices in the default blocks.  Vertex j's minimum sits 2e-14 above tol, inside the
+        # screen's margin, and every other vertex's at least 2 above it: the screen clears every block but j's.
+        tol, free = 1e-6, 12
+        _, _, value = sequential_vertex_scan(planted_vertex_family(np.random.default_rng(j), j, 13.0, free, 6), "pd", tol)
+        p = planted_vertex_family(np.random.default_rng(j), j, 13.0 - (value - tol - 2e-14), free, 6)
+        enum = vertices(p, tol=tol)
+        blocks = list(definiteness._blocks(len(enum), p.coefficient_stack()[0].nbytes))
+        start, stop = next((a, b) for a, b in blocks if a <= j < b)
+        assert len(blocks) > 2
+        solved = []
+        solve = definiteness.min_eigs
+        monkeypatch.setattr(definiteness, "min_eigs", lambda stack: solved.append(stack.copy()) or solve(stack))
+        v = decide(p, "strong_pd", tol, method="vertex")
+        cert = v.certificate
+        assert v.proved and cert.checked == len(enum) == 1 << free
+        assert cert.shift is not None and cert.worst_min_eig is not None
+        assert cert.worst_vertex == enum[j].values
+        assert min_eig(evaluate(p, cert.worst_vertex)) == cert.worst_min_eig
+        assert 0.0 < cert.worst_min_eig - tol < 1e-13
+        assert len(solved) == 1 and np.array_equal(solved[0], _members(p, enum.points(start, stop)))
+
+    def test_shortfall_mark_in_a_later_block_rescans_the_exact_set(self, monkeypatch):
+        # The planted family plus two coefficients -0.9 tol e1 e1^T on [0, 1], pinned at 0 with a shortfall of
+        # 1.8 tol along e1 in all.  Vertex 20, in the fifth of the blocks of 1, 2, 4, 8, 16 and 1 rows, has its
+        # minimum 0.2 tol: it passes as PSD but not less the shortfall, so the screen fails its block and that
+        # member marks the scan; the exact set's rescan has no shortfall, and its screen clears every vertex.
+        monkeypatch.setattr(definiteness, "FIRST_VERTEX_BLOCK_BYTES", 1)
+        tol, j = 1e-6, 20
+        _, _, value = sequential_vertex_scan(planted_vertex_family(np.random.default_rng(5), j, 6.0), "psd", tol)
+        planted = planted_vertex_family(np.random.default_rng(5), j, 6.0 - (value - 0.2 * tol))
+        pinned = -0.9 * tol * np.outer(np.eye(3)[1], np.eye(3)[1])
+        box = ParameterBox.from_bounds(list(zip(planted.box.inf(), planted.box.sup())) + [(0.0, 1.0)] * 2)
+        p = ParametricSymMatrix(list(planted.coefficient_stack()) + [pinned, pinned], box)
+        enum = vertices(p, tol=tol)
+        assert len(enum) == 32 and enum.shortfall == pytest.approx(1.8 * tol) and len(enum.exact()) == 128
+        solved = []
+        solve = definiteness.min_eigs
+        monkeypatch.setattr(definiteness, "min_eigs", lambda stack: solved.append(len(stack)) or solve(stack))
+        v = decide(p, "strong_psd", tol, method="vertex")
+        assert solved == [16]
+        assert v.proved and v.certificate.checked == len(enum.exact())
+        assert v.certificate.shift is not None and v.certificate.worst_min_eig is None
 
     def test_singular_integer_members_at_tol_zero(self, monkeypatch):
         # Exactly PSD and singular, so no shift clears them; what the eigenvalues
@@ -1375,9 +1432,14 @@ class TestDecide:
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
     def test_negative_vertex_budget_rejected(self, goal):
-        with pytest.raises(ValueError, match="vertex budget must be a nonnegative integer"):
-            decide(diag_sign_family(), goal, vertex_budget=-5)
+        # A NaN budget once enumerated every vertex (total > nan is false), and True read as a budget of 1.
+        for budget in (-5, np.int64(-1), float("nan"), float("inf"), 2.0, np.float64(3.0), True, np.True_, "4", None):
+            with pytest.raises(ValueError, match=f"vertex budget must be a nonnegative integer, got {re.escape(repr(budget))}"):
+                decide(diag_sign_family(), goal, vertex_budget=budget)
         assert not decide(diag_sign_family(), goal, vertex_budget=0).proved
+        for budget in (np.uint8(0), np.int64(4)):
+            v, w = (decide(diag_sign_family(), goal, vertex_budget=b) for b in (budget, int(budget)))
+            assert (v.status, v.method, v.detail) == (w.status, w.method, w.detail)
 
     @pytest.mark.parametrize("goal", definiteness.GOALS)
     def test_stages_run_in_table_order(self, rng, goal):
